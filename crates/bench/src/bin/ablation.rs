@@ -120,7 +120,6 @@ fn engine_for(v: &Variant, dev: &DeviceSpec) -> FusionEngine {
 }
 
 fn main() {
-    mcfuser_sim::assert_codegen_ok();
     let dev = DeviceSpec::a100();
     let names: Vec<&str> = if fast_mode() {
         vec!["G1", "G4", "S2"]

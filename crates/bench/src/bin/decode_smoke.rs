@@ -8,8 +8,7 @@
 //!
 //! * the decode-step plan fuses both the KV-cache attention and the FFN
 //!   chain of every layer (nonzero fused-step count);
-//! * the fused step is **bit-identical** to the pure reference lane on
-//!   both execution backends;
+//! * the fused step is **bit-identical** to the pure reference lane;
 //! * width-4 batched decode (four sessions stepping in lockstep through
 //!   the coalescing queue) is bit-identical to width-1 serial decode
 //!   and spends strictly less virtual device time per token;
@@ -19,7 +18,7 @@
 //! report to `results/decode_smoke.json`.
 //!
 //! ```sh
-//! MCFUSER_EXEC_BACKEND=vectorized cargo run --release -p mcfuser-bench --bin decode_smoke
+//! cargo run --release -p mcfuser-bench --bin decode_smoke
 //! ```
 
 use std::sync::{Arc, Barrier};
@@ -30,7 +29,7 @@ use mcfuser_core::{
     BatchPolicy, DecodeServing, DecodeSpec, FusionEngine, ModelRuntime, RunOptions, RuntimeStats,
 };
 use mcfuser_ir::{decode_mask, evaluate, scatter_onehot};
-use mcfuser_sim::{DeviceSpec, ExecBackend, HostTensor};
+use mcfuser_sim::{DeviceSpec, HostTensor};
 use mcfuser_workloads::{decoder_forward_graph, decoder_step_graph, DecoderConfig};
 
 const PROMPT: u64 = 8;
@@ -93,7 +92,7 @@ fn token_rows(cfg: &DecoderConfig, phase: u64) -> (HostTensor, Vec<HostTensor>) 
 }
 
 /// The fused decode step must be bit-identical to the pure reference
-/// lane, per backend. Returns the plan's fused-step count.
+/// lane. Returns the plan's fused-step count.
 fn assert_step_bit_identity(engine: &FusionEngine, cfg: &DecoderConfig) -> usize {
     let t_b = BUCKETS[0];
     let g = decoder_step_graph("gpt-mini", cfg, t_b);
@@ -122,16 +121,14 @@ fn assert_step_bit_identity(engine: &FusionEngine, cfg: &DecoderConfig) -> usize
             inputs.insert(name.clone(), t.clone());
         }
         let vals = evaluate(&g, &by_node, SEED).expect("reference lane");
-        for backend in [ExecBackend::Interpreter, ExecBackend::Vectorized] {
-            let got = plan
-                .execute(&inputs, RunOptions::seeded(SEED).with_backend(backend))
-                .expect("fused step");
-            for (o, (name, tensor)) in g.outputs.iter().zip(got.iter()) {
-                assert_eq!(
-                    tensor.data, vals[o.0].data,
-                    "fused output {name} diverged from the reference lane ({backend}, pos {pos})"
-                );
-            }
+        let got = plan
+            .execute(&inputs, RunOptions::seeded(SEED))
+            .expect("fused step");
+        for (o, (name, tensor)) in g.outputs.iter().zip(got.iter()) {
+            assert_eq!(
+                tensor.data, vals[o.0].data,
+                "fused output {name} diverged from the reference lane (pos {pos})"
+            );
         }
     }
     breakdown.fused_steps
@@ -188,12 +185,9 @@ fn step_summary(stats: &RuntimeStats) -> (u64, f64, f64, Vec<serde_json::Value>)
 
 fn main() {
     let device = DeviceSpec::a100();
-    let backend = ExecBackend::from_env().unwrap_or_default();
-    println!("decode backend: {backend}");
     let engine = FusionEngine::builder(device)
         .fallback(Relay::new())
         .parallelism(0)
-        .exec_backend(backend)
         .build();
     let cfg = DecoderConfig::gpt_mini();
     assert!(cfg.layers >= 4, "smoke decoder must be at least 4 layers");
@@ -201,7 +195,7 @@ fn main() {
     let compile_start = Instant::now();
     let fused_steps = assert_step_bit_identity(&engine, &cfg);
     println!(
-        "fused decode step: {} fused kernels per step, bit-identical to the reference lane on both backends",
+        "fused decode step: {} fused kernels per step, bit-identical to the reference lane",
         fused_steps
     );
 
@@ -358,7 +352,6 @@ fn main() {
     mcfuser_bench::write_json(
         "decode_smoke",
         &serde_json::json!({
-            "backend": backend.to_string(),
             "config": config_report,
             "fused_steps_per_decode": fused_steps,
             "serial": serial_report,

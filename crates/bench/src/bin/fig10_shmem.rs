@@ -21,7 +21,6 @@ use mcfuser_tile::{estimate_shmem_bytes, lower, LoweringOptions};
 use mcfuser_workloads::{attention_workload, gemm_chain_workload};
 
 fn main() {
-    mcfuser_sim::assert_codegen_ok();
     let dev = DeviceSpec::a100();
     let shm_max = dev.smem_per_block as f64;
     let per_workload = if fast_mode() { 120 } else { 400 };

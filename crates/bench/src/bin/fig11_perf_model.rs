@@ -11,7 +11,6 @@ use mcfuser_tile::{lower, LoweringOptions};
 use mcfuser_workloads::gemm_chain_workload;
 
 fn main() {
-    mcfuser_sim::assert_codegen_ok();
     let dev = DeviceSpec::a100();
     let samples = if fast_mode() { 60 } else { 200 };
     let mut rng = StdRng::seed_from_u64(0x000F_1611);

@@ -10,7 +10,6 @@ use mcfuser_ir::Epilogue;
 use mcfuser_sim::{measure, DType, DeviceSpec};
 
 fn main() {
-    mcfuser_sim::assert_codegen_ok();
     let dev = DeviceSpec::a100();
     let ridge = dev.ridge_flops_per_byte(DType::F16);
     let total: f64 = 1024f64 * 1024.0 * 1024.0;

@@ -11,7 +11,6 @@ use mcfuser_tile::{
 };
 
 fn main() {
-    mcfuser_sim::assert_codegen_ok();
     let chain = ChainSpec::gemm_chain("fig3", 1, 1024, 1024, 512, 512);
     let deep = enumerate_deep(&chain);
     let flat = enumerate_flat(&chain);

@@ -12,7 +12,6 @@ use mcfuser_ir::ChainSpec;
 use mcfuser_sim::DeviceSpec;
 
 fn main() {
-    mcfuser_sim::assert_codegen_ok();
     let chain = ChainSpec::gemm_chain("fig7", 1, 1024, 1024, 512, 512);
     let dev = DeviceSpec::a100();
     let space = SearchSpace::generate(&chain);

@@ -140,7 +140,6 @@ fn run_suite(
 }
 
 fn main() {
-    mcfuser_sim::assert_codegen_ok();
     let fast = fast_mode();
     let suite = arg_value("--suite").unwrap_or_else(|| "all".into());
     let device = arg_value("--device").unwrap_or_else(|| "all".into());

@@ -17,7 +17,6 @@ use mcfuser_sim::DeviceSpec;
 use mcfuser_workloads::{bert_base, bert_large, bert_small};
 
 fn main() {
-    mcfuser_sim::assert_codegen_ok();
     let fast = fast_mode();
     let dev = DeviceSpec::a100();
     let seq = 512;

@@ -34,7 +34,6 @@ fn arg_str(flag: &str) -> Option<String> {
 }
 
 fn main() {
-    mcfuser_sim::assert_codegen_ok();
     let args: Vec<String> = std::env::args().collect();
     let mode = args.get(1).map(String::as_str).unwrap_or("gemm");
     let (want_explain, kind) = if mode == "explain" {

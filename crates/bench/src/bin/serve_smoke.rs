@@ -13,14 +13,10 @@
 //! distribution (p50 < p95), and at least 2x virtual-clock throughput
 //! from coalescing same-plan requests into widened fused launches.
 //!
-//! The reference runtime that produces the expected outputs is pinned
-//! to the interpreter oracle ([`ExecBackend::Interpreter`]), while the
-//! serial and batched runtimes run whatever `MCFUSER_EXEC_BACKEND`
-//! selects (vectorized by default) — so every output equality assert
-//! doubles as a cross-backend bit-identity check. A final in-process
-//! shootout times the same request mix on both backends explicitly and
-//! asserts the vectorized kernels deliver at least 3x the wall-clock
-//! request rate of the interpreter.
+//! The expected outputs come from a separate reference runtime serving
+//! the same plans request-at-a-time with its own arenas and weight
+//! caches, so every output equality assert is also a determinism check
+//! across runtimes.
 //!
 //! ```sh
 //! cargo run --release -p mcfuser-bench --bin serve_smoke
@@ -34,7 +30,7 @@ use mcfuser_core::{
     BatchPolicy, BatchedPlan, FusionEngine, InputSet, ModelRuntime, RunOptions, RuntimeStats,
 };
 use mcfuser_ir::GraphBuilder;
-use mcfuser_sim::{DType, DeviceSpec, ExecBackend, HostTensor};
+use mcfuser_sim::{DType, DeviceSpec, HostTensor};
 use mcfuser_workloads::{bert_graph, BertConfig};
 
 const THREADS: usize = 8;
@@ -175,78 +171,11 @@ fn summarize(mode: &str, stats: &RuntimeStats, wall: f64, issued: u64) -> serde_
     })
 }
 
-/// Time the same request mix on both execution backends explicitly
-/// (per-request [`RunOptions::with_backend`] overrides, so the
-/// engine-level default is irrelevant here) and return the wall
-/// seconds `(interpreter, vectorized)`. Every output is also checked
-/// against the interpreter-oracle expected values, so this doubles as
-/// one more bit-identity sweep. Per (backend, model) only the fastest
-/// `ROUNDS / 2` of the `ROUNDS` timed rounds count: scheduling noise
-/// on a shared host is strictly additive, so dropping the slow half
-/// symmetrically on both backends keeps the reported ratio close to
-/// the noise-free one.
-fn shootout(
-    runtime: &Arc<ModelRuntime>,
-    inputs: &[InputSet],
-    expected: &[Vec<Vec<f32>>],
-) -> (f64, f64) {
-    const ROUNDS: usize = 8;
-    let mut walls = [0.0f64; 2];
-    let mut model_walls = [[0.0f64; MODELS.len()]; 2];
-    for (bi, backend) in [ExecBackend::Interpreter, ExecBackend::Vectorized]
-        .into_iter()
-        .enumerate()
-    {
-        for (m, set) in MODELS.iter().zip(inputs) {
-            // Warm caches (weights, arenas) outside the timed region.
-            runtime
-                .infer(m, set, RunOptions::seeded(0).with_backend(backend))
-                .expect("shootout warm-up");
-        }
-        let mut round_walls = [[0.0f64; MODELS.len()]; ROUNDS];
-        for round_wall in round_walls.iter_mut() {
-            for s in 0..4u64 {
-                for (mi, (m, set)) in MODELS.iter().zip(inputs).enumerate() {
-                    let start = Instant::now();
-                    let out = runtime
-                        .infer(m, set, RunOptions::seeded(s).with_backend(backend))
-                        .expect("shootout request");
-                    round_wall[mi] += start.elapsed().as_secs_f64();
-                    assert_eq!(
-                        out.primary().data,
-                        expected[mi][s as usize],
-                        "backend {backend} diverged from the interpreter oracle"
-                    );
-                }
-            }
-        }
-        for mi in 0..MODELS.len() {
-            let mut rounds: Vec<f64> = round_walls.iter().map(|r| r[mi]).collect();
-            rounds.sort_by(|a, b| a.total_cmp(b));
-            model_walls[bi][mi] = rounds[..ROUNDS / 2].iter().sum();
-        }
-        walls[bi] = model_walls[bi].iter().sum();
-    }
-    for (mi, m) in MODELS.iter().enumerate() {
-        println!(
-            "  shootout {:>9}: interpreter {:.1} ms, vectorized {:.1} ms ({:.2}x)",
-            m,
-            model_walls[0][mi] * 1e3,
-            model_walls[1][mi] * 1e3,
-            model_walls[0][mi] / model_walls[1][mi],
-        );
-    }
-    (walls[0], walls[1])
-}
-
 fn main() {
     let device = DeviceSpec::a100();
-    let backend = ExecBackend::from_env().unwrap_or_default();
-    println!("serving backend: {backend} (reference oracle stays on the interpreter)");
     let engine = FusionEngine::builder(device)
         .fallback(Relay::new())
         .parallelism(0)
-        .exec_backend(backend)
         .build();
 
     // Model 1: a 2-layer mini BERT — its identical layers force
@@ -299,10 +228,6 @@ fn main() {
         // back out flagged as reuse.
         reused_chains += model.chains.iter().filter(|c| c.cache_hit).count();
         let plan = Arc::new(model.plan(graph).expect("plan freezes"));
-        // The reference runtime serves an interpreter-pinned twin of
-        // each plan: its outputs are the oracle every serial/batched
-        // (vectorized by default) result is bit-compared against.
-        let oracle = Arc::new((*plan).clone().with_backend(ExecBackend::Interpreter));
         let probe = BatchedPlan::new(plan.clone());
         let (span4, _) = probe.batch_span(4);
         let breakdown = plan.step_breakdown();
@@ -318,8 +243,7 @@ fn main() {
             plan.virtual_time_per_request() * 1e6,
             span4 / 4.0 * 1e6,
         );
-        reference.register_arc(graph.name.clone(), oracle);
-        for rt in [&serial, &batched] {
+        for rt in [&reference, &serial, &batched] {
             rt.register_arc(graph.name.clone(), plan.clone());
         }
     }
@@ -418,42 +342,15 @@ fn main() {
         "continuous batching must at least double virtual throughput, got {speedup:.2}x"
     );
 
-    // Backend shootout: the same request mix on each backend, timed on
-    // the host clock. The vectorized blocked kernels must deliver at
-    // least 3x the interpreter's wall-clock request rate.
-    // The walls cover the fastest 4 of 8 rounds (x 4 seeds x MODELS)
-    // per backend inside `shootout`.
-    let shootout_requests = (4 * 4 * MODELS.len()) as f64;
-    let (interp_wall, vec_wall) = shootout(&serial, &inputs, &expected);
-    let wall_speedup = interp_wall / vec_wall;
-    println!(
-        "\nbackend shootout: interpreter {:.0} req/s, vectorized {:.0} req/s ({wall_speedup:.2}x wall speedup)",
-        shootout_requests / interp_wall,
-        shootout_requests / vec_wall,
-    );
-    assert!(
-        wall_speedup >= 3.0,
-        "vectorized backend must serve at least 3x the interpreter's wall request rate, got {wall_speedup:.2}x"
-    );
-
-    let shootout_report = serde_json::json!({
-        "interpreter_wall_seconds": interp_wall,
-        "vectorized_wall_seconds": vec_wall,
-        "interpreter_req_per_s": shootout_requests / interp_wall,
-        "vectorized_req_per_s": shootout_requests / vec_wall,
-        "wall_speedup": wall_speedup,
-    });
     mcfuser_bench::write_json(
         "serve_smoke",
         &serde_json::json!({
             "threads": THREADS,
             "requests": issued,
-            "backend": backend.to_string(),
             "cache_hits": engine.stats().cache_hits,
             "serial": serial_report,
             "batched": batched_report,
             "virtual_speedup": speedup,
-            "shootout": shootout_report,
         }),
     );
     for rt in [reference, serial, batched] {

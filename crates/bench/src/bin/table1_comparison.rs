@@ -7,7 +7,6 @@ use mcfuser_baselines::{Ansor, Backend, Bolt, Chimera, FlashAttention, McFuserBa
 use mcfuser_bench::{write_json, TextTable};
 
 fn main() {
-    mcfuser_sim::assert_codegen_ok();
     let mut t = TextTable::new(&[
         "Name",
         "Support MBCI",

@@ -8,12 +8,11 @@
 //! demote sound kernels); both must fail CI.
 //!
 //! A handful of verified programs per family are additionally executed
-//! against the chain's CPU reference on the selected backend, tying the
-//! static proof to runtime behaviour on both executors:
+//! against the chain's CPU reference, tying the static proof to runtime
+//! behaviour:
 //!
 //! ```sh
-//! cargo run --release -p mcfuser-bench --bin verify_smoke               # vectorized
-//! cargo run --release -p mcfuser-bench --bin verify_smoke interpreter
+//! cargo run --release -p mcfuser-bench --bin verify_smoke
 //! ```
 //!
 //! Reports programs-verified/sec and writes `results/verify_smoke.json`.
@@ -23,9 +22,7 @@ use std::time::Instant;
 use mcfuser_core::{build_candidate_space, SpacePolicy};
 use mcfuser_ir::{partition, ChainSpec};
 use mcfuser_sim::verify::{verify_program, VerifyReport};
-use mcfuser_sim::{
-    DeviceSpec, InterpreterExec, KernelExecutor, TensorStorage, TileProgram, VectorizedExec,
-};
+use mcfuser_sim::{execute, DeviceSpec, TensorStorage, TileProgram};
 use mcfuser_tile::{lower, LoweringOptions};
 use mcfuser_workloads::{
     bert_graph, decode_attention_chain, decode_ffn_chain, mixer_block, vit_block, BertConfig,
@@ -49,12 +46,6 @@ struct FamilyResult {
 }
 
 fn main() {
-    let backend_name = std::env::args().nth(1).unwrap_or_default();
-    let backend: Box<dyn KernelExecutor> = match backend_name.as_str() {
-        "interpreter" => Box::new(InterpreterExec),
-        "" | "vectorized" => Box::new(VectorizedExec),
-        other => panic!("unknown backend '{other}' (expected 'interpreter' or 'vectorized')"),
-    };
     let device = DeviceSpec::a100();
 
     let graph_chains = |g: &mcfuser_ir::Graph| -> Vec<ChainSpec> {
@@ -123,7 +114,7 @@ fn main() {
     let mut results = Vec::new();
     for (name, chains) in &families {
         assert!(!chains.is_empty(), "family '{name}' produced no chains");
-        results.push(sweep_family(name, chains, &device, backend.as_ref()));
+        results.push(sweep_family(name, chains, &device));
     }
     let wall = start.elapsed().as_secs_f64();
 
@@ -158,7 +149,6 @@ fn main() {
     mcfuser_bench::write_json(
         "verify_smoke",
         &serde_json::json!({
-            "backend": backend.name(),
             "quota_per_family": QUOTA,
             "families": results.iter().map(|r| serde_json::json!({
                 "name": r.name,
@@ -195,12 +185,7 @@ fn main() {
 /// Sweep one family: walk each chain's pruned candidate space with an
 /// even-spaced deterministic stride, lower, verify, and accumulate
 /// until the family quota is met (or every space is exhausted).
-fn sweep_family(
-    name: &'static str,
-    chains: &[ChainSpec],
-    device: &DeviceSpec,
-    backend: &dyn KernelExecutor,
-) -> FamilyResult {
+fn sweep_family(name: &'static str, chains: &[ChainSpec], device: &DeviceSpec) -> FamilyResult {
     let opts = LoweringOptions::for_device(device);
     let mut r = FamilyResult {
         name,
@@ -244,7 +229,7 @@ fn sweep_family(
                     r.report.stores += rep.stores;
                     r.report.clipped += rep.clipped;
                     if r.spot_checked < EXEC_SPOT_CHECKS {
-                        exec_spot_check(chain, &kernel.program, backend);
+                        exec_spot_check(chain, &kernel.program);
                         r.spot_checked += 1;
                     }
                 }
@@ -258,18 +243,16 @@ fn sweep_family(
     r
 }
 
-/// Execute a verified program for value on the selected backend and
-/// compare against the chain's CPU reference — the static proof and the
-/// runtime oracle must agree on the same program.
-fn exec_spot_check(chain: &ChainSpec, program: &TileProgram, backend: &dyn KernelExecutor) {
+/// Execute a verified program for value and compare against the chain's
+/// CPU reference — the static proof and the runtime oracle must agree on
+/// the same program.
+fn exec_spot_check(chain: &ChainSpec, program: &TileProgram) {
     let inputs = chain.random_inputs(7);
     let mut st = TensorStorage::for_program(program);
     for (i, t) in inputs.iter().enumerate() {
         st.tensors[i] = t.clone();
     }
-    backend
-        .execute(program, &mut st)
-        .expect("verified program must execute");
+    execute(program, &mut st).expect("verified program must execute");
     let reference = chain.reference(&inputs);
     let err = st.tensors.last().unwrap().rel_l2_error(&reference);
     assert!(

@@ -43,8 +43,8 @@ use rustc_hash::FxHashMap;
 
 use mcfuser_ir::Op;
 use mcfuser_sim::{
-    measure, BlockStmt, BufferArena, BufferRole, HostTensor, TensorStorage, TileAccess, TileIndex,
-    TileProgram, VarRef,
+    execute_with_arena, measure, BlockStmt, BufferArena, BufferRole, HostTensor, TensorStorage,
+    TileAccess, TileIndex, TileProgram, VarRef,
 };
 
 use crate::plan::{
@@ -228,10 +228,7 @@ impl BatchedPlan {
                             }
                         }
                     }
-                    opts.backend
-                        .unwrap_or(plan.backend)
-                        .executor()
-                        .execute_with_arena(&ws.program, &mut st, arena)
+                    execute_with_arena(&ws.program, &mut st, arena)
                         .map_err(|e| self.kernel_error(chain, e.to_string()))?;
                     let out_data =
                         std::mem::take(&mut st.tensors.last_mut().expect("output buffer").data);

@@ -45,7 +45,7 @@ use parking_lot::Mutex;
 use rustc_hash::{FxHashMap, FxHashSet};
 
 use mcfuser_ir::{partition_with, ChainSpec, Graph, NodeId, PartitionOptions};
-use mcfuser_sim::{measure_noisy, DeviceSpec, ExecBackend, TuningClock, TuningReport};
+use mcfuser_sim::{measure_noisy, DeviceSpec, TuningClock, TuningReport};
 use mcfuser_tile::{lower, Candidate, LoweringOptions, TilingExpr};
 
 use crate::cache::{CacheKey, CachedTuning, JsonDiskCache, MemoryCache, TuningCache};
@@ -108,9 +108,6 @@ pub struct CompiledModel {
     /// returned to the fallback remainder. Outputs are unchanged by a
     /// demotion — only the step structure and traffic differ.
     pub stitch_demotions: u64,
-    /// Execution backend stamped into plans built from this model
-    /// (engine-level default; see [`EngineBuilder::exec_backend`]).
-    pub exec_backend: ExecBackend,
 }
 
 /// Structural fingerprint of a graph (nodes, shapes, ops, outputs,
@@ -203,7 +200,6 @@ pub struct EngineBuilder {
     parallelism: usize,
     space_caching: bool,
     stitching: bool,
-    exec_backend: ExecBackend,
     verify: bool,
 }
 
@@ -220,7 +216,6 @@ impl EngineBuilder {
             parallelism: 1,
             space_caching: true,
             stitching: true,
-            exec_backend: ExecBackend::default(),
             verify: true,
         }
     }
@@ -234,16 +229,6 @@ impl EngineBuilder {
     /// cost; correctness-critical paths should leave it on.
     pub fn verify(mut self, enabled: bool) -> Self {
         self.verify = enabled;
-        self
-    }
-
-    /// Which execution backend plans compiled by this engine run fused
-    /// kernels on (default: [`ExecBackend::Vectorized`]). Pin
-    /// [`ExecBackend::Interpreter`] for oracle sessions; individual
-    /// requests can still override via
-    /// [`RunOptions::with_backend`](crate::RunOptions::with_backend).
-    pub fn exec_backend(mut self, backend: ExecBackend) -> Self {
-        self.exec_backend = backend;
         self
     }
 
@@ -345,7 +330,6 @@ impl EngineBuilder {
             parallelism: self.parallelism.max(1),
             clock: TuningClock::new(),
             stats: Mutex::new(EngineStats::default()),
-            exec_backend: self.exec_backend,
             verify: self.verify,
         }
     }
@@ -370,9 +354,6 @@ pub struct FusionEngine {
     parallelism: usize,
     clock: TuningClock,
     stats: Mutex<EngineStats>,
-    /// Backend stamped into every [`CompiledModel`] / [`ExecutablePlan`]
-    /// this engine produces.
-    exec_backend: ExecBackend,
     /// Whether tuned programs pass through the static verifier before
     /// being cached or served (see [`EngineBuilder::verify`]).
     verify: bool,
@@ -645,7 +626,6 @@ impl FusionEngine {
             graph_fingerprint: graph_fingerprint(graph),
             device: self.device.clone(),
             stitch_demotions,
-            exec_backend: self.exec_backend,
         })
     }
 

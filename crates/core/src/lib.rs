@@ -90,10 +90,7 @@ pub use compiler::OpCostModel;
 pub use engine::{
     CachePolicy, CompiledChain, CompiledModel, EngineBuilder, EngineStats, FusionEngine,
 };
-pub use mcfuser_sim::{
-    verify_program, verify_widened, ExecBackend, InterpreterExec, KernelExecutor, VectorizedExec,
-    VerifyError, VerifyReport,
-};
+pub use mcfuser_sim::{verify_program, verify_widened, VerifyError, VerifyReport};
 pub use perf_model::{
     estimate, estimate_or_inf, estimate_or_inf_with, estimate_with, matmul_tile_intensity,
     ModelOptions, PerfEstimate,

@@ -31,7 +31,8 @@ use rustc_hash::{FxHashMap, FxHashSet};
 
 use mcfuser_ir::{Graph, GraphError, NodeId, Op};
 use mcfuser_sim::{
-    BufferArena, BufferRole, DType, DeviceSpec, ExecBackend, HostTensor, TensorStorage, TileProgram,
+    execute_with_arena, BufferArena, BufferRole, DType, DeviceSpec, ExecBackend, HostTensor,
+    TensorStorage, TileProgram,
 };
 
 use crate::engine::CompiledModel;
@@ -216,25 +217,12 @@ impl std::error::Error for ExecError {}
 pub struct RunOptions {
     /// Seed materializing the model's weights (deterministic per seed).
     pub seed: u64,
-    /// Execution backend override for this request; `None` runs the
-    /// plan's own backend (see [`ExecutablePlan::backend`]).
-    pub backend: Option<ExecBackend>,
 }
 
 impl RunOptions {
     /// Options with an explicit weight seed.
     pub fn seeded(seed: u64) -> Self {
-        RunOptions {
-            seed,
-            ..RunOptions::default()
-        }
-    }
-
-    /// Builder-style backend override (e.g. force the interpreter
-    /// oracle for one request).
-    pub fn with_backend(mut self, backend: ExecBackend) -> Self {
-        self.backend = Some(backend);
-        self
+        RunOptions { seed }
     }
 }
 
@@ -593,7 +581,6 @@ pub struct ExecutablePlan {
     virtual_time: f64,
     bytes_per_request: f64,
     pub(crate) device: DeviceSpec,
-    pub(crate) backend: ExecBackend,
 }
 
 impl ExecutablePlan {
@@ -602,17 +589,11 @@ impl ExecutablePlan {
         &self.name
     }
 
-    /// The execution backend fused kernels run on by default
-    /// (overridable per request via [`RunOptions::with_backend`]).
+    /// The executor fused kernels run on. There is only one; this is
+    /// kept only for the benchmark harness (`perfbench/`), which
+    /// replays kernels through it.
     pub fn backend(&self) -> ExecBackend {
-        self.backend
-    }
-
-    /// Builder-style backend pin, e.g. an interpreter-oracle twin of a
-    /// plan: `plan.clone().with_backend(ExecBackend::Interpreter)`.
-    pub fn with_backend(mut self, backend: ExecBackend) -> Self {
-        self.backend = backend;
-        self
+        ExecBackend::default()
     }
 
     /// The model's storage precision; typed inputs must match it.
@@ -725,10 +706,7 @@ impl ExecutablePlan {
                     let v = self.eval_reference(*node, &values, &empty, opts.seed, weights)?;
                     values[node.0] = Some(v);
                 }
-                Step::Fused { .. } => {
-                    let backend = opts.backend.unwrap_or(self.backend);
-                    self.run_fused_step(s, &mut values, arena, backend)?
-                }
+                Step::Fused { .. } => self.run_fused_step(s, &mut values, arena)?,
             }
             for node in &self.buffers.release_after[s] {
                 if let Some(Value::Owned(t)) = values[node.0].take() {
@@ -804,7 +782,6 @@ impl ExecutablePlan {
         s: usize,
         values: &mut [Option<Value<'_>>],
         arena: &mut BufferArena,
-        backend: ExecBackend,
     ) -> Result<(), ExecError> {
         let Step::Fused {
             chain,
@@ -846,14 +823,11 @@ impl ExecutablePlan {
             }
             dst.data.copy_from_slice(data);
         }
-        backend
-            .executor()
-            .execute_with_arena(program, &mut st, arena)
-            .map_err(|e| ExecError::Kernel {
-                model: self.name.clone(),
-                chain: chain.clone(),
-                detail: e.to_string(),
-            })?;
+        execute_with_arena(program, &mut st, arena).map_err(|e| ExecError::Kernel {
+            model: self.name.clone(),
+            chain: chain.clone(),
+            detail: e.to_string(),
+        })?;
         let out_data = std::mem::take(&mut st.tensors.last_mut().expect("output buffer").data);
         st.recycle(arena);
         values[output.0] = Some(Value::Owned(HostTensor::from_vec(out_shape, out_data)));
@@ -1156,7 +1130,6 @@ impl CompiledModel {
             bytes_per_request,
             graph: graph.clone(),
             device: self.device.clone(),
-            backend: self.exec_backend,
         })
     }
 }

@@ -108,22 +108,19 @@ pub fn rule3_tiles(extent: u64, options: &[u64]) -> Vec<u64> {
         .collect()
 }
 
+/// Rule-2 representative tiles: the smallest option (16) per axis, so
+/// every loop has trips > 1 wherever possible, or the whole axis when it
+/// is shorter.
+fn representative_tiles(chain: &ChainSpec) -> Vec<u64> {
+    (0..chain.num_axes())
+        .map(|a| chain.axis_extent(a).clamp(1, 16))
+        .collect()
+}
+
 /// Rule-2 structural test on one expression class: with every block loop
 /// live, does any accumulator need more than one tile instance?
 pub fn rule2_ok(chain: &ChainSpec, expr: &TilingExpr) -> bool {
-    // Representative tiles: smallest option per axis so every loop has
-    // trips > 1 wherever possible.
-    let tiles: Vec<u64> = (0..chain.num_axes())
-        .map(|a| {
-            let e = chain.axis_extent(a);
-            if e <= 16 {
-                e.max(1)
-            } else {
-                16
-            }
-        })
-        .collect();
-    let cand = Candidate::new(expr.clone(), tiles);
+    let cand = Candidate::new(expr.clone(), representative_tiles(chain));
     (0..chain.num_ops()).all(|op| accumulator_instances(chain, &cand, op) == 1)
 }
 
@@ -187,6 +184,25 @@ mod tests {
 
     fn paper_chain() -> ChainSpec {
         ChainSpec::gemm_chain("g", 1, 1024, 1024, 512, 512)
+    }
+
+    /// Pins the Rule-2 representative tiles at whatever opt-level the
+    /// tests are built with: rustc 1.95 folds the equivalent branch
+    /// `if e <= 16 { e.max(1) } else { 16 }` here to `e.max(1)` from O1
+    /// up, which this test catches in a release build.
+    #[test]
+    fn representative_tiles_clamp_to_16() {
+        let chain = ChainSpec::chain(
+            "r2",
+            1,
+            1,
+            vec![8, 16, 17, 1024],
+            vec![mcfuser_ir::Epilogue::None; 3],
+        );
+        assert_eq!(
+            representative_tiles(std::hint::black_box(&chain)),
+            vec![1, 8, 16, 16, 16]
+        );
     }
 
     #[test]

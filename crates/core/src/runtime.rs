@@ -156,9 +156,9 @@ pub struct PlanStats {
     pub p95_latency: f64,
     /// Median per-request **wall-clock** latency (seconds) — for queued
     /// requests this is enqueue-to-completion, so it includes batching
-    /// delay. Wall time measures the host executing the simulator
-    /// (i.e. the execution backend); virtual time measures the modeled
-    /// device. Both matter: backend speedups only show up here.
+    /// delay. Wall time measures the host executing the simulator;
+    /// virtual time measures the modeled device. Both matter: executor
+    /// speedups only show up here.
     pub wall_p50_latency: f64,
     /// 95th-percentile per-request wall-clock latency (seconds).
     pub wall_p95_latency: f64,

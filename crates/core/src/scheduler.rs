@@ -1,9 +1,8 @@
 //! Continuous-batching admission queue in front of the runtime.
 //!
 //! [`ModelRuntime::submit`] enqueues a request instead of executing it
-//! inline. Pending requests for the same `(model, seed, backend)` —
-//! the unit of coalescing, since weights derive from the seed and a
-//! widened launch runs every slot on one backend — are drained
+//! inline. Pending requests for the same `(model, seed)` — the unit
+//! of coalescing, since weights derive from the seed — are drained
 //! together and executed as **one widened fused launch** per step (see
 //! [`BatchedPlan`]), governed by a [`BatchPolicy`]:
 //!
@@ -46,8 +45,6 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
-
-use mcfuser_sim::ExecBackend;
 
 use crate::batch::BatchedPlan;
 use crate::plan::{ExecError, InputSet, Outputs, RunOptions};
@@ -118,10 +115,8 @@ struct PlanQueue {
 
 #[derive(Default)]
 struct SchedState {
-    /// Pending requests per `(model, seed, backend)` coalescing key —
-    /// a widened launch executes every slot on one backend, so requests
-    /// pinning different backends must not share a batch.
-    queues: FxHashMap<(String, u64, Option<ExecBackend>), PlanQueue>,
+    /// Pending requests per `(model, seed)` coalescing key.
+    queues: FxHashMap<(String, u64), PlanQueue>,
     /// Admitted-but-unfinished requests per model (the `queue_cap`
     /// denominator).
     pending: FxHashMap<String, usize>,
@@ -239,7 +234,7 @@ impl ModelRuntime {
         }
 
         let sched = &self.sched;
-        let key = (model.to_string(), opts.seed, opts.backend);
+        let key = (model.to_string(), opts.seed);
         let slot = Arc::new(Slot::default());
         let is_leader;
         {
@@ -281,7 +276,7 @@ impl ModelRuntime {
     /// (which necessarily includes the leader's own request). Resigning
     /// happens under the state lock, so a non-empty queue always has a
     /// leader.
-    fn lead(&self, batched: &BatchedPlan, key: &(String, u64, Option<ExecBackend>)) {
+    fn lead(&self, batched: &BatchedPlan, key: &(String, u64)) {
         let sched = &self.sched;
         let model = &key.0;
         loop {

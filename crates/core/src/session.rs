@@ -18,7 +18,7 @@
 //! serving-wide [`BufferArena`] and recycled on drop — and drives
 //! [`DecodeSession::prefill`] / [`DecodeSession::step`]. Steps go
 //! through [`ModelRuntime::submit`], so concurrent sessions decoding
-//! in the same `(model, bucket, seed, backend)` coalesce into one
+//! in the same `(model, bucket, seed)` coalesce into one
 //! widened fused launch.
 //!
 //! Graph construction stays in the caller (typically
@@ -325,7 +325,7 @@ impl DecodeSession {
     /// when the current one is full.
     ///
     /// Steps are submitted through the runtime's batching queue, so
-    /// concurrent sessions at the same `(model, bucket, seed, backend)`
+    /// concurrent sessions at the same `(model, bucket, seed)`
     /// coalesce into one widened fused launch.
     pub fn step(&mut self, x: &HostTensor) -> Result<HostTensor, DecodeError> {
         let bucket = self.bucket.ok_or(DecodeError::NotPrefilled)?;

@@ -6,7 +6,6 @@
 
 use rustc_hash::FxHashMap;
 
-use mcfuser_sim::exec_vec::lanes;
 use mcfuser_sim::HostTensor;
 
 use crate::graph::{Graph, GraphError, NodeId, Op};
@@ -114,15 +113,18 @@ pub fn evaluate_node_with<'v>(
                         detail: format!("{:?} + {:?}", a.shape, b.shape),
                     });
                 }
-                HostTensor::from_vec(&a.shape, lanes::add(&a.data, &b.data))
+                HostTensor::from_vec(
+                    &a.shape,
+                    a.data.iter().zip(&b.data).map(|(x, y)| x + y).collect(),
+                )
             }
             Op::Relu => {
                 let x = value(values, node.inputs[0]);
-                HostTensor::from_vec(&x.shape, lanes::relu(&x.data))
+                HostTensor::from_vec(&x.shape, x.data.iter().map(|v| v.max(0.0)).collect())
             }
             Op::Gelu => {
                 let x = value(values, node.inputs[0]);
-                HostTensor::from_vec(&x.shape, lanes::gelu(&x.data))
+                HostTensor::from_vec(&x.shape, x.data.iter().map(|&v| gelu(v)).collect())
             }
             Op::LayerNorm => {
                 let x = value(values, node.inputs[0]);
@@ -156,7 +158,7 @@ pub fn evaluate_node_with<'v>(
             }
             Op::Scale(f) => {
                 let x = value(values, node.inputs[0]);
-                HostTensor::from_vec(&x.shape, lanes::scale(&x.data, *f))
+                HostTensor::from_vec(&x.shape, x.data.iter().map(|v| v * f).collect())
             }
             Op::Reshape => {
                 let x = value(values, node.inputs[0]);
@@ -246,14 +248,17 @@ fn eval_linear(
                 continue;
             }
             let wrow = &w.data[kk * n..(kk + 1) * n];
-            let orow = &mut out[i * n..(i + 1) * n];
-            lanes::axpy(orow, wrow, av);
+            for (o, &wv) in out[i * n..(i + 1) * n].iter_mut().zip(wrow) {
+                *o += av * wv;
+            }
         }
     }
     if node.inputs.len() > 2 {
         let b = value(values, node.inputs[2]);
         for i in 0..m {
-            lanes::add_assign(&mut out[i * n..(i + 1) * n], &b.data[..n]);
+            for (o, &bv) in out[i * n..(i + 1) * n].iter_mut().zip(&b.data[..n]) {
+                *o += bv;
+            }
         }
     }
     Ok(HostTensor::from_vec(&node.shape, out))
@@ -295,11 +300,10 @@ fn eval_bmm(
         for i in 0..m {
             let arow = &a.data[ab + i * k..ab + (i + 1) * k];
             for j in 0..n {
-                // Both layouts keep the interpreter's sequential-k order;
-                // only the transposed one has a contiguous b row to hand
-                // to the lane dot.
+                // Both layouts keep the interpreter's sequential-k order.
                 let s = if transpose_b {
-                    lanes::dot(arow, &b.data[bbase + j * k..bbase + (j + 1) * k])
+                    let brow = &b.data[bbase + j * k..bbase + (j + 1) * k];
+                    arow.iter().zip(brow).fold(0.0f32, |s, (x, y)| s + x * y)
                 } else {
                     let mut s = 0.0f32;
                     for (kk, &av) in arow.iter().enumerate() {

@@ -2,10 +2,11 @@
 //!
 //! The interpreter runs a virtual kernel *for value*: every thread block is
 //! executed tile-by-tile against host `f32` buffers, with loads/stores
-//! quantizing through the declared storage precision. This is how the test
-//! suite proves that a fused schedule found by MCFuser computes the same
-//! function as the unfused reference — the property the real system gets
-//! from Triton's code generator being correct.
+//! quantizing through the declared storage precision. It is the one
+//! executor behind plans, widened batches and decode sessions, and it is
+//! how the test suite proves that a fused schedule found by MCFuser
+//! computes the same function as the unfused reference — the property the
+//! real system gets from Triton's code generator being correct.
 //!
 //! Blocks are executed sequentially in grid order. Grid dimensions bind
 //! only spatial loops (each block writes a disjoint output region), so
@@ -228,9 +229,17 @@ impl TensorStorage {
 /// same handful of sizes every request. An arena turns them into pops
 /// from a free list. Buffers handed out by [`BufferArena::take`] are
 /// always zeroed, so pooled and fresh execution are bit-identical.
+///
+/// The pool is bounded: [`BufferArena::put`] keeps a buffer only while
+/// buffers of its length are still out on loan, so the pool never holds
+/// more buffers of a length than were ever handed out at once. Buffers
+/// of a length with none on loan (reference-lane results, per-request
+/// copies) are dropped instead of pooled forever.
 #[derive(Debug, Default)]
 pub struct BufferArena {
     free: FxHashMap<usize, Vec<Vec<f32>>>,
+    /// Buffers of each length handed out and not yet put back.
+    on_loan: FxHashMap<usize, usize>,
     reuses: u64,
     allocs: u64,
 }
@@ -244,20 +253,18 @@ impl BufferArena {
     /// A zeroed buffer of exactly `len` elements — recycled when one of
     /// that size is pooled, freshly allocated otherwise.
     pub fn take(&mut self, len: usize) -> Vec<f32> {
-        if let Some(mut v) = self.free.get_mut(&len).and_then(Vec::pop) {
-            self.reuses += 1;
-            v.fill(0.0);
-            v
-        } else {
-            self.allocs += 1;
-            vec![0.0; len]
-        }
+        let mut v = self.take_unzeroed(len);
+        v.fill(0.0);
+        v
     }
 
     /// Like [`BufferArena::take`] but without the zero fill — for
     /// buffers the caller overwrites in full before any read (e.g.
     /// fused-kernel input staging). Contents are unspecified.
     pub fn take_unzeroed(&mut self, len: usize) -> Vec<f32> {
+        if len > 0 {
+            *self.on_loan.entry(len).or_default() += 1;
+        }
         if let Some(v) = self.free.get_mut(&len).and_then(Vec::pop) {
             self.reuses += 1;
             v
@@ -267,11 +274,22 @@ impl BufferArena {
         }
     }
 
-    /// Return a buffer to the pool.
+    /// Return a buffer to the pool. It is kept only if a buffer of its
+    /// length is on loan, and dropped otherwise.
     pub fn put(&mut self, v: Vec<f32>) {
-        if !v.is_empty() {
-            self.free.entry(v.len()).or_default().push(v);
+        match self.on_loan.get_mut(&v.len()) {
+            Some(n) if *n > 0 => {
+                *n -= 1;
+                self.free.entry(v.len()).or_default().push(v);
+            }
+            _ => {}
         }
+    }
+
+    /// Buffers currently pooled, over all lengths.
+    #[cfg(test)]
+    fn pooled(&self) -> usize {
+        self.free.values().map(Vec::len).sum()
     }
 
     /// Buffers served from the pool so far.
@@ -311,15 +329,15 @@ impl From<ProgramError> for ExecError {
     }
 }
 
-/// Per-block shared-memory arena (shared with the vectorized backend).
-pub(crate) struct Smem {
-    pub(crate) bufs: Vec<Vec<f32>>,
-    pub(crate) rows: Vec<u64>,
-    pub(crate) cols: Vec<u64>,
+/// Per-block shared-memory arena.
+struct Smem {
+    bufs: Vec<Vec<f32>>,
+    rows: Vec<u64>,
+    cols: Vec<u64>,
 }
 
 impl Smem {
-    pub(crate) fn for_program_in(p: &TileProgram, arena: &mut BufferArena) -> Self {
+    fn for_program_in(p: &TileProgram, arena: &mut BufferArena) -> Self {
         let mut bufs = Vec::with_capacity(p.smem.len());
         let mut rows = Vec::with_capacity(p.smem.len());
         let mut cols = Vec::with_capacity(p.smem.len());
@@ -331,7 +349,7 @@ impl Smem {
         Smem { bufs, rows, cols }
     }
 
-    pub(crate) fn recycle(self, arena: &mut BufferArena) {
+    fn recycle(self, arena: &mut BufferArena) {
         for b in self.bufs {
             arena.put(b);
         }
@@ -397,7 +415,51 @@ pub fn execute_with_arena(
     Ok(())
 }
 
-pub(crate) fn max_loop_handle(stmts: &[BlockStmt]) -> usize {
+/// The engine lowered kernels execute on.
+///
+/// The functional interpreter in this module is the only executor. This
+/// one-variant type and [`Interpreter`] are kept only because the
+/// benchmark harness (`perfbench/`) names them: it records
+/// `ExecBackend::default()` and replays kernels through
+/// [`ExecBackend::executor`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum ExecBackend {
+    /// The functional interpreter.
+    #[default]
+    Interpreter,
+}
+
+impl ExecBackend {
+    /// The executor implementing this backend.
+    pub fn executor(self) -> Interpreter {
+        Interpreter
+    }
+}
+
+impl std::fmt::Display for ExecBackend {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("interpreter")
+    }
+}
+
+/// The interpreter as returned by [`ExecBackend::executor`] (kept for
+/// the benchmark harness, like [`ExecBackend`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Interpreter;
+
+impl Interpreter {
+    /// Run `p` through [`execute_with_arena`].
+    pub fn execute_with_arena(
+        &self,
+        p: &TileProgram,
+        storage: &mut TensorStorage,
+        arena: &mut BufferArena,
+    ) -> Result<(), ExecError> {
+        execute_with_arena(p, storage, arena)
+    }
+}
+
+fn max_loop_handle(stmts: &[BlockStmt]) -> usize {
     let mut m = 0;
     for s in stmts {
         if let BlockStmt::Loop { handle, body, .. } = s {
@@ -407,7 +469,7 @@ pub(crate) fn max_loop_handle(stmts: &[BlockStmt]) -> usize {
     m
 }
 
-pub(crate) fn resolve(var: VarRef, block_idx: &[u64], env: &[u64]) -> u64 {
+fn resolve(var: VarRef, block_idx: &[u64], env: &[u64]) -> u64 {
     match var {
         VarRef::Grid(i) => block_idx[i],
         VarRef::Loop(h) => env[h.0],
@@ -417,7 +479,7 @@ pub(crate) fn resolve(var: VarRef, block_idx: &[u64], env: &[u64]) -> u64 {
 }
 
 /// Compute the global element origin of a tile access.
-pub(crate) fn tile_origin(acc: &TileAccess, block_idx: &[u64], env: &[u64]) -> Vec<u64> {
+fn tile_origin(acc: &TileAccess, block_idx: &[u64], env: &[u64]) -> Vec<u64> {
     acc.indices
         .iter()
         .map(|ix| resolve(ix.var, block_idx, env) * ix.tile)
@@ -488,8 +550,22 @@ fn run_stmts(
                 row_sum,
                 rescale,
                 scale,
+                clip,
             } => {
-                online_softmax(smem, *scores, *row_max, *row_sum, rescale, *scale);
+                let cols = smem.cols[scores.0];
+                let valid = clip.map_or(cols, |(ix, extent)| {
+                    let start = resolve(ix.var, block_idx, env) * ix.tile;
+                    extent.saturating_sub(start).min(cols)
+                });
+                online_softmax(
+                    smem,
+                    *scores,
+                    *row_max,
+                    *row_sum,
+                    rescale,
+                    *scale,
+                    valid as usize,
+                );
             }
             BlockStmt::RowDiv { target, denom } => {
                 let cols = smem.cols[target.0] as usize;
@@ -791,64 +867,82 @@ pub fn gelu(x: f32) -> f32 {
     0.5 * x * (1.0 + ((0.797_884_6 * (x + 0.044715 * x * x * x)) as f64).tanh() as f32)
 }
 
-/// Copy a (possibly clipped) `rows × cols` region at `origin` into a dense
-/// tile, zero-padding out-of-bounds elements, quantizing to `dt`.
-fn load_tile(src: &HostTensor, origin: &[u64], rows: u64, cols: u64, dt: DType, dst: &mut [f32]) {
-    let strides = src.strides();
-    let rank = src.shape.len();
-    // Base offset from leading (slice-selecting) dims.
-    let tiled_dims = rank.min(2);
-    let lead = rank - tiled_dims;
+/// Copy the in-bounds part `src` of one tile row into `dst`, quantizing
+/// to `dt`. F32 rows are a plain `memcpy`.
+fn quantize_row(dt: DType, src: &[f32], dst: &mut [f32]) {
+    if dt == DType::F32 {
+        dst.copy_from_slice(src);
+    } else {
+        for (d, &v) in dst.iter_mut().zip(src) {
+            *d = dt.quantize(v);
+        }
+    }
+}
+
+/// Where a tile at `origin` sits in `t`: the flat offset of its first
+/// element, the row stride, and how many of the tile's `rows` and
+/// `cols` lie in bounds — `None` when no element does. A rank-1 tensor
+/// is one row.
+fn tile_window(
+    t: &HostTensor,
+    origin: &[u64],
+    rows: u64,
+    cols: u64,
+) -> Option<(usize, usize, usize, usize)> {
+    let rank = t.shape.len();
+    let lead = rank - rank.min(2);
+    let strides = t.strides();
     let mut base = 0u64;
-    let mut in_bounds = true;
     for d in 0..lead {
-        if origin[d] >= src.shape[d] {
-            in_bounds = false;
+        if origin[d] >= t.shape[d] {
+            return None;
         }
         base += origin[d] * strides[d];
     }
-    if !in_bounds {
+    let (co, cdim) = (origin[rank - 1], t.shape[rank - 1]);
+    let in_cols = cdim.saturating_sub(co).min(cols);
+    let (in_rows, rstride) = if rank >= 2 {
+        let (ro, rdim) = (origin[rank - 2], t.shape[rank - 2]);
+        base += ro * strides[rank - 2];
+        (rdim.saturating_sub(ro).min(rows), strides[rank - 2])
+    } else {
+        (rows.min(1), 0)
+    };
+    if in_rows == 0 || in_cols == 0 {
+        return None;
+    }
+    Some((
+        (base + co) as usize,
+        rstride as usize,
+        in_rows as usize,
+        in_cols as usize,
+    ))
+}
+
+/// Copy a (possibly clipped) `rows × cols` region at `origin` into a dense
+/// tile, zero-padding out-of-bounds elements, quantizing to `dt`. A
+/// rank-1 source fills every tile row with the same row.
+fn load_tile(src: &HostTensor, origin: &[u64], rows: u64, cols: u64, dt: DType, dst: &mut [f32]) {
+    let Some((base, rstride, in_rows, in_cols)) = tile_window(src, origin, rows, cols) else {
         dst.fill(0.0);
         return;
-    }
-    if tiled_dims == 1 {
-        // Rank-1: a single row of `cols` elements; `rows` must be 1-like.
-        let o = origin[rank - 1];
-        for c in 0..cols {
-            let idx = o + c;
-            let v = if idx < src.shape[rank - 1] {
-                src.data[(base + idx) as usize]
-            } else {
-                0.0
-            };
-            dst[c as usize] = dt.quantize(v);
-        }
-        for r in 1..rows {
-            let (lo, hi) = ((r * cols) as usize, ((r + 1) * cols) as usize);
-            dst.copy_within(0..cols as usize, lo);
-            let _ = hi;
+    };
+    let cols = cols as usize;
+    if src.shape.len() == 1 {
+        quantize_row(dt, &src.data[base..base + in_cols], &mut dst[..in_cols]);
+        dst[in_cols..cols].fill(0.0);
+        for r in 1..rows as usize {
+            dst.copy_within(0..cols, r * cols);
         }
         return;
     }
-    let (ro, co) = (origin[rank - 2], origin[rank - 1]);
-    let (rdim, cdim) = (src.shape[rank - 2], src.shape[rank - 1]);
-    let rstride = strides[rank - 2];
-    for r in 0..rows {
-        let gr = ro + r;
-        let out_row = (r * cols) as usize;
-        if gr >= rdim {
-            dst[out_row..out_row + cols as usize].fill(0.0);
-            continue;
-        }
-        let row_base = base + gr * rstride;
-        for c in 0..cols {
-            let gc = co + c;
-            let v = if gc < cdim {
-                src.data[(row_base + gc) as usize]
-            } else {
-                0.0
-            };
-            dst[out_row + c as usize] = dt.quantize(v);
+    for (r, row) in dst.chunks_exact_mut(cols).enumerate() {
+        if r < in_rows {
+            let start = base + r * rstride;
+            quantize_row(dt, &src.data[start..start + in_cols], &mut row[..in_cols]);
+            row[in_cols..].fill(0.0);
+        } else {
+            row.fill(0.0);
         }
     }
 }
@@ -856,42 +950,12 @@ fn load_tile(src: &HostTensor, origin: &[u64], rows: u64, cols: u64, dt: DType, 
 /// Write a dense tile back to global memory, clipping at tensor bounds and
 /// quantizing to the destination precision.
 fn store_tile(src: &[f32], rows: u64, cols: u64, dt: DType, dst: &mut HostTensor, origin: &[u64]) {
-    let strides = dst.strides();
-    let rank = dst.shape.len();
-    let tiled_dims = rank.min(2);
-    let lead = rank - tiled_dims;
-    let mut base = 0u64;
-    for d in 0..lead {
-        if origin[d] >= dst.shape[d] {
-            return;
-        }
-        base += origin[d] * strides[d];
-    }
-    if tiled_dims == 1 {
-        let o = origin[rank - 1];
-        for c in 0..cols {
-            let idx = o + c;
-            if idx < dst.shape[rank - 1] {
-                dst.data[(base + idx) as usize] = dt.quantize(src[c as usize]);
-            }
-        }
+    let Some((base, rstride, in_rows, in_cols)) = tile_window(dst, origin, rows, cols) else {
         return;
-    }
-    let (ro, co) = (origin[rank - 2], origin[rank - 1]);
-    let (rdim, cdim) = (dst.shape[rank - 2], dst.shape[rank - 1]);
-    let rstride = strides[rank - 2];
-    for r in 0..rows {
-        let gr = ro + r;
-        if gr >= rdim {
-            break;
-        }
-        let row_base = base + gr * rstride;
-        for c in 0..cols {
-            let gc = co + c;
-            if gc < cdim {
-                dst.data[(row_base + gc) as usize] = dt.quantize(src[(r * cols + c) as usize]);
-            }
-        }
+    };
+    for (r, row) in src.chunks_exact(cols as usize).take(in_rows).enumerate() {
+        let start = base + r * rstride;
+        quantize_row(dt, &row[..in_cols], &mut dst.data[start..start + in_cols]);
     }
 }
 
@@ -914,9 +978,8 @@ fn gemm_tiles(
     let stride = smem.cols[acc.0] as usize;
     debug_assert_eq!(smem.rows[acc.0] as usize, m);
     debug_assert!(acc_col + n <= stride);
-    // Borrow juggling: copy nothing — index via raw splits.
-    // a, b, acc are guaranteed distinct by lowering; fall back to clone if
-    // aliased (never happens in practice, but keep the interpreter total).
+    // Lowering never aliases an operand with the accumulator; clone if
+    // it ever does, to keep the interpreter total.
     if a.0 == acc.0 || b.0 == acc.0 {
         let av = smem.bufs[a.0].clone();
         let bv = smem.bufs[b.0].clone();
@@ -924,25 +987,19 @@ fn gemm_tiles(
         gemm_inner(&av, &bv, accv, m, n, k, b_transposed, stride, acc_col);
         return;
     }
-    let (av, bv, accv) = {
-        // Safe disjoint borrows via split_at_mut over the arena.
-        let bufs = &mut smem.bufs;
-        let a_ptr = bufs[a.0].as_ptr();
-        let b_ptr = bufs[b.0].as_ptr();
-        let a_len = bufs[a.0].len();
-        let b_len = bufs[b.0].len();
-        let acc_slice: *mut [f32] = bufs[acc.0].as_mut_slice();
-        // SAFETY: a, b, acc are distinct vector allocations (checked above),
-        // so the immutable views of `a`/`b` cannot alias `acc`.
-        unsafe {
-            (
-                std::slice::from_raw_parts(a_ptr, a_len),
-                std::slice::from_raw_parts(b_ptr, b_len),
-                &mut *acc_slice,
-            )
-        }
-    };
-    gemm_inner(av, bv, accv, m, n, k, b_transposed, stride, acc_col);
+    let mut accv = std::mem::take(&mut smem.bufs[acc.0]);
+    gemm_inner(
+        &smem.bufs[a.0],
+        &smem.bufs[b.0],
+        &mut accv,
+        m,
+        n,
+        k,
+        b_transposed,
+        stride,
+        acc_col,
+    );
+    smem.bufs[acc.0] = accv;
 }
 
 #[inline]
@@ -972,24 +1029,47 @@ fn gemm_inner(
             }
         }
     } else {
-        // b is k×n; loop order i-k-j for cache friendliness.
+        // b is k×n; loop order i-k-j for cache friendliness. Zero `a`
+        // values are skipped, so each accumulator element adds its
+        // non-zero terms in k order. Taking them four at a time keeps
+        // the element in a register across four updates without
+        // changing that order.
+        let brow = |kk: usize| &b[kk * n..(kk + 1) * n];
         for i in 0..m {
             let arow = &a[i * k..(i + 1) * k];
             let crow = &mut acc[i * stride + acc_col..i * stride + acc_col + n];
-            for (kk, &aval) in arow.iter().enumerate() {
-                if aval == 0.0 {
-                    continue;
-                }
-                let brow = &b[kk * n..(kk + 1) * n];
-                for j in 0..n {
-                    crow[j] += aval * brow[j];
+            let mut terms = arow.iter().enumerate().filter(|(_, &v)| v != 0.0);
+            loop {
+                match (terms.next(), terms.next(), terms.next(), terms.next()) {
+                    (Some((k0, &a0)), Some((k1, &a1)), Some((k2, &a2)), Some((k3, &a3))) => {
+                        let (b0, b1) = (&brow(k0)[..n], &brow(k1)[..n]);
+                        let (b2, b3) = (&brow(k2)[..n], &brow(k3)[..n]);
+                        for j in 0..n {
+                            let mut c = crow[j];
+                            c += a0 * b0[j];
+                            c += a1 * b1[j];
+                            c += a2 * b2[j];
+                            c += a3 * b3[j];
+                            crow[j] = c;
+                        }
+                    }
+                    (t0, t1, t2, _) => {
+                        for (kk, &aval) in [t0, t1, t2].into_iter().flatten() {
+                            for (c, &bv) in crow.iter_mut().zip(brow(kk)) {
+                                *c += aval * bv;
+                            }
+                        }
+                        break;
+                    }
                 }
             }
         }
     }
 }
 
-/// Streaming (FlashAttention-style) softmax update.
+/// Streaming (FlashAttention-style) softmax update over the first
+/// `valid` columns of `scores`; the rest are padding and get
+/// probability 0.
 fn online_softmax(
     smem: &mut Smem,
     scores: SmemId,
@@ -997,6 +1077,7 @@ fn online_softmax(
     row_sum: SmemId,
     rescale: &[SmemId],
     scale: f32,
+    valid: usize,
 ) {
     let rows = smem.rows[scores.0] as usize;
     let cols = smem.cols[scores.0] as usize;
@@ -1009,7 +1090,7 @@ fn online_softmax(
         for r in 0..rows {
             let m_old = smem.bufs[row_max.0][r * max_cols];
             let mut m_tile = f32::NEG_INFINITY;
-            for c in 0..cols {
+            for c in 0..valid {
                 m_tile = m_tile.max(scale * smem.bufs[scores.0][r * cols + c]);
             }
             let m_new = m_old.max(m_tile);
@@ -1019,11 +1100,12 @@ fn online_softmax(
                 (m_old - m_new).exp()
             };
             let mut tile_sum = 0.0f32;
-            for c in 0..cols {
+            for c in 0..valid {
                 let p = (scale * smem.bufs[scores.0][r * cols + c] - m_new).exp();
                 smem.bufs[scores.0][r * cols + c] = p;
                 tile_sum += p;
             }
+            smem.bufs[scores.0][r * cols + valid..(r + 1) * cols].fill(0.0);
             let s_old = smem.bufs[row_sum.0][r * sum_cols];
             smem.bufs[row_sum.0][r * sum_cols] = s_old * alpha + tile_sum;
             smem.bufs[row_max.0][r * max_cols] = m_new;
@@ -1185,6 +1267,41 @@ mod tests {
         assert_eq!(st.tensors[2].data[0], 1.0);
     }
 
+    /// The non-transposed GEMM takes a row's non-zero `a` terms four at
+    /// a time; each accumulator element must still see exactly the
+    /// plain i-k-j loop's additions, in the same order.
+    #[test]
+    fn blocked_gemm_matches_plain_loop_bit_for_bit() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+        let mut draw = |zeros: f64| {
+            if rng.gen_bool(zeros) {
+                0.0
+            } else {
+                rng.gen_range(-1.0f32..1.0)
+            }
+        };
+        for (m, n, k) in [(1, 5, 1), (3, 7, 6), (4, 64, 13), (16, 16, 32)] {
+            let (stride, acc_col) = (n + 3, 2);
+            let a: Vec<f32> = (0..m * k).map(|_| draw(0.3)).collect();
+            let b: Vec<f32> = (0..k * n).map(|_| draw(0.0)).collect();
+            let mut want: Vec<f32> = (0..m * stride).map(|_| draw(0.0)).collect();
+            let mut got = want.clone();
+            for i in 0..m {
+                for kk in 0..k {
+                    let av = a[i * k + kk];
+                    if av != 0.0 {
+                        for j in 0..n {
+                            want[i * stride + acc_col + j] += av * b[kk * n + j];
+                        }
+                    }
+                }
+            }
+            gemm_inner(&a, &b, &mut got, m, n, k, false, stride, acc_col);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{m}x{n}x{k}");
+        }
+    }
+
     #[test]
     fn online_softmax_matches_two_pass() {
         // One row of 8 scores processed as two tiles of 4 must equal the
@@ -1218,6 +1335,7 @@ mod tests {
                 SmemId(2),
                 &[SmemId(3)],
                 1.0,
+                cols,
             );
             // Accumulate "P @ ones" per row to test downstream consistency.
             #[allow(clippy::needless_range_loop)]
@@ -1266,6 +1384,30 @@ mod tests {
         assert_eq!(second.tensors[2].data, plain.tensors[2].data);
         assert_eq!(arena.allocs(), after_first, "no fresh allocations");
         assert!(arena.reuses() > 0);
+    }
+
+    #[test]
+    fn arena_pool_stays_at_its_peak() {
+        let mut arena = BufferArena::new();
+        for _ in 0..5 {
+            let bufs: Vec<Vec<f32>> = (0..3).map(|_| arena.take(8)).collect();
+            for b in bufs {
+                arena.put(b);
+            }
+            assert_eq!(arena.pooled(), 3, "a take/put cycle returns to the peak");
+        }
+        assert_eq!(arena.allocs(), 3, "later cycles are served from the pool");
+        // Buffers the arena never handed out are dropped, not pooled:
+        // foreign buffers of a pooled length, and lengths never taken.
+        arena.put(vec![1.0; 8]);
+        arena.put(vec![1.0; 5]);
+        arena.put(Vec::new());
+        assert_eq!(arena.pooled(), 3);
+        // An unzeroed take counts as a loan too.
+        let v = arena.take_unzeroed(8);
+        arena.put(vec![2.0; 8]);
+        arena.put(v);
+        assert_eq!(arena.pooled(), 3);
     }
 
     #[test]
@@ -1410,6 +1552,123 @@ mod tests {
                 }
                 let got = st.tensors[2].data[i * 8 + j];
                 assert!((got - s).abs() < 1e-5);
+            }
+        }
+    }
+
+    /// Flat index of tile element `(r, c)` at `origin` in `t`, or `None`
+    /// when it falls outside the tensor — the per-element definition of
+    /// a tile access. A rank-1 tensor is a single row (row 0).
+    fn spec_index(t: &HostTensor, origin: &[u64], r: u64, c: u64) -> Option<usize> {
+        let rank = t.shape.len();
+        let mut idx: Vec<u64> = origin.to_vec();
+        idx[rank - 1] += c;
+        if rank >= 2 {
+            idx[rank - 2] += r;
+        } else if r > 0 {
+            return None;
+        }
+        if idx.iter().zip(&t.shape).any(|(i, d)| i >= d) {
+            return None;
+        }
+        Some(idx.iter().zip(t.strides()).map(|(i, s)| i * s).sum::<u64>() as usize)
+    }
+
+    fn pattern(len: usize, salt: u32) -> Vec<f32> {
+        (0..len)
+            .map(|i| ((i as f32 + salt as f32) * 0.377).sin() * 3.0 + 2f32.powi(-13))
+            .collect()
+    }
+
+    fn tile_case() -> impl proptest::Strategy<Value = (HostTensor, Vec<u64>, u64, u64, DType)> {
+        use proptest::prelude::*;
+        (
+            1usize..4,
+            prop::collection::vec(1u64..7, 3),
+            (1u64..6, 1u64..6),
+            prop::collection::vec(0u64..9, 3),
+            prop::sample::select(vec![DType::F32, DType::F16, DType::Bf16]),
+        )
+            .prop_map(|(rank, dims, (rows, cols), picks, dt)| {
+                let shape = dims[..rank].to_vec();
+                // Origins run one tile past the end on the tiled dims and
+                // one index past it on leading dims, so clipped and
+                // entirely out-of-range tiles both occur.
+                let origin: Vec<u64> = (0..rank)
+                    .map(|d| {
+                        let tiled = if rank - d == 1 {
+                            Some(cols)
+                        } else if rank - d == 2 {
+                            Some(rows)
+                        } else {
+                            None
+                        };
+                        match tiled {
+                            Some(t) => (picks[d] % (shape[d].div_ceil(t) + 1)) * t,
+                            None => picks[d] % (shape[d] + 1),
+                        }
+                    })
+                    .collect();
+                let len = shape.iter().product::<u64>() as usize;
+                (
+                    HostTensor::from_vec(&shape, pattern(len, 1)),
+                    origin,
+                    rows,
+                    cols,
+                    dt,
+                )
+            })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Row-copy loads equal the per-element definition, bit for bit.
+        #[test]
+        fn load_tile_matches_per_element_spec(case in tile_case()) {
+            let (src, origin, rows, cols, dt) = case;
+            let mut got = pattern((rows * cols) as usize, 2);
+            load_tile(&src, &origin, rows, cols, dt, &mut got);
+            // A rank-1 source fills every tile row with its one row.
+            let rank1 = src.shape.len() == 1;
+            for r in 0..rows {
+                for c in 0..cols {
+                    let want = spec_index(&src, &origin, if rank1 { 0 } else { r }, c)
+                        .map_or(0.0, |i| dt.quantize(src.data[i]));
+                    let g = got[(r * cols + c) as usize];
+                    proptest::prop_assert_eq!(
+                        g.to_bits(),
+                        want.to_bits(),
+                        "{:?} at {:?}, {}x{} {}: ({}, {})",
+                        src.shape, origin, rows, cols, dt, r, c
+                    );
+                }
+            }
+        }
+
+        /// Row-copy stores equal the per-element definition, bit for
+        /// bit, and leave everything outside the tile untouched.
+        #[test]
+        fn store_tile_matches_per_element_spec(case in tile_case()) {
+            let (dst, origin, rows, cols, dt) = case;
+            let tile = pattern((rows * cols) as usize, 3);
+            let mut want = dst.clone();
+            for r in 0..rows {
+                for c in 0..cols {
+                    if let Some(i) = spec_index(&dst, &origin, r, c) {
+                        want.data[i] = dt.quantize(tile[(r * cols + c) as usize]);
+                    }
+                }
+            }
+            let mut got = dst;
+            store_tile(&tile, rows, cols, dt, &mut got, &origin);
+            for (i, (g, w)) in got.data.iter().zip(&want.data).enumerate() {
+                proptest::prop_assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "{:?} at {:?}, {}x{} {}: element {}",
+                    got.shape, origin, rows, cols, dt, i
+                );
             }
         }
     }

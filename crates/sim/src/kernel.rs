@@ -217,6 +217,12 @@ pub enum BlockStmt {
         rescale: Vec<SmemId>,
         /// Pre-softmax scaling (e.g. `1/sqrt(d_k)`).
         scale: f32,
+        /// `(column tile index, axis extent)` of `scores` along the
+        /// softmax axis when the last tile overhangs it. Columns past
+        /// the extent are padding: they get probability 0 instead of
+        /// entering the softmax as zero scores. `None` when the tile
+        /// divides the axis.
+        clip: Option<(TileIndex, u64)>,
     },
     /// Divide each row of `target` by the matching `denom` entry
     /// (softmax normalization before the final store).
@@ -290,57 +296,6 @@ pub enum BlockStmt {
     },
 }
 
-/// Shape taxonomy of a lowered loop nest, recorded at lower time so an
-/// execution backend can dispatch to a specialized kernel without
-/// re-walking the body (the FusionStitching streaming / reduction /
-/// fused-pipeline vocabulary).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum NestClass {
-    /// Pure data movement and element-wise glue: loads, stores, fills and
-    /// element-wise tile math, but no GEMM and no cross-element reduction.
-    Streaming,
-    /// A tiled GEMM reduction (k-loop accumulating into a resident tile),
-    /// possibly with element-wise epilogues.
-    Reduction,
-    /// A fused prologue/epilogue pipeline: the nest contains streaming
-    /// normalization / softmax stages (`RowNormStats`, `NormalizeTile`,
-    /// `AddRecomputedNorm`, `LayerNormTile`, `OnlineSoftmax`, `AddGlobal`)
-    /// around its reductions.
-    FusedPipeline,
-    /// Not yet classified (programs deserialized from caches written
-    /// before the class existed). Executors re-classify on demand.
-    #[default]
-    Unknown,
-}
-
-/// Classify a statement list into its [`NestClass`].
-pub fn classify_nest(stmts: &[BlockStmt]) -> NestClass {
-    fn walk(stmts: &[BlockStmt], has_gemm: &mut bool, has_pipeline: &mut bool) {
-        for s in stmts {
-            match s {
-                BlockStmt::Loop { body, .. } => walk(body, has_gemm, has_pipeline),
-                BlockStmt::Gemm { .. } => *has_gemm = true,
-                BlockStmt::OnlineSoftmax { .. }
-                | BlockStmt::RowNormStats { .. }
-                | BlockStmt::NormalizeTile { .. }
-                | BlockStmt::AddGlobal { .. }
-                | BlockStmt::AddRecomputedNorm { .. }
-                | BlockStmt::LayerNormTile { .. } => *has_pipeline = true,
-                _ => {}
-            }
-        }
-    }
-    let (mut has_gemm, mut has_pipeline) = (false, false);
-    walk(stmts, &mut has_gemm, &mut has_pipeline);
-    if has_pipeline {
-        NestClass::FusedPipeline
-    } else if has_gemm {
-        NestClass::Reduction
-    } else {
-        NestClass::Streaming
-    }
-}
-
 /// A complete virtual kernel.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TileProgram {
@@ -356,10 +311,6 @@ pub struct TileProgram {
     pub body: Vec<BlockStmt>,
     /// Operand precision seen by tensor cores (input tiles).
     pub dtype: DType,
-    /// Loop-nest shape recorded at lower time ([`ProgramBuilder::finish`]);
-    /// [`NestClass::Unknown`] only for programs built by hand without the
-    /// builder ([`TileProgram::nest_class`] re-derives it on demand).
-    pub nest_class: NestClass,
     /// Buffer dimensions where partial-tile clipping is *declared*
     /// (see [`ClipMark`]). Populated by the lowering; hand-built
     /// programs default to empty, so any clipped access they contain is
@@ -429,16 +380,6 @@ impl TileProgram {
         self.grid.iter().product::<u64>().max(1)
     }
 
-    /// The recorded nest class, re-deriving it for programs that predate
-    /// the field (deserialized as [`NestClass::Unknown`]).
-    pub fn nest_class(&self) -> NestClass {
-        if self.nest_class == NestClass::Unknown {
-            classify_nest(&self.body)
-        } else {
-            self.nest_class
-        }
-    }
-
     /// Physical shared-memory footprint per block (padding + double
     /// buffering included) — the quantity Fig. 10 calls "measured".
     pub fn smem_bytes(&self) -> u64 {
@@ -469,23 +410,32 @@ impl TileProgram {
             });
         }
         for idx in &acc.indices {
-            match idx.var {
-                VarRef::Grid(g) => {
-                    if g >= self.grid.len() {
-                        return Err(ProgramError::UnknownGridDim(g));
-                    }
+            self.validate_index(idx, live_loops)?;
+        }
+        Ok(())
+    }
+
+    fn validate_index(
+        &self,
+        idx: &TileIndex,
+        live_loops: &[LoopHandle],
+    ) -> Result<(), ProgramError> {
+        match idx.var {
+            VarRef::Grid(g) => {
+                if g >= self.grid.len() {
+                    return Err(ProgramError::UnknownGridDim(g));
                 }
-                VarRef::Loop(h) => {
-                    // An index on a popped (or never-defined) handle would
-                    // execute against the handle's stale environment slot
-                    // — reject it here instead of letting the interpreter
-                    // silently address the wrong tile.
-                    if !live_loops.contains(&h) {
-                        return Err(ProgramError::LoopOutOfScope(h));
-                    }
-                }
-                VarRef::Zero | VarRef::Const(_) => {}
             }
+            VarRef::Loop(h) => {
+                // An index on a popped (or never-defined) handle would
+                // execute against the handle's stale environment slot
+                // — reject it here instead of letting the interpreter
+                // silently address the wrong tile.
+                if !live_loops.contains(&h) {
+                    return Err(ProgramError::LoopOutOfScope(h));
+                }
+            }
+            VarRef::Zero | VarRef::Const(_) => {}
         }
         Ok(())
     }
@@ -557,8 +507,12 @@ impl TileProgram {
                     row_max,
                     row_sum,
                     rescale,
+                    clip,
                     ..
                 } => {
+                    if let Some((idx, _)) = clip {
+                        self.validate_index(idx, live_loops)?;
+                    }
                     let ds = self.smem_decl(*scores)?;
                     let dm = self.smem_decl(*row_max)?;
                     let dn = self.smem_decl(*row_sum)?;
@@ -821,10 +775,8 @@ impl ProgramBuilder {
         h
     }
 
-    /// Finish, attaching the per-block body. The nest class is computed
-    /// here — at lower time — so execution backends dispatch in O(1).
+    /// Finish, attaching the per-block body.
     pub fn finish(self, body: Vec<BlockStmt>) -> TileProgram {
-        let nest_class = classify_nest(&body);
         TileProgram {
             name: self.name,
             buffers: self.buffers,
@@ -832,7 +784,6 @@ impl ProgramBuilder {
             grid: self.grid,
             body,
             dtype: self.dtype,
-            nest_class,
             clip_ok: Vec::new(),
         }
     }

@@ -10,11 +10,8 @@
 //!   DRAM & L2 bandwidth, tensor-core throughput, launch overhead);
 //! * [`TileProgram`] — the virtual-kernel IR produced by MCFuser's
 //!   lowering (the analogue of Triton-generated PTX);
-//! * [`exec`] — a functional interpreter that runs kernels for value
-//!   (used as a correctness oracle against CPU references);
-//! * [`exec_vec`] — the vectorized execution backend behind the
-//!   [`KernelExecutor`] trait: blocked row-slice kernels, bit-identical
-//!   to the interpreter but built for wall-clock speed;
+//! * [`exec`] — the functional interpreter that runs kernels for value,
+//!   checked against CPU references and used by the serving runtime;
 //! * [`timing`] — a wave/roofline timing model that "measures" kernels,
 //!   including the second-order effects (L2, tensor-core fill, double
 //!   buffering, wave quantization) the paper's coarse analytical model
@@ -39,17 +36,14 @@
 //! ```
 
 #![warn(missing_docs)]
-// The vectorized backend's unsafe blocks lean on invariants the static
-// verifier proves; keep every one explicit and documented.
+// Keep every unsafe block explicit and documented.
 #![deny(unsafe_op_in_unsafe_fn)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod clock;
-pub mod codegen_check;
 pub mod device;
 pub mod dtype;
 pub mod exec;
-pub mod exec_vec;
 pub mod kernel;
 pub mod noise;
 pub mod report;
@@ -58,17 +52,15 @@ pub mod timing;
 pub mod verify;
 
 pub use clock::{CostProfile, TuningClock, TuningReport};
-pub use codegen_check::{assert_codegen_ok, verify_codegen};
 pub use device::{Arch, DeviceSpec};
 pub use dtype::DType;
 pub use exec::{
-    execute, execute_with_arena, gelu, BufferArena, ExecError, HostTensor, TensorStorage,
+    execute, execute_with_arena, gelu, BufferArena, ExecBackend, ExecError, HostTensor,
+    Interpreter, TensorStorage,
 };
-pub use exec_vec::{ExecBackend, InterpreterExec, KernelExecutor, VectorizedExec};
 pub use kernel::{
-    ceil_div, classify_nest, BlockStmt, BufId, BufferDecl, BufferRole, ClipMark, LoopHandle,
-    NestClass, ProgramBuilder, ProgramError, SmemDecl, SmemId, TileAccess, TileIndex, TileProgram,
-    VarRef,
+    ceil_div, BlockStmt, BufId, BufferDecl, BufferRole, ClipMark, LoopHandle, ProgramBuilder,
+    ProgramError, SmemDecl, SmemId, TileAccess, TileIndex, TileProgram, VarRef,
 };
 pub use report::explain;
 pub use stream::{sequence_time, StreamKernel};

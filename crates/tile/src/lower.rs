@@ -980,12 +980,21 @@ fn emit_online_softmax(i: usize, scale: f32, ctx: &EmitCtx<'_>, out: &mut Vec<Bl
     // Rescale every *downstream* accumulator (there is exactly one:
     // the final output, by the legality check).
     let rescale: Vec<SmemId> = ctx.accs[i + 1..].to_vec();
+    // An overhanging last tile pads the softmax axis with zero scores;
+    // the clip keeps them out of the softmax.
+    let col = LoopId(i + 2);
+    let (tile, extent) = (ctx.cand.tile(col), ctx.chain.dims[i + 1]);
+    let clip = (extent % tile != 0).then(|| {
+        let var = (ctx.var_of)(col);
+        (TileIndex { var, tile }, extent)
+    });
     out.push(BlockStmt::OnlineSoftmax {
         scores: ctx.accs[i],
         row_max: mx,
         row_sum: sm,
         rescale,
         scale,
+        clip,
     });
     if ctx.exact_softmax {
         // Single-tile softmax axis: the row sum is already final, so
@@ -1128,6 +1137,19 @@ mod tests {
         let c = ChainSpec::attention("s", 1, 64, 64, 32, 32);
         // n tile covers N: softmax in one shot.
         check_numerics(&c, &cand_for(&c, "mhnk", vec![32, 32, 64, 32]), 8);
+    }
+
+    #[test]
+    fn attention_overhanging_key_tile_correct() {
+        // 48 keys in tiles of 32: the second tile's last 16 columns are
+        // padding and must not enter the softmax; plain and masked, and
+        // with one tile wider than the whole key axis.
+        let c = ChainSpec::attention("s", 1, 64, 48, 32, 32);
+        check_numerics(&c, &cand_for(&c, "mhnk", vec![32, 32, 32, 32]), 9);
+        let c = ChainSpec::masked_attention("s", 2, 32, 48, 32, 32);
+        check_numerics(&c, &cand_for(&c, "mhnk", vec![32, 32, 32, 32]), 10);
+        let c = ChainSpec::attention("s", 1, 32, 32, 32, 32);
+        check_numerics(&c, &cand_for(&c, "mhnk", vec![32, 32, 64, 32]), 11);
     }
 
     #[test]

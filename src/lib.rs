@@ -74,9 +74,9 @@ pub mod prelude {
     pub use mcfuser_baselines::{Backend, ChainRun, Unsupported};
     pub use mcfuser_core::{
         BatchPolicy, BatchedPlan, CachePolicy, CompiledModel, DecodeError, DecodeServing,
-        DecodeSession, DecodeSpec, EngineBuilder, EngineStats, ExecBackend, ExecError,
-        ExecutablePlan, FusionEngine, InputSet, McFuser, ModelRuntime, Outputs, RunOptions,
-        RuntimeStats, SearchParams, SpacePolicy, TuneError, TunedKernel, TuningCache,
+        DecodeSession, DecodeSpec, EngineBuilder, EngineStats, ExecError, ExecutablePlan,
+        FusionEngine, InputSet, McFuser, ModelRuntime, Outputs, RunOptions, RuntimeStats,
+        SearchParams, SpacePolicy, TuneError, TunedKernel, TuningCache,
     };
     pub use mcfuser_ir::{ChainSpec, Epilogue, Graph, GraphBuilder};
     pub use mcfuser_sim::{DType, DeviceSpec, HostTensor, TensorStorage};

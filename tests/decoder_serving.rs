@@ -5,13 +5,13 @@
 //!
 //! * the decode-step graph compiles with **fused** attention and FFN
 //!   chains (the memory-bound gate flips at `m = 1`), and fused
-//!   execution is bit-identical to the reference lane on both exec
-//!   backends — property-tested across seeds and widened batch widths;
+//!   execution is bit-identical to the reference lane — property-tested
+//!   across seeds and widened batch widths;
 //! * `DecodeSession` prefill-then-N-steps matches one full-sequence
 //!   forward pass exactly on the reference lane, and within tight
 //!   relative error on the fused lane;
-//! * per-request `RunOptions` backend overrides and wall-clock
-//!   reservoir stats are honored on the coalesced decode-step path.
+//! * sessions are deterministic per seed and populate the wall-clock
+//!   reservoir stats on the coalesced decode-step path.
 
 use std::sync::Arc;
 
@@ -105,8 +105,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The fused decode step is bit-identical to the reference lane for
-    /// arbitrary seeds and positions, on both exec backends, at any
-    /// widened batch width.
+    /// arbitrary seeds and positions, at any widened batch width.
     #[test]
     fn fused_decode_step_bit_identity_property(
         seed in 0u64..500,
@@ -125,32 +124,25 @@ proptest! {
             .map(|t| reference_outputs(g, t, seed))
             .collect();
         let batched = BatchedPlan::new(plan.clone());
-        for backend in [ExecBackend::Interpreter, ExecBackend::Vectorized] {
-            let mut arena = BufferArena::new();
-            let outs = batched
-                .execute_batch(
-                    &refs,
-                    RunOptions::seeded(seed).with_backend(backend),
-                    &mut arena,
-                    None,
-                )
-                .unwrap();
-            for (r, (got, want)) in outs.iter().zip(&want).enumerate() {
-                for ((name, a), b) in got.iter().zip(want.iter()) {
-                    prop_assert_eq!(
-                        &a.data,
-                        &b.data,
-                        "request {} output {} ({:?}, width {})",
-                        r, name, backend, width
-                    );
-                }
+        let mut arena = BufferArena::new();
+        let outs = batched
+            .execute_batch(&refs, RunOptions::seeded(seed), &mut arena, None)
+            .unwrap();
+        for (r, (got, want)) in outs.iter().zip(&want).enumerate() {
+            for ((name, a), b) in got.iter().zip(want.iter()) {
+                prop_assert_eq!(
+                    &a.data,
+                    &b.data,
+                    "request {} output {} (width {})",
+                    r, name, width
+                );
             }
         }
     }
 }
 
 #[test]
-fn fused_decode_step_matches_reference_on_both_backends() {
+fn fused_decode_step_matches_reference() {
     let engine = engine();
     let cfg = DecoderConfig::gpt_mini();
     let t_b = 16;
@@ -162,17 +154,11 @@ fn fused_decode_step_matches_reference_on_both_backends() {
             let tensors = step_tensors(&cfg, t_b, pos, seed + pos);
             let inputs = to_input_set(&tensors);
             let want = reference_outputs(&g, &tensors, seed);
-            for backend in [ExecBackend::Interpreter, ExecBackend::Vectorized] {
-                let got = runtime
-                    .infer(
-                        "fused",
-                        &inputs,
-                        RunOptions::seeded(seed).with_backend(backend),
-                    )
-                    .unwrap();
-                for ((name, a), b) in got.iter().zip(want.iter()) {
-                    assert_eq!(a.data, b.data, "output {name} differs ({backend:?})");
-                }
+            let got = runtime
+                .infer("fused", &inputs, RunOptions::seeded(seed))
+                .unwrap();
+            for ((name, a), b) in got.iter().zip(want.iter()) {
+                assert_eq!(a.data, b.data, "output {name} differs (pos {pos})");
             }
         }
     }
@@ -267,37 +253,32 @@ fn decode_session_prefill_then_steps_matches_full_forward() {
     again.prefill(&prompt).unwrap();
 }
 
-/// Per-request backend overrides and the wall-clock reservoir are both
-/// honored on the coalesced decode-step path (`ModelRuntime::submit`).
+/// Sessions at the same seed decode bit-identically, and the
+/// wall-clock reservoir is populated on the coalesced decode-step path
+/// (`ModelRuntime::submit`).
 #[test]
-fn session_steps_honor_backend_override_and_wall_stats() {
+fn session_steps_are_deterministic_and_record_wall_stats() {
     let cfg = DecoderConfig::gpt_mini();
     let serving = decode_serving(&cfg, &[16]);
     let seed = 11u64;
     let prompt = ramp(&[3, cfg.hidden], 2);
     let steps = 5u64;
 
-    let mut logits_by_backend: Vec<Vec<Vec<f32>>> = Vec::new();
-    for backend in [
-        None,
-        Some(ExecBackend::Interpreter),
-        Some(ExecBackend::Vectorized),
-    ] {
-        let mut opts = RunOptions::seeded(seed);
-        opts.backend = backend;
-        let mut session = serving.open(opts);
+    let mut logits_by_session: Vec<Vec<Vec<f32>>> = Vec::new();
+    for _ in 0..3 {
+        let mut session = serving.open(RunOptions::seeded(seed));
         session.prefill(&prompt).unwrap();
         let mut rows = Vec::new();
         for i in 0..steps {
             let row = ramp(&[1, cfg.hidden], 40 + i);
             rows.push(session.step(&row).unwrap().data);
         }
-        logits_by_backend.push(rows);
+        logits_by_session.push(rows);
     }
-    // Backends are bit-identical, so any divergence means the override
-    // was dropped somewhere on the coalesced path.
-    assert_eq!(logits_by_backend[0], logits_by_backend[1]);
-    assert_eq!(logits_by_backend[1], logits_by_backend[2]);
+    // Sessions share weights, buffers and the coalescing queue; any
+    // divergence means state leaked between them.
+    assert_eq!(logits_by_session[0], logits_by_session[1]);
+    assert_eq!(logits_by_session[1], logits_by_session[2]);
 
     let stats = serving.runtime().stats();
     let step_plan = stats
