@@ -16,7 +16,6 @@
 use parking_lot::Mutex;
 use rand::prelude::*;
 use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 use mcfuser_core::OpCostModel;
 use mcfuser_ir::{ChainSpec, Epilogue, Graph, NodeId, Op};
@@ -28,7 +27,7 @@ use crate::gbt::{GbtModel, GbtParams};
 use crate::libkernels::{fused_softmax_kernel, layernorm_kernel, matmul_program, matmul_time};
 
 /// A tuned matmul task.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TunedMatmul {
     /// Winning tile configuration.
     pub tiles: (u64, u64, u64),

@@ -5,14 +5,12 @@
 //! through this trait; [`Capabilities`] carries the qualitative rows of
 //! the paper's Table I.
 
-use serde::{Deserialize, Serialize};
-
 use mcfuser_ir::ChainSpec;
 use mcfuser_sim::DeviceSpec;
 
 /// Why a backend cannot handle a workload (the paper's "-" entries:
 /// BOLT on sm_86, FlashAttention on K ≠ H, …).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Unsupported {
     /// Human-readable reason.
     pub reason: String,
@@ -36,7 +34,7 @@ impl std::fmt::Display for Unsupported {
 impl std::error::Error for Unsupported {}
 
 /// Result of running one MBCI sub-graph through a backend.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChainRun {
     /// End-to-end execution time of the sub-graph (seconds), including
     /// every kernel launch the backend needs.
@@ -52,7 +50,7 @@ pub struct ChainRun {
 }
 
 /// Qualitative capability matrix — the rows of Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Capabilities {
     /// Support for fusing MBCI operator chains: "No" / "Partial" / "Yes".
     pub supports_mbci: &'static str,

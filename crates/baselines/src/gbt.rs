@@ -7,10 +7,8 @@
 //! the training time on the virtual clock (Table IV's "ML Cost Model"
 //! overhead).
 
-use serde::{Deserialize, Serialize};
-
 /// Training hyper-parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GbtParams {
     /// Number of boosting rounds (trees).
     pub n_trees: usize,
@@ -37,7 +35,7 @@ impl Default for GbtParams {
 }
 
 /// A node of a regression tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum TreeNode {
     Leaf(f64),
     Split {
@@ -49,7 +47,7 @@ enum TreeNode {
 }
 
 /// One regression tree (nodes in a flat arena).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Tree {
     nodes: Vec<TreeNode>,
 }
@@ -78,7 +76,7 @@ impl Tree {
 }
 
 /// A fitted gradient-boosted model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GbtModel {
     base: f64,
     trees: Vec<Tree>,

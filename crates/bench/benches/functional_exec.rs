@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mcfuser_ir::ChainSpec;
-use mcfuser_sim::{execute, TensorStorage};
+use mcfuser_sim::{execute_with_arena, BufferArena, TensorStorage, VerifiedProgram};
 use mcfuser_tile::{lower, Candidate, LoweringOptions, TilingExpr};
 use std::hint::black_box;
 
@@ -14,16 +14,18 @@ fn bench(c: &mut Criterion) {
         vec![32, 32, 32, 16],
     );
     let k = lower(&chain, &cand, &LoweringOptions::default()).unwrap();
+    // Verified once, as a plan does; the timed loop measures execution.
+    let program = VerifiedProgram::new(k.program).unwrap();
     let inputs = chain.random_inputs(1);
     let mut g = c.benchmark_group("functional_exec");
     g.sample_size(20);
     g.bench_function("fused_2gemm_128x96", |b| {
         b.iter(|| {
-            let mut st = TensorStorage::for_program(&k.program);
+            let mut st = TensorStorage::for_program(&program);
             for (i, t) in inputs.iter().enumerate() {
                 st.tensors[i] = t.clone();
             }
-            execute(black_box(&k.program), &mut st).unwrap();
+            execute_with_arena(black_box(&program), &mut st, &mut BufferArena::new()).unwrap();
             st
         })
     });

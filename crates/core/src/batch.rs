@@ -24,8 +24,9 @@
 //!   instead of once per request — the amortization that makes
 //!   batching pay.
 //!
-//! Widened programs are re-[`validate`](TileProgram::validate)d and
-//! re-[`measure`]d per width, and cached per `(plan, width)`.
+//! Widened programs are re-verified (as
+//! [`VerifiedProgram::widened`]) and re-[`measure`]d per width, and
+//! cached per `(plan, width)`.
 //! Programs that widening cannot prove safe (a `Temp` buffer, a
 //! non-weight input without a leading batch index, a batch-replicated
 //! weight) fall back to serial execution — correctness never depends
@@ -43,8 +44,8 @@ use rustc_hash::FxHashMap;
 
 use mcfuser_ir::Op;
 use mcfuser_sim::{
-    execute_with_arena, measure, BlockStmt, BufferArena, BufferRole, HostTensor, TensorStorage,
-    TileAccess, TileIndex, TileProgram, VarRef,
+    execute_with_arena, measure, visit_accesses, visit_accesses_mut, BufferArena, BufferRole,
+    HostTensor, TensorStorage, TileAccess, TileIndex, TileProgram, VarRef, VerifiedProgram,
 };
 
 use crate::plan::{
@@ -54,8 +55,8 @@ use crate::plan::{
 /// One fused step widened to a fixed batch width.
 #[derive(Debug)]
 pub(crate) struct WidenedStep {
-    /// The widened, re-validated tile program.
-    program: Arc<TileProgram>,
+    /// The widened, re-verified tile program.
+    program: Arc<VerifiedProgram>,
     /// Per data input: `true` if the buffer is shared across requests
     /// (weights/biases, staged once), `false` if per-request (staged at
     /// `r * slot_elems`).
@@ -350,13 +351,13 @@ fn widen_step(plan: &ExecutablePlan, s: usize, width: usize) -> Option<WidenedSt
     let nbufs = base.buffers.len();
     let mut any_access = vec![false; nbufs];
     let mut all_batch_led = vec![true; nbufs];
-    visit_accesses(&base.body, &mut |a: &TileAccess| {
+    visit_accesses(&base.body, &mut |a: &TileAccess, _| {
         let b = a.buf.0;
         any_access[b] = true;
         all_batch_led[b] &= leading_batch(a);
     });
 
-    let mut p = (**program).clone();
+    let mut p = base.clone();
     p.name = format!("{}@x{width}", p.name);
     p.grid[0] = batch * width as u64;
 
@@ -419,20 +420,19 @@ fn widen_step(plan: &ExecutablePlan, s: usize, width: usize) -> Option<WidenedSt
     }
 
     if rewrite_zero.iter().any(|&r| r) {
-        visit_accesses_mut(&mut p.body, &mut |a: &mut TileAccess| {
+        visit_accesses_mut(&mut p.body, &mut |a: &mut TileAccess, _| {
             if rewrite_zero[a.buf.0] && leading_batch(a) {
                 a.indices[0].var = VarRef::Zero;
             }
         });
     }
-    p.validate().ok()?;
     // The widened program must independently re-prove the full static
-    // contract — bounds, def-use, cross-slot race freedom — plus the
-    // widening special case: every `VarRef::Zero`-pinned shared slab is
-    // read-only in all `width` slots. An unprovable widening falls back
-    // to serial execution rather than launching a coalesced kernel the
-    // verifier cannot vouch for.
-    mcfuser_sim::verify::verify_widened(&p).ok()?;
+    // contract — structure, bounds, def-use, cross-slot race freedom —
+    // plus the widening special case: every `VarRef::Zero`-pinned
+    // shared slab is read-only in all `width` slots. An unprovable
+    // widening falls back to serial execution rather than launching a
+    // coalesced kernel the verifier cannot vouch for.
+    let p = VerifiedProgram::widened(p).ok()?;
     let prof = measure(&p, plan.device());
     Some(WidenedStep {
         program: Arc::new(p),
@@ -454,46 +454,4 @@ fn leading_batch(a: &TileAccess) -> bool {
             tile: 1,
         })
     )
-}
-
-/// Visit every global-buffer access of a statement list (including the
-/// raw-global reads of the stitched prologue/epilogue statements — missing
-/// one here would silently misclassify its buffer during widening).
-fn visit_accesses(body: &[BlockStmt], f: &mut impl FnMut(&TileAccess)) {
-    for stmt in body {
-        match stmt {
-            BlockStmt::Loop { body, .. } => visit_accesses(body, f),
-            BlockStmt::Load { src, .. } => f(src),
-            BlockStmt::Store { dst, .. } => f(dst),
-            BlockStmt::AddGlobal { src, .. } => f(src),
-            BlockStmt::RowNormStats { a, residual, .. }
-            | BlockStmt::AddRecomputedNorm { a, residual, .. } => {
-                f(a);
-                if let Some(res) = residual {
-                    f(res);
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Mutably visit every global-buffer access of a statement list.
-fn visit_accesses_mut(body: &mut [BlockStmt], f: &mut impl FnMut(&mut TileAccess)) {
-    for stmt in body {
-        match stmt {
-            BlockStmt::Loop { body, .. } => visit_accesses_mut(body, f),
-            BlockStmt::Load { src, .. } => f(src),
-            BlockStmt::Store { dst, .. } => f(dst),
-            BlockStmt::AddGlobal { src, .. } => f(src),
-            BlockStmt::RowNormStats { a, residual, .. }
-            | BlockStmt::AddRecomputedNorm { a, residual, .. } => {
-                f(a);
-                if let Some(res) = residual {
-                    f(res);
-                }
-            }
-            _ => {}
-        }
-    }
 }

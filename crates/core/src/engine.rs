@@ -200,7 +200,6 @@ pub struct EngineBuilder {
     parallelism: usize,
     space_caching: bool,
     stitching: bool,
-    verify: bool,
 }
 
 impl EngineBuilder {
@@ -216,20 +215,7 @@ impl EngineBuilder {
             parallelism: 1,
             space_caching: true,
             stitching: true,
-            verify: true,
         }
-    }
-
-    /// Whether tuned programs are gated through the static verifier
-    /// (symbolic bounds, init/def-use, inter-block race analysis;
-    /// default: on). Every fresh tuning winner is verified before it is
-    /// cached, and every cache rehydration is re-verified before it is
-    /// served — a reject surfaces as [`TuneError::Verify`] (fresh) or a
-    /// forced re-tune (cached). Disable only to measure the gate's own
-    /// cost; correctness-critical paths should leave it on.
-    pub fn verify(mut self, enabled: bool) -> Self {
-        self.verify = enabled;
-        self
     }
 
     /// Algorithm 1 parameters (population, top-n, convergence ε, …).
@@ -330,7 +316,6 @@ impl EngineBuilder {
             parallelism: self.parallelism.max(1),
             clock: TuningClock::new(),
             stats: Mutex::new(EngineStats::default()),
-            verify: self.verify,
         }
     }
 }
@@ -354,9 +339,6 @@ pub struct FusionEngine {
     parallelism: usize,
     clock: TuningClock,
     stats: Mutex<EngineStats>,
-    /// Whether tuned programs pass through the static verifier before
-    /// being cached or served (see [`EngineBuilder::verify`]).
-    verify: bool,
 }
 
 impl std::fmt::Debug for FusionEngine {
@@ -677,17 +659,15 @@ impl FusionEngine {
         // bug surfacing as a structured error instead of a miscompile —
         // callers demote (stitched chains fall back to their plain twin
         // in `compile`) rather than serve the kernel.
-        if self.verify {
-            if let Err(e) = mcfuser_sim::verify::verify_program(&tuned.kernel.program) {
-                self.stats.lock().verify_rejects += 1;
-                return Err(TuneError::Verify {
-                    chain: chain.name.clone(),
-                    device: self.device.name.clone(),
-                    detail: e.to_string(),
-                });
-            }
-            self.stats.lock().programs_verified += 1;
+        if let Err(e) = mcfuser_sim::verify::verify_program(&tuned.kernel.program) {
+            self.stats.lock().verify_rejects += 1;
+            return Err(TuneError::Verify {
+                chain: chain.name.clone(),
+                device: self.device.name.clone(),
+                detail: e.to_string(),
+            });
         }
+        self.stats.lock().programs_verified += 1;
         // The local report is returned to the caller, which absorbs it
         // into the session clock in deterministic (input) order — never
         // here on a worker thread, where completion order would make the
@@ -741,13 +721,11 @@ impl FusionEngine {
         // Re-verify rehydrated programs: a stale or hand-edited cache
         // entry that re-lowers into something unsound is treated as a
         // miss (forcing a fresh, itself-verified tune), never served.
-        if self.verify {
-            if mcfuser_sim::verify::verify_program(&kernel.program).is_err() {
-                self.stats.lock().verify_rejects += 1;
-                return None;
-            }
-            self.stats.lock().programs_verified += 1;
+        if mcfuser_sim::verify::verify_program(&kernel.program).is_err() {
+            self.stats.lock().verify_rejects += 1;
+            return None;
         }
+        self.stats.lock().programs_verified += 1;
         let profile = measure_noisy(&kernel.program, &self.device, self.tuner.params.seed);
         Some(TunedKernel {
             chain: chain.clone(),

@@ -14,14 +14,12 @@
 //! imperfectly (Fig. 11, r ≈ 0.8–0.9) and why Algorithm 1 still measures
 //! the top-k candidates.
 
-use serde::{Deserialize, Serialize};
-
 use mcfuser_ir::ChainSpec;
 use mcfuser_sim::DeviceSpec;
 use mcfuser_tile::{place, Candidate, PlacementError, Stmt, TensorRef};
 
 /// Breakdown of an analytical estimate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerfEstimate {
     /// Eq. 3: global-memory time in seconds.
     pub t_mem: f64,
@@ -38,7 +36,7 @@ pub struct PerfEstimate {
 /// Knobs distinguishing MCFuser's analytical model from ablated variants
 /// (the MCFuser-Chimera baseline minimizes data movement only and skips
 /// dead-loop elimination).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModelOptions {
     /// Apply §III-B dead-loop elimination before computing trip counts.
     pub dead_loop_elimination: bool,

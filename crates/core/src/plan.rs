@@ -32,7 +32,7 @@ use rustc_hash::{FxHashMap, FxHashSet};
 use mcfuser_ir::{Graph, GraphError, NodeId, Op};
 use mcfuser_sim::{
     execute_with_arena, BufferArena, BufferRole, DType, DeviceSpec, ExecBackend, HostTensor,
-    TensorStorage, TileProgram,
+    TensorStorage, VerifiedProgram,
 };
 
 use crate::engine::CompiledModel;
@@ -93,9 +93,10 @@ pub enum ExecError {
     },
     /// A chain's lowered program failed the static verifier while the
     /// plan was being frozen (see `mcfuser_sim::verify`). Every program
-    /// a plan would serve is re-checked here — the last gate before
-    /// execution — so a model carrying a corrupted or hand-mutated
-    /// kernel is rejected instead of launched.
+    /// a plan would serve is re-checked here — the one check before
+    /// execution, whose [`VerifiedProgram`] every launch then trusts —
+    /// so a model carrying a corrupted or hand-mutated kernel is
+    /// rejected instead of launched.
     Verify {
         /// Model name.
         model: String,
@@ -477,8 +478,8 @@ pub enum Step {
     Fused {
         /// The fused chain's name (diagnostics).
         chain: String,
-        /// The lowered tile program.
-        program: Arc<TileProgram>,
+        /// The lowered tile program, verified when the plan was built.
+        program: Arc<VerifiedProgram>,
         /// Graph nodes feeding the kernel, in program-buffer order.
         data_inputs: Vec<NodeId>,
         /// Per data input: stored transposed relative to chain layout.
@@ -929,6 +930,7 @@ impl CompiledModel {
         }
         let n = graph.nodes.len();
         let in_range = |id: NodeId| id.0 < n;
+        let mut programs: Vec<Arc<VerifiedProgram>> = Vec::with_capacity(self.chains.len());
         for cc in &self.chains {
             if !in_range(cc.output)
                 || cc.nodes.iter().any(|&x| !in_range(x))
@@ -958,17 +960,19 @@ impl CompiledModel {
                     declared
                 )));
             }
-            // Last gate before execution: every program this plan would
-            // serve must pass the static verifier, whatever path it
-            // arrived by (fresh tune, cache rehydration, deserialized
-            // model, hand-assembled CompiledModel).
-            if let Err(e) = mcfuser_sim::verify::verify_program(&cc.tuned.kernel.program) {
-                return Err(ExecError::Verify {
+            // The one gate before execution: every program this plan
+            // would serve must pass the static verifier, whatever path
+            // it arrived by (fresh tune, cache rehydration, deserialized
+            // model, hand-assembled CompiledModel). The witness it
+            // yields is what the plan's launches run.
+            let program = VerifiedProgram::new(cc.tuned.kernel.program.clone()).map_err(|e| {
+                ExecError::Verify {
                     model: self.name.clone(),
                     chain: cc.chain.name.clone(),
                     detail: e.to_string(),
-                });
-            }
+                }
+            })?;
+            programs.push(Arc::new(program));
         }
 
         // Interior chain nodes: replaced by the fused kernel, never
@@ -1031,7 +1035,7 @@ impl CompiledModel {
                 fused_of.insert(id, steps.len());
                 steps.push(Step::Fused {
                     chain: cc.chain.name.clone(),
-                    program: Arc::new(cc.tuned.kernel.program.clone()),
+                    program: Arc::clone(&programs[ci]),
                     data_inputs: cc.data_inputs.clone(),
                     transposed: cc.transposed_inputs.clone(),
                     output: id,

@@ -36,7 +36,6 @@
 //! (proptest-verified). `after_rule4` stays exact on both paths.
 
 use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 use mcfuser_ir::ChainSpec;
 use mcfuser_sim::DeviceSpec;
@@ -45,7 +44,7 @@ use mcfuser_tile::{accumulator_instances, Candidate, TilingExpr};
 use crate::space::{CandidateSpace, SearchSpace};
 
 /// Candidate counts after each pruning rule (the Fig. 7 waterfall).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PruneStats {
     /// Full space size.
     pub original: u128,

@@ -21,9 +21,7 @@
 
 use rand::distributions::WeightedIndex;
 use rand::prelude::*;
-use rayon::prelude::*;
 use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 use mcfuser_ir::ChainSpec;
 use mcfuser_sim::{measure_noisy, CostProfile, DeviceSpec, KernelProfile, TuningClock};
@@ -32,7 +30,7 @@ use mcfuser_tile::{lower, Candidate, LoweredKernel, LoweringOptions};
 use crate::space::CandidateSpace;
 
 /// Parameters of Algorithm 1.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SearchParams {
     /// Population size `N`.
     pub population: usize,
@@ -316,12 +314,10 @@ pub fn heuristic_search(
         let mut scored: Vec<(u64, f64)> = space
             .iter()
             .enumerate()
-            .par_bridge()
             .map(|(i, c)| (i as u64, rank_score(chain, &c, dev, params)))
             .collect();
-        // Sort by (score, index): the index tie-break keeps the ranking
-        // deterministic even though par_bridge does not guarantee
-        // arrival order.
+        // Sort by (score, index): equal scores keep space order, so the
+        // seeded half of the population is deterministic.
         scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         for _ in &scored {
             clock.note_estimate();
@@ -352,9 +348,9 @@ pub fn heuristic_search(
 
     for round in 0..params.max_rounds {
         rounds = round + 1;
-        // Line 5: analytical estimates (free, parallel).
+        // Line 5: analytical estimates (free: no measurement).
         let estimates: Vec<f64> = population
-            .par_iter()
+            .iter()
             .map(|(_, c)| rank_score(chain, c, dev, params))
             .collect();
         for _ in &estimates {

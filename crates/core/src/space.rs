@@ -950,9 +950,9 @@ pub fn space_fingerprint(
 /// `space_builds` probe covers the cache-disabled path too).
 ///
 /// Note on `Ranked`-index grids (> `COMPACT_LIMIT` combinations): the
-/// shared space's interior decode cache is one small mutex-guarded
-/// block cache, so many *concurrent* searches over one huge-grid space
-/// contend on it — see the ROADMAP item on sharding it per thread.
+/// shared space's interior decode cache is sharded by thread
+/// (`DECODE_SHARDS` mutex-guarded block caches), so concurrent searches
+/// over one huge-grid space rarely contend on the same shard.
 #[derive(Debug)]
 pub struct SpaceCache {
     entries: Mutex<SpaceCacheInner>,

@@ -6,8 +6,6 @@
 //! virtual tuning-time report (the quantities behind Figs. 7–11 and
 //! Table IV).
 
-use serde::{Deserialize, Serialize};
-
 use mcfuser_ir::ChainSpec;
 use mcfuser_sim::{DeviceSpec, KernelProfile, TuningClock, TuningReport};
 use mcfuser_tile::{Candidate, LoweredKernel};
@@ -20,7 +18,7 @@ use crate::space::{CandidateSpace, SearchSpace};
 /// combination's Eq. 1 estimate exceeds the device's budget (with the
 /// 1.2× margin). Carried by [`TuneError::EmptySearchSpace`] so the
 /// failure names the responsible rule and the numbers behind it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Rule4Rejection {
     /// Smallest Eq. 1 shared-memory estimate across the Rule-3 grid.
     pub min_estimated_smem: u64,
@@ -30,7 +28,7 @@ pub struct Rule4Rejection {
 
 /// Tuning failure, carrying enough context to identify which task of a
 /// multi-chain session failed and where.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TuneError {
     /// Pruning left nothing to search (the space itself is empty).
     EmptySearchSpace {
@@ -159,7 +157,7 @@ impl std::error::Error for TuneError {}
 /// full MCFuser pipeline; the alternatives reproduce the restricted
 /// configurations of the paper's ablation (§VI-E) and the
 /// MCFuser-Chimera comparator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpacePolicy {
     /// Restrict to deep tilings only (Chimera's space restriction).
     pub deep_tiling_only: bool,

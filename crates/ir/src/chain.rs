@@ -21,12 +21,10 @@
 //! The cross-tile loop axes of a chain are `m` plus one axis per `dᵢ`
 //! (named `k, n, h, p, q, …` to match the paper) and the batch.
 
-use serde::{Deserialize, Serialize};
-
 use mcfuser_sim::{DType, DeviceSpec, HostTensor};
 
 /// A memory-intensive epilogue fused after a compute block.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Epilogue {
     /// Identity.
     #[default]
@@ -76,7 +74,7 @@ impl Epilogue {
 /// One auxiliary data input of a chain beyond `A` and the weights:
 /// a per-stage bias vector, an attention mask, or a stitched
 /// prologue/epilogue operand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AuxInput {
     /// Bias vector `[d_{stage+1}]`, added to stage `stage`'s output
     /// before its elementwise epilogue.
@@ -116,7 +114,7 @@ pub enum AuxInput {
 /// the `residual Add → LayerNorm → Linear` glue of a transformer layer
 /// into the chain kernel, eliminating one round trip of the activation
 /// through global memory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrologueSpec {
     /// Whether a raw residual tensor ([`AuxInput::PrologueResidual`]) is
     /// added to `A` before normalization.
@@ -139,7 +137,7 @@ pub struct PrologueSpec {
 }
 
 /// Where a stitched tail residual comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResidualSource {
     /// An [`AuxInput::TailResidual`] tensor read from global memory.
     External,
@@ -156,7 +154,7 @@ pub enum ResidualSource {
 /// an optional full-row LayerNorm is applied, and the result is stored
 /// *raw* (f32) — exactly the value the downstream graph would have seen
 /// from the unstitched `Add (→ LayerNorm)` reference steps.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpilogueStitch {
     /// Source of the residual added to the quantized chain output.
     pub residual: ResidualSource,
@@ -170,7 +168,7 @@ pub struct EpilogueStitch {
 }
 
 /// A chain of `L = dims.len() - 1` batched matmuls.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChainSpec {
     /// Human-readable name (e.g. `"G4"`, `"S2"`).
     pub name: String,

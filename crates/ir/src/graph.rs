@@ -6,16 +6,14 @@
 //! (handed to a Relay- or Ansor-style per-operator backend), mirroring
 //! §V-B of the paper.
 
-use serde::{Deserialize, Serialize};
-
 use mcfuser_sim::DType;
 
 /// Node identifier within a [`Graph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub usize);
 
 /// High-level operator kinds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     /// Activation input (fed by the caller).
     Input,
@@ -106,7 +104,7 @@ impl Op {
 }
 
 /// A graph node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// Display name.
     pub name: String,
@@ -119,7 +117,7 @@ pub struct Node {
 }
 
 /// A dataflow graph in topological order (builders only append).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Graph {
     /// Model name.
     pub name: String,

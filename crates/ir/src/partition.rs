@@ -41,8 +41,6 @@
 //! is accepted — a mismatched graph degrades to "leave it to the
 //! fallback backend", never to a miscompiled kernel.
 
-use serde::{Deserialize, Serialize};
-
 use mcfuser_sim::DeviceSpec;
 
 use crate::chain::{ChainSpec, Epilogue, EpilogueStitch, PrologueSpec, ResidualSource};
@@ -53,7 +51,7 @@ use crate::graph::{Graph, NodeId, Op};
 pub const LN_EPS: f32 = 1e-5;
 
 /// One fused MBCI sub-graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FusedChain {
     /// The extracted chain specification handed to the tuner.
     pub chain: ChainSpec,
@@ -112,7 +110,7 @@ impl Default for PartitionOptions {
 }
 
 /// Result of partitioning.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Partition {
     /// Extracted MBCI sub-graphs.
     pub chains: Vec<FusedChain>,

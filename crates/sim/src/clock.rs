@@ -10,10 +10,9 @@
 //! real hardware, without hours of wall time.
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 /// Per-toolchain costs of tuning events, in (virtual) seconds.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CostProfile {
     /// Compiling one candidate kernel.
     pub compile_seconds: f64,
@@ -70,7 +69,7 @@ impl CostProfile {
 }
 
 /// Counters of a finished tuning session.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TuningReport {
     /// Accumulated virtual tuning time.
     pub virtual_seconds: f64,

@@ -12,13 +12,11 @@
 //!
 //! The numbers below are the public datasheet values of the two cards.
 
-use serde::{Deserialize, Serialize};
-
 use crate::dtype::DType;
 
 /// GPU architecture generation (used for feature gating, e.g. BOLT
 /// rejecting `sm_86` devices exactly like the paper reports).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Arch {
     /// Ampere data-center parts (A100).
     Sm80,
@@ -39,7 +37,7 @@ impl std::fmt::Display for Arch {
 }
 
 /// A simulated GPU.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSpec {
     /// Marketing name, e.g. `"A100-PCIE-40GB"`.
     pub name: String,

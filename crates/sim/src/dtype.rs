@@ -5,10 +5,8 @@
 //! only affects *storage* — i.e. how many bytes a tile occupies in global
 //! or shared memory and therefore how much traffic a kernel generates.
 
-use serde::{Deserialize, Serialize};
-
 /// Storage element type of a tensor buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DType {
     /// IEEE 754 half precision — the tensor-core native input type.
     #[default]

@@ -8,6 +8,11 @@
 //! computes the same function as the unfused reference — the property the
 //! real system gets from Triton's code generator being correct.
 //!
+//! The interpreter runs only programs the static verifier accepted:
+//! [`execute_with_arena`] takes a [`VerifiedProgram`], and [`execute`]
+//! verifies its argument first. Launches check only the caller's
+//! storage.
+//!
 //! Blocks are executed sequentially in grid order. Grid dimensions bind
 //! only spatial loops (each block writes a disjoint output region), so
 //! sequential execution is observationally equivalent to any parallel
@@ -16,7 +21,8 @@
 use rustc_hash::FxHashMap;
 
 use crate::dtype::DType;
-use crate::kernel::{BlockStmt, BufferRole, ProgramError, SmemId, TileAccess, TileProgram, VarRef};
+use crate::kernel::{BlockStmt, BufferRole, SmemId, TileAccess, TileProgram, VarRef};
+use crate::verify::{VerifiedProgram, VerifyError};
 
 /// A host-side tensor backing a global buffer.
 #[derive(Debug, Clone, PartialEq)]
@@ -306,16 +312,18 @@ impl BufferArena {
 /// Execution failure.
 #[derive(Debug)]
 pub enum ExecError {
-    /// Program failed structural validation first.
-    Invalid(ProgramError),
-    /// Storage buffer count/shape does not match declarations.
+    /// [`execute`] was handed a program the static verifier rejects;
+    /// carries the verifier's finding.
+    Unverified(VerifyError),
+    /// Storage buffer count, shape or data length does not match the
+    /// program's declarations.
     StorageMismatch(String),
 }
 
 impl std::fmt::Display for ExecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ExecError::Invalid(e) => write!(f, "invalid program: {e}"),
+            ExecError::Unverified(e) => write!(f, "unverified program: {e}"),
             ExecError::StorageMismatch(m) => write!(f, "storage mismatch: {m}"),
         }
     }
@@ -323,9 +331,9 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-impl From<ProgramError> for ExecError {
-    fn from(e: ProgramError) -> Self {
-        ExecError::Invalid(e)
+impl From<VerifyError> for ExecError {
+    fn from(e: VerifyError) -> Self {
+        ExecError::Unverified(e)
     }
 }
 
@@ -356,24 +364,26 @@ impl Smem {
     }
 }
 
-/// Execute a program against `storage`. Inputs must be pre-filled; outputs
-/// and temps are written in place.
+/// Verify `p`, then execute it against `storage`. Inputs must be
+/// pre-filled; outputs and temps are written in place. A program the
+/// static verifier rejects is never run: the call returns
+/// [`ExecError::Unverified`] with the verifier's finding.
 pub fn execute(p: &TileProgram, storage: &mut TensorStorage) -> Result<(), ExecError> {
-    let mut arena = BufferArena::new();
-    execute_with_arena(p, storage, &mut arena)
+    let p = VerifiedProgram::new(p.clone())?;
+    execute_with_arena(&p, storage, &mut BufferArena::new())
 }
 
-/// Like [`execute`], but drawing the per-block shared-memory buffers from
-/// a caller-provided [`BufferArena`] (and returning them afterwards) —
-/// the entry point serving loops use to run the same kernels request
-/// after request without per-request heap churn. Results are
-/// bit-identical to [`execute`].
+/// Execute a [`VerifiedProgram`], drawing the per-block shared-memory
+/// buffers from a caller-provided [`BufferArena`] (and returning them
+/// afterwards) — the entry point serving loops use to run the same
+/// kernels request after request without per-request heap churn. The
+/// program was checked when it was built, so only the caller's storage
+/// is checked here. Results are bit-identical to [`execute`].
 pub fn execute_with_arena(
-    p: &TileProgram,
+    p: &VerifiedProgram,
     storage: &mut TensorStorage,
     arena: &mut BufferArena,
 ) -> Result<(), ExecError> {
-    p.validate()?;
     if storage.tensors.len() != p.buffers.len() {
         return Err(ExecError::StorageMismatch(format!(
             "{} tensors for {} buffers",
@@ -382,10 +392,13 @@ pub fn execute_with_arena(
         )));
     }
     for (t, d) in storage.tensors.iter().zip(&p.buffers) {
-        if t.shape != d.shape {
+        if t.shape != d.shape || t.data.len() as u64 != d.len() {
             return Err(ExecError::StorageMismatch(format!(
-                "buffer {} declared {:?} but storage has {:?}",
-                d.name, d.shape, t.shape
+                "buffer {} declared {:?} but storage has {:?} holding {} elements",
+                d.name,
+                d.shape,
+                t.shape,
+                t.data.len()
             )));
         }
     }
@@ -451,7 +464,7 @@ impl Interpreter {
     /// Run `p` through [`execute_with_arena`].
     pub fn execute_with_arena(
         &self,
-        p: &TileProgram,
+        p: &VerifiedProgram,
         storage: &mut TensorStorage,
         arena: &mut BufferArena,
     ) -> Result<(), ExecError> {
@@ -1155,6 +1168,7 @@ mod tests {
     }
 
     /// Build a tiled matmul kernel: grid over (m, n) tiles, loop over k.
+    /// Partial final tiles are declared the way lowering declares them.
     fn matmul_program(m: u64, n: u64, k: u64, tm: u64, tn: u64, tk: u64) -> TileProgram {
         let mut b = ProgramBuilder::new("mm", DType::F32);
         let a_buf = b.buffer("A", vec![m, k], DType::F32, BufferRole::Input);
@@ -1221,7 +1235,9 @@ mod tests {
                 src: sc,
             },
         ];
-        b.finish(body)
+        let mut p = b.finish(body);
+        crate::verify::mark_expected_clips(&mut p);
+        p
     }
 
     #[test]
@@ -1370,7 +1386,8 @@ mod tests {
         let mut first = TensorStorage::for_program_in(&p, &mut arena);
         first.tensors[0] = a.clone();
         first.tensors[1] = b.clone();
-        execute_with_arena(&p, &mut first, &mut arena).unwrap();
+        let verified = VerifiedProgram::new(p.clone()).unwrap();
+        execute_with_arena(&verified, &mut first, &mut arena).unwrap();
         assert_eq!(first.tensors[2].data, plain.tensors[2].data);
         first.recycle(&mut arena);
         assert_eq!(arena.reuses(), 0, "first request allocates everything");
@@ -1380,7 +1397,7 @@ mod tests {
         let mut second = TensorStorage::for_program_in(&p, &mut arena);
         second.tensors[0] = a;
         second.tensors[1] = b;
-        execute_with_arena(&p, &mut second, &mut arena).unwrap();
+        execute_with_arena(&verified, &mut second, &mut arena).unwrap();
         assert_eq!(second.tensors[2].data, plain.tensors[2].data);
         assert_eq!(arena.allocs(), after_first, "no fresh allocations");
         assert!(arena.reuses() > 0);
@@ -1426,6 +1443,21 @@ mod tests {
         st.tensors.pop();
         assert!(matches!(
             execute(&p, &mut st),
+            Err(ExecError::StorageMismatch(_))
+        ));
+    }
+
+    /// `HostTensor`'s fields are public, so storage can carry the right
+    /// shape over too little data; the executor rejects it instead of
+    /// indexing past the end.
+    #[test]
+    fn short_storage_data_rejected() {
+        let p = VerifiedProgram::new(matmul_program(32, 16, 16, 16, 16, 16)).unwrap();
+        let mut st = TensorStorage::for_program(&p);
+        st.tensors[0].data.truncate(100);
+        let mut arena = BufferArena::new();
+        assert!(matches!(
+            execute_with_arena(&p, &mut st, &mut arena),
             Err(ExecError::StorageMismatch(_))
         ));
     }

@@ -17,24 +17,22 @@
 //!   dodge bank conflicts) and double buffered — the intra-tile policies the
 //!   real system delegates to Triton.
 
-use serde::{Deserialize, Serialize};
-
 use crate::dtype::DType;
 
 /// Identifier of a global-memory buffer declared in a [`TileProgram`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BufId(pub usize);
 
 /// Identifier of a shared-memory tile buffer within a block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SmemId(pub usize);
 
 /// Identifier of a per-block loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LoopHandle(pub usize);
 
 /// Role of a global buffer (determines who initializes it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BufferRole {
     /// Provided by the caller before execution.
     Input,
@@ -46,7 +44,7 @@ pub enum BufferRole {
 }
 
 /// A global-memory tensor buffer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BufferDecl {
     /// Display name.
     pub name: String,
@@ -78,7 +76,7 @@ impl BufferDecl {
 
 /// A shared-memory tile buffer (one logical tile; the allocator may
 /// double-buffer it).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SmemDecl {
     /// Display name.
     pub name: String,
@@ -122,7 +120,7 @@ impl SmemDecl {
 }
 
 /// A value a tile coordinate can be indexed by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VarRef {
     /// `blockIdx` component `i` of the launch grid.
     Grid(usize),
@@ -136,7 +134,7 @@ pub enum VarRef {
 }
 
 /// One dimension of a tile access: element offset = `var * tile`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TileIndex {
     /// The index variable.
     pub var: VarRef,
@@ -150,7 +148,7 @@ pub struct TileIndex {
 /// (one, for rank-1 buffers) select a `rows × cols` region whose extents
 /// come from the destination/source [`SmemDecl`]; leading indices select
 /// slices (e.g. the batch).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TileAccess {
     /// Accessed buffer.
     pub buf: BufId,
@@ -168,7 +166,7 @@ pub struct TileAccess {
 /// so accidental out-of-bounds addressing (a shifted index, a wrong
 /// grid var) can never hide behind the interpreter's zero-fill/clip
 /// semantics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ClipMark {
     /// The buffer whose accesses may clip.
     pub buf: BufId,
@@ -178,7 +176,7 @@ pub struct ClipMark {
 
 /// A statement of the per-block program.
 #[allow(missing_docs)] // variant fields are described by the variant docs
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BlockStmt {
     /// A counted loop over tile indices.
     Loop {
@@ -296,8 +294,51 @@ pub enum BlockStmt {
     },
 }
 
+/// Call `f(access, is_store)` on every global-memory access in `stmts`,
+/// loop bodies included: loads, stores, and the raw-global reads of the
+/// stitched prologue/epilogue statements. The verifier's shared-slab
+/// check and batch widening both classify buffers by this walk, where a
+/// missed statement would silently misclassify its buffer; a new
+/// accessing statement is added here once.
+pub fn visit_accesses(stmts: &[BlockStmt], f: &mut impl FnMut(&TileAccess, bool)) {
+    for s in stmts {
+        match s {
+            BlockStmt::Loop { body, .. } => visit_accesses(body, f),
+            BlockStmt::Load { src, .. } | BlockStmt::AddGlobal { src, .. } => f(src, false),
+            BlockStmt::Store { dst, .. } => f(dst, true),
+            BlockStmt::RowNormStats { a, residual, .. }
+            | BlockStmt::AddRecomputedNorm { a, residual, .. } => {
+                f(a, false);
+                if let Some(r) = residual {
+                    f(r, false);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// [`visit_accesses`] with mutable access to each [`TileAccess`].
+pub fn visit_accesses_mut(stmts: &mut [BlockStmt], f: &mut impl FnMut(&mut TileAccess, bool)) {
+    for s in stmts {
+        match s {
+            BlockStmt::Loop { body, .. } => visit_accesses_mut(body, f),
+            BlockStmt::Load { src, .. } | BlockStmt::AddGlobal { src, .. } => f(src, false),
+            BlockStmt::Store { dst, .. } => f(dst, true),
+            BlockStmt::RowNormStats { a, residual, .. }
+            | BlockStmt::AddRecomputedNorm { a, residual, .. } => {
+                f(a, false);
+                if let Some(r) = residual {
+                    f(r, false);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
 /// A complete virtual kernel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TileProgram {
     /// Kernel name.
     pub name: String,

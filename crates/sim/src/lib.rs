@@ -20,7 +20,9 @@
 //!   unfused baselines;
 //! * [`verify`] — the static verifier: symbolic bounds, init/def-use,
 //!   and inter-block race analysis over lowered programs, run as a
-//!   compile-time gate before any kernel is cached, widened, or served;
+//!   compile-time gate before any kernel is cached, widened, or served.
+//!   Its [`VerifiedProgram`] witness is the only program type the
+//!   executor accepts;
 //! * [`clock`] — the virtual tuning clock behind Table IV;
 //! * [`noise`] — deterministic measurement jitter.
 //!
@@ -59,8 +61,9 @@ pub use exec::{
     Interpreter, TensorStorage,
 };
 pub use kernel::{
-    ceil_div, BlockStmt, BufId, BufferDecl, BufferRole, ClipMark, LoopHandle, ProgramBuilder,
-    ProgramError, SmemDecl, SmemId, TileAccess, TileIndex, TileProgram, VarRef,
+    ceil_div, visit_accesses, visit_accesses_mut, BlockStmt, BufId, BufferDecl, BufferRole,
+    ClipMark, LoopHandle, ProgramBuilder, ProgramError, SmemDecl, SmemId, TileAccess, TileIndex,
+    TileProgram, VarRef,
 };
 pub use report::explain;
 pub use stream::{sequence_time, StreamKernel};
@@ -69,6 +72,6 @@ pub use timing::{
     MeasureOpts,
 };
 pub use verify::{
-    is_scatter_onehot, mark_expected_clips, verify_program, verify_widened, VerifyError,
-    VerifyReport,
+    is_scatter_onehot, mark_expected_clips, verify_program, verify_widened, VerifiedProgram,
+    VerifyError, VerifyReport,
 };

@@ -6,12 +6,10 @@
 //! Rather than build a full tile program for each, baselines describe them
 //! with a [`StreamKernel`] and the same wave/bandwidth model prices them.
 
-use serde::{Deserialize, Serialize};
-
 use crate::device::DeviceSpec;
 
 /// A memory-streaming kernel described by its traffic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamKernel {
     /// Display name.
     pub name: String,

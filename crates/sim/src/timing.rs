@@ -19,14 +19,13 @@
 //! α = (N_block + N_SM)/N_block approximates.
 
 use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 use crate::device::DeviceSpec;
 use crate::kernel::{BlockStmt, BufId, TileProgram};
 use crate::noise::noise_factor;
 
 /// Which resource a kernel saturates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bound {
     /// Tensor-core / ALU throughput limited.
     Compute,
@@ -41,7 +40,7 @@ pub enum Bound {
 }
 
 /// Detailed measurement of one kernel launch.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KernelProfile {
     /// End-to-end kernel time in seconds (including launch overhead).
     pub time: f64,

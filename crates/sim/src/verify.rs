@@ -38,17 +38,20 @@
 //!    be read-only in every slot.
 //!
 //! The engine runs [`verify_program`] on every fresh tuning winner and
-//! every cache rehydration, `CompiledModel::plan` re-checks each
-//! served kernel, and `BatchedPlan` widening gates each widened program
-//! through [`verify_widened`] (see the `mcfuser-core` crate). The
-//! `verify_smoke` bench bin sweeps sampled candidates across every
-//! workload family and asserts zero violations.
+//! every cache rehydration. `CompiledModel::plan` re-verifies each
+//! served kernel into a [`VerifiedProgram`], and `BatchedPlan` widening
+//! builds each widened program with [`VerifiedProgram::widened`] (see
+//! the `mcfuser-core` crate). [`VerifiedProgram`] is the only program
+//! type the executor accepts, so a launch never re-checks what the
+//! plan already proved. The `verify_smoke` bench bin sweeps sampled
+//! candidates across every workload family and asserts zero
+//! violations.
 
 use crate::dtype::DType;
 use crate::exec::HostTensor;
 use crate::kernel::{
-    BlockStmt, BufId, BufferRole, ClipMark, LoopHandle, ProgramError, SmemId, TileAccess,
-    TileProgram, VarRef,
+    visit_accesses, BlockStmt, BufId, BufferRole, ClipMark, LoopHandle, ProgramError, SmemId,
+    TileAccess, TileProgram, VarRef,
 };
 
 /// A violation found by the static verifier. Every variant names the
@@ -814,22 +817,86 @@ pub fn verify_widened(p: &TileProgram) -> Result<VerifyReport, VerifyError> {
     Ok(report)
 }
 
-fn visit_accesses(stmts: &[BlockStmt], f: &mut impl FnMut(&TileAccess, bool)) {
-    for s in stmts {
-        match s {
-            BlockStmt::Loop { body, .. } => visit_accesses(body, f),
-            BlockStmt::Load { src, .. } => f(src, false),
-            BlockStmt::Store { dst, .. } => f(dst, true),
-            BlockStmt::AddGlobal { src, .. } => f(src, false),
-            BlockStmt::RowNormStats { a, residual, .. }
-            | BlockStmt::AddRecomputedNorm { a, residual, .. } => {
-                f(a, false);
-                if let Some(r) = residual {
-                    f(r, false);
-                }
-            }
-            _ => {}
-        }
+/// A [`TileProgram`] the static verifier has accepted.
+///
+/// The field is private, so the only ways to get one are
+/// [`VerifiedProgram::new`], which runs [`verify_program`], and
+/// [`VerifiedProgram::widened`], which runs [`verify_widened`]. It
+/// derefs to the program but never hands out `&mut`, so what was
+/// checked is what runs. The executor
+/// ([`execute_with_arena`](crate::execute_with_arena)) accepts only
+/// this type: a program is checked once, when the plan is built, and
+/// trusted on every launch after that.
+///
+/// ```
+/// use mcfuser_sim::{
+///     execute_with_arena, BlockStmt, BufferArena, BufferRole, DType, ProgramBuilder,
+///     TensorStorage, TileAccess, TileIndex, VarRef, VerifiedProgram,
+/// };
+///
+/// // A one-block kernel copying a 4x4 matrix.
+/// let mut b = ProgramBuilder::new("copy", DType::F32);
+/// let src = b.buffer("in", vec![4, 4], DType::F32, BufferRole::Input);
+/// let dst = b.buffer("out", vec![4, 4], DType::F32, BufferRole::Output);
+/// let tile = b.smem("t", 4, 4, DType::F32);
+/// let at = |buf| TileAccess {
+///     buf,
+///     indices: vec![TileIndex { var: VarRef::Zero, tile: 4 }; 2],
+/// };
+/// let p = b.finish(vec![
+///     BlockStmt::Load { src: at(src), dst: tile },
+///     BlockStmt::Store { dst: at(dst), src: tile },
+/// ]);
+///
+/// let verified = VerifiedProgram::new(p).expect("the copy kernel verifies");
+/// let mut st = TensorStorage::for_program(&verified);
+/// st.tensors[0].data.fill(2.0);
+/// execute_with_arena(&verified, &mut st, &mut BufferArena::new()).unwrap();
+/// assert_eq!(st.tensors[1].data, vec![2.0; 16]);
+/// ```
+///
+/// A raw program is not an executor input:
+///
+/// ```compile_fail,E0308
+/// use mcfuser_sim::{execute_with_arena, BufferArena, TensorStorage, TileProgram};
+///
+/// fn launch(p: &TileProgram, st: &mut TensorStorage) {
+///     execute_with_arena(p, st, &mut BufferArena::new()).unwrap();
+/// }
+/// ```
+///
+/// and the witness cannot be built around the verifier:
+///
+/// ```compile_fail,E0423
+/// use mcfuser_sim::{TileProgram, VerifiedProgram};
+///
+/// fn forge(p: TileProgram) -> VerifiedProgram {
+///     VerifiedProgram(p)
+/// }
+/// ```
+#[derive(Debug)]
+pub struct VerifiedProgram(TileProgram);
+
+impl VerifiedProgram {
+    /// Run [`verify_program`] over `p` and wrap it if it passes.
+    pub fn new(p: TileProgram) -> Result<Self, VerifyError> {
+        verify_program(&p)?;
+        Ok(VerifiedProgram(p))
+    }
+
+    /// Run [`verify_widened`] over a widened batch program and wrap it
+    /// if it passes.
+    pub fn widened(p: TileProgram) -> Result<Self, VerifyError> {
+        verify_widened(&p)?;
+        Ok(VerifiedProgram(p))
+    }
+}
+
+impl std::ops::Deref for VerifiedProgram {
+    type Target = TileProgram;
+
+    fn deref(&self) -> &TileProgram {
+        &self.0
     }
 }
 

@@ -5,15 +5,13 @@
 //! Rule 1 maps it onto the GPU: output-spatial axes (and the batch) bind
 //! to `blockIdx`; the rest become per-block loops.
 
-use serde::{Deserialize, Serialize};
-
 use mcfuser_ir::ChainSpec;
 
 use crate::expr::TilingExpr;
 use crate::loops::{grid_axes, LoopId};
 
 /// A fully specified schedule candidate.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Candidate {
     /// The loop arrangement.
     pub expr: TilingExpr,

@@ -17,8 +17,6 @@
 //! per-statement trip counts it exposes are exactly the `Π l_j` factors of
 //! the performance model's Eqs. (3)–(4).
 
-use serde::{Deserialize, Serialize};
-
 use mcfuser_ir::ChainSpec;
 
 use crate::candidate::Candidate;
@@ -27,7 +25,7 @@ use crate::loops::LoopId;
 use crate::stmt::{all_statements, compute_output, order_deps, related_axes, tensor_axes, Stmt};
 
 /// One item of a schedule scope.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScheduleItem {
     /// A tile loop with its body.
     Loop {
@@ -43,14 +41,14 @@ pub enum ScheduleItem {
 }
 
 /// An ordered list of schedule items sharing one scope.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Scope {
     /// Items in execution order.
     pub items: Vec<ScheduleItem>,
 }
 
 /// The per-block schedule tree: loops with placed statements.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleTree {
     /// Root scope (block entry).
     pub root: Scope,
@@ -426,7 +424,7 @@ pub fn accumulator_instances(chain: &ChainSpec, cand: &Candidate, op: usize) -> 
 
 /// The DAG view of Fig. 5: loop and statement nodes with scope-dependent
 /// and order-dependent edges (for introspection, docs and tests).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DagView {
     /// Live loop axes in nest order.
     pub loops: Vec<LoopId>,

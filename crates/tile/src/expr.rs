@@ -12,14 +12,12 @@
 //! one sequential group. For the 2-GEMM chain this yields the paper's
 //! 4! = 24 deep plus 2 flat expressions (Fig. 3).
 
-use serde::{Deserialize, Serialize};
-
 use mcfuser_ir::ChainSpec;
 
 use crate::loops::{axis_role, AxisRole, LoopId};
 
 /// A tiling expression tree.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum TilingExpr {
     /// A loop over tiles of one axis surrounding a body.
     Loop {

@@ -6,17 +6,15 @@
 //! launch grid. Every tiling expression is an arrangement of these axes;
 //! every candidate also carries one tile size per axis.
 
-use serde::{Deserialize, Serialize};
-
 use mcfuser_ir::ChainSpec;
 
 /// Index of a cross-tile loop axis: `0` = `m`, `1 + i` = `dims[i]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LoopId(pub usize);
 
 /// Role of an axis with respect to the chain *output* — this determines
 /// grid binding (Rule 1) and Rule-2 analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AxisRole {
     /// Indexes the chain output (`m` and `d_L`): always bindable to
     /// `blockIdx` because iterations are independent.
@@ -29,7 +27,7 @@ pub enum AxisRole {
 }
 
 /// Static description of a chain's loop axes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AxisInfo {
     /// Paper-style display name (`m`, `k`, `n`, `h`, …).
     pub name: &'static str,

@@ -7,14 +7,12 @@
 //! rightmost related loop) and the traffic/flop accounting of the
 //! performance model (Eqs. 3–4).
 
-use serde::{Deserialize, Serialize};
-
 use mcfuser_ir::ChainSpec;
 
 use crate::loops::LoopId;
 
 /// A tensor of the chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TensorRef {
     /// Input `i`: `0` = `A`, `1 + j` = weight `W_j`.
     Input(usize),
@@ -25,7 +23,7 @@ pub enum TensorRef {
 }
 
 /// A primitive statement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stmt {
     /// Global→shared copy of one tile of a tensor (`L` in the paper).
     Load(TensorRef),

@@ -32,7 +32,9 @@ use proptest::prelude::*;
 use mcfuser::baselines::Relay;
 use mcfuser::ir::{evaluate, EpilogueStitch, Graph, NodeId, PrologueSpec, ResidualSource};
 use mcfuser::prelude::*;
-use mcfuser::sim::{execute, execute_with_arena, BlockStmt, BufferArena, TileProgram};
+use mcfuser::sim::{
+    execute, execute_with_arena, BlockStmt, BufferArena, TileProgram, VerifiedProgram,
+};
 use mcfuser::tile::{lower, LoopId, LoweringOptions};
 use mcfuser::workloads::{
     attention_workload, bert_graph, gemm_chain_workload, masked_attention_graph,
@@ -76,9 +78,10 @@ fn assert_matches_reference(
             "{what}: input {i} written"
         );
     }
+    let verified = VerifiedProgram::new(program.clone()).expect("executed above, so verified");
     let mut arena = BufferArena::new();
-    execute_with_arena(program, &mut pooled.clone(), &mut arena).unwrap();
-    execute_with_arena(program, &mut pooled, &mut arena).unwrap();
+    execute_with_arena(&verified, &mut pooled.clone(), &mut arena).unwrap();
+    execute_with_arena(&verified, &mut pooled, &mut arena).unwrap();
     for (b, (tf, tp)) in fresh.tensors.iter().zip(&pooled.tensors).enumerate() {
         assert_eq!(
             bits(tf),

@@ -5,29 +5,28 @@
 //! * **soundness of the analyses** — every tuned winner the search
 //!   produces, across every chain family the compiler can lower (plain
 //!   GEMM chains, attention, masked attention, stitched BERT chains,
-//!   decode-shaped GEMV), passes the full verifier. The engines here
-//!   disable the built-in gate (`.verify(false)`) so the test exercises
-//!   `verify_program` directly rather than asserting the gate let the
-//!   winner through.
+//!   decode-shaped GEMV), passes the full verifier. Each winner is
+//!   re-checked with `verify_program` directly, and the engine's gate
+//!   is shown transparent: its winners equal the ungated
+//!   `McFuser::tune`'s.
 //! * **sensitivity** — deliberately corrupted programs (a shifted tile
 //!   index, overlapping grid footprints, an uninitialized accumulator)
 //!   are each rejected with the *expected, distinct* `VerifyError`
-//!   variant, so demotion paths can trust the error structure.
+//!   variant, so demotion paths can trust the error structure, and
+//!   `execute` refuses to run each one with that same finding.
 
 use proptest::prelude::*;
 
 use mcfuser::prelude::*;
 use mcfuser::sim::verify::{verify_program, VerifyError};
-use mcfuser::sim::{BlockStmt, BufferRole, TileProgram, VarRef};
+use mcfuser::sim::{execute, BlockStmt, BufferRole, TileProgram, VarRef};
 use mcfuser::workloads::{
     bert_graph, decode_attention_chain, decode_ffn_chain, masked_attention_workload, mlp4_chain,
     BertConfig, DecoderConfig,
 };
 
-fn unverified_engine() -> FusionEngine {
-    FusionEngine::builder(DeviceSpec::a100())
-        .verify(false)
-        .build()
+fn engine() -> FusionEngine {
+    FusionEngine::builder(DeviceSpec::a100()).build()
 }
 
 /// The same random 2-GEMM chains as `proptest_properties.rs`.
@@ -49,7 +48,7 @@ proptest! {
     /// verifiable program: in-bounds, initialized, race-free.
     #[test]
     fn tuned_winners_pass_verifier(chain in chain_strategy()) {
-        let tuned = unverified_engine().tune(&chain).unwrap();
+        let tuned = engine().tune(&chain).unwrap();
         let report = verify_program(&tuned.kernel.program).unwrap();
         prop_assert!(report.stores >= 1);
         prop_assert!(report.accesses >= 3);
@@ -58,9 +57,9 @@ proptest! {
 
 /// Winners across the named chain families — attention, masked
 /// attention, stitched BERT layer chains, and the two decode-shaped
-/// GEMV chains — all verify, and the gate-enabled engine produces the
-/// *same* winners (the gate never changes tuning results, it only
-/// refuses unsound ones).
+/// GEMV chains — all verify, and the gated engine produces the *same*
+/// winners as the ungated tuner (the gate never changes tuning results,
+/// it only refuses unsound ones).
 #[test]
 fn family_winners_pass_verifier_and_gate_is_transparent() {
     let mut chains: Vec<ChainSpec> = vec![
@@ -88,24 +87,21 @@ fn family_winners_pass_verifier_and_gate_is_transparent() {
             .map(|fc| fc.chain.clone()),
     );
 
-    let plain = unverified_engine();
-    let gated = FusionEngine::builder(device).build();
+    let ungated = McFuser::new();
+    let gated = FusionEngine::builder(device.clone()).build();
     for chain in &chains {
-        let tuned = plain.tune(chain).unwrap();
+        let tuned = gated.tune(chain).unwrap();
         let report = verify_program(&tuned.kernel.program)
             .unwrap_or_else(|e| panic!("winner for '{}' failed verification: {e}", chain.name));
         assert!(report.stores >= 1, "'{}' produced no stores", chain.name);
-        let gated_tuned = gated.tune(chain).unwrap();
+        let ungated_tuned = ungated.tune(chain, &device).unwrap();
         assert_eq!(
-            gated_tuned.candidate, tuned.candidate,
+            tuned.candidate, ungated_tuned.candidate,
             "verify gate changed the winner for '{}'",
             chain.name
         );
     }
-    // With the gate off, neither counter moves; with it on, every tune
-    // (fresh winner) was verified and none were rejected.
-    assert_eq!(plain.stats().programs_verified, 0);
-    assert_eq!(plain.stats().verify_rejects, 0);
+    // Every tune (fresh winner) was verified and none were rejected.
     assert_eq!(gated.stats().programs_verified, chains.len() as u64);
     assert_eq!(gated.stats().verify_rejects, 0);
 }
@@ -114,7 +110,7 @@ fn family_winners_pass_verifier_and_gate_is_transparent() {
 /// store to the program's output buffer (for targeted corruption).
 fn victim_program() -> TileProgram {
     let chain = ChainSpec::gemm_chain("victim", 1, 256, 128, 64, 64);
-    let tuned = unverified_engine().tune(&chain).unwrap();
+    let tuned = engine().tune(&chain).unwrap();
     let p = tuned.kernel.program.clone();
     assert!(
         p.grid.len() >= 2 && p.grid[1] >= 2,
@@ -123,6 +119,19 @@ fn victim_program() -> TileProgram {
     );
     verify_program(&p).expect("victim verifies before corruption");
     p
+}
+
+/// The verifier rejects corrupted `p` with a finding `is_expected`
+/// accepts, and `execute` refuses to run it, returning that same
+/// finding.
+fn assert_rejected(p: &TileProgram, is_expected: fn(&VerifyError) -> bool) {
+    let found = verify_program(p).expect_err("corrupted program must be rejected");
+    assert!(is_expected(&found), "got {found:?}");
+    let mut st = TensorStorage::for_program(p);
+    match execute(p, &mut st) {
+        Err(mcfuser::sim::ExecError::Unverified(e)) => assert_eq!(e, found),
+        other => panic!("execute ran a rejected program: {other:?}"),
+    }
 }
 
 /// Mutate the tile stride of the output store's `Grid(1)`-indexed
@@ -163,11 +172,7 @@ fn mutate_output_store(p: &mut TileProgram, f: &mut dyn FnMut(&mut u64)) -> bool
 fn shifted_tile_index_rejected_as_out_of_bounds() {
     let mut p = victim_program();
     assert!(mutate_output_store(&mut p, &mut |tile| *tile *= 2));
-    assert!(
-        matches!(verify_program(&p), Err(VerifyError::OutOfBounds { .. })),
-        "got {:?}",
-        verify_program(&p)
-    );
+    assert_rejected(&p, |e| matches!(e, VerifyError::OutOfBounds { .. }));
 }
 
 /// Corruption 2 — overlapping grid footprints: halving the stride makes
@@ -180,14 +185,7 @@ fn overlapping_grid_footprints_rejected() {
         assert_eq!(*tile % 2, 0, "winner tile must be even to halve");
         *tile /= 2;
     }));
-    assert!(
-        matches!(
-            verify_program(&p),
-            Err(VerifyError::OverlappingTiles { .. })
-        ),
-        "got {:?}",
-        verify_program(&p)
-    );
+    assert_rejected(&p, |e| matches!(e, VerifyError::OverlappingTiles { .. }));
 }
 
 /// Corruption 3 — uninitialized accumulator: dropping the first `Fill`
@@ -215,12 +213,7 @@ fn uninitialized_accumulator_rejected() {
         false
     }
     assert!(drop_first_fill(&mut p.body), "winner has a Fill to drop");
-    assert!(
-        matches!(
-            verify_program(&p),
-            Err(VerifyError::UninitializedAccumulator { .. })
-        ),
-        "got {:?}",
-        verify_program(&p)
-    );
+    assert_rejected(&p, |e| {
+        matches!(e, VerifyError::UninitializedAccumulator { .. })
+    });
 }
