@@ -13,10 +13,21 @@
 //! is exactly why the simulator's richer "measurement" correlates with it
 //! imperfectly (Fig. 11, r ≈ 0.8–0.9) and why Algorithm 1 still measures
 //! the top-k candidates.
+//!
+//! The model reads only the placement's *paths*: the live loops around
+//! each statement. For one chain, the paths depend only on the tiling
+//! expression and on which axes are dead (one trip); tile sizes enter
+//! only through the trip counts multiplied along each path. That is the
+//! invariant the search's placement memo relies on: one
+//! [`heuristic_search`](crate::heuristic_search) call places each
+//! `(expression, dead-axis set)` once and prices every candidate sharing
+//! it with a lookup plus the Eqs. 3–5 arithmetic.
+
+use rustc_hash::FxHashMap;
 
 use mcfuser_ir::ChainSpec;
 use mcfuser_sim::DeviceSpec;
-use mcfuser_tile::{place, Candidate, PlacementError, Stmt, TensorRef};
+use mcfuser_tile::{place, Candidate, LoopId, PlacementError, Stmt, TensorRef, TilingExpr};
 
 /// Breakdown of an analytical estimate.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,19 +99,124 @@ pub fn estimate_with(
     dev: &DeviceSpec,
     opts: &ModelOptions,
 ) -> Result<PerfEstimate, PlacementError> {
+    let paths = placed_paths(chain, cand, opts)?;
+    Ok(estimate_on(chain, cand, dev, opts, &paths))
+}
+
+/// For each statement: the block-loop axes around it, root first — the
+/// part of a [`mcfuser_tile::Placement`] the model reads.
+type Paths = Vec<(Stmt, Vec<LoopId>)>;
+
+/// Place the candidate's statements and keep their paths: into the live
+/// block expression, or into the un-eliminated one when the model skips
+/// dead-loop elimination.
+fn placed_paths(
+    chain: &ChainSpec,
+    cand: &Candidate,
+    opts: &ModelOptions,
+) -> Result<Paths, PlacementError> {
     let placement = if opts.dead_loop_elimination {
         place(chain, cand)?
     } else {
         mcfuser_tile::place_into(chain, cand, &cand.block_expr(chain))?
     };
+    Ok(placement.paths)
+}
+
+/// Placements of one chain, memoized for the length of one search.
+///
+/// Keyed by the tiling expression, then by the mask of axes dead-loop
+/// elimination drops from its block expression: bit `a` is set for each
+/// axis in [`Candidate::dead_axes`], the set `place` eliminates, and the
+/// mask is 0 when the model skips the elimination. The elimination flag
+/// needs no place in the key, since with no axis dropped the live block
+/// expression *is* the block expression. By the invariant in the module
+/// docs, every candidate with the same key has the same paths, so a hit
+/// returns exactly what [`estimate_with`] would place, placement errors
+/// included. One search tunes one chain on one thread, so the memo is
+/// owned, not shared.
+pub(crate) struct PlacementMemo<'c> {
+    chain: &'c ChainSpec,
+    by_expr: FxHashMap<TilingExpr, FxHashMap<u64, Result<Paths, PlacementError>>>,
+}
+
+impl<'c> PlacementMemo<'c> {
+    /// An empty memo for `chain`.
+    pub(crate) fn new(chain: &'c ChainSpec) -> Self {
+        assert!(
+            chain.num_axes() <= u64::BITS as usize,
+            "the dead-axis mask holds at most 64 axes"
+        );
+        PlacementMemo {
+            chain,
+            by_expr: FxHashMap::default(),
+        }
+    }
+
+    /// [`estimate_with`] for this memo's chain, placing the candidate's
+    /// loop structure only the first time it is seen.
+    pub(crate) fn estimate(
+        &mut self,
+        cand: &Candidate,
+        dev: &DeviceSpec,
+        opts: &ModelOptions,
+    ) -> Result<PerfEstimate, PlacementError> {
+        let chain = self.chain;
+        let dead = if opts.dead_loop_elimination {
+            cand.dead_axes(chain).fold(0u64, |mask, a| mask | 1 << a.0)
+        } else {
+            0
+        };
+        let by_dead = match self.by_expr.get_mut(&cand.expr) {
+            Some(by_dead) => by_dead,
+            None => self.by_expr.entry(cand.expr.clone()).or_default(),
+        };
+        let paths = by_dead
+            .entry(dead)
+            .or_insert_with(|| placed_paths(chain, cand, opts));
+        match paths {
+            Ok(paths) => Ok(estimate_on(chain, cand, dev, opts, paths)),
+            Err(e) => Err(e.clone()),
+        }
+    }
+
+    /// Distinct loop structures placed so far.
+    #[cfg(test)]
+    fn placed(&self) -> usize {
+        self.by_expr.values().map(FxHashMap::len).sum()
+    }
+}
+
+/// Per-block trip count of a statement on `path`: the product of its
+/// enclosing loops' trips (Eq. 3's `Π l_j` without the grid factor).
+fn block_trips(chain: &ChainSpec, cand: &Candidate, path: &[LoopId]) -> u64 {
+    path.iter().map(|&a| cand.trips(chain, a)).product()
+}
+
+/// Eqs. 2–5 over placed paths.
+fn estimate_on(
+    chain: &ChainSpec,
+    cand: &Candidate,
+    dev: &DeviceSpec,
+    opts: &ModelOptions,
+    paths: &[(Stmt, Vec<LoopId>)],
+) -> PerfEstimate {
     let blocks = cand.num_blocks(chain);
     let nb = blocks as f64;
     let esz = chain.dtype.size_bytes() as f64;
+    // Grid-wide trips of a statement; one per block when it is unplaced.
+    let trips_of = |s: Stmt| {
+        let trips = paths
+            .iter()
+            .find(|(st, _)| *st == s)
+            .map_or(1, |(_, path)| block_trips(chain, cand, path));
+        trips as f64 * nb
+    };
 
     let mut t_mem = 0.0f64;
     let mut t_comp = 0.0f64;
-    for (stmt, _) in &placement.paths {
-        let trips = placement.block_trips(chain, cand, *stmt) as f64 * nb;
+    for (stmt, path) in paths {
+        let trips = block_trips(chain, cand, path) as f64 * nb;
         match stmt {
             Stmt::Load(t) => {
                 let (r, c) = mcfuser_tile::tile_shape(chain, *t, &cand.tiles);
@@ -134,7 +250,7 @@ pub fn estimate_with(
         } else {
             Stmt::Store
         };
-        let trips = placement.block_trips(chain, cand, emit_at) as f64 * nb;
+        let trips = trips_of(emit_at);
         let cols = cand.tiles[i + 2] as f64;
         if has_bias {
             t_mem += cols * esz * trips / dev.dram_bandwidth;
@@ -152,14 +268,6 @@ pub fn estimate_with(
     // tail re-reads its columns raw before the f32 store.
     if chain.prologue.is_some() || chain.stitch_epilogue.is_some() {
         let bw = dev.dram_bandwidth;
-        let trips_of = |s: Stmt| {
-            placement
-                .paths
-                .iter()
-                .find(|(st, _)| *st == s)
-                .map(|_| placement.block_trips(chain, cand, s) as f64 * nb)
-                .unwrap_or(nb)
-        };
         let tm = cand.tiles[0] as f64;
         if let Some(p) = chain.prologue {
             let a_trips = trips_of(Stmt::Load(TensorRef::Input(0)));
@@ -208,13 +316,13 @@ pub fn estimate_with(
         1.0
     };
     let total = (t_mem + t_comp) * alpha;
-    Ok(PerfEstimate {
+    PerfEstimate {
         t_mem,
         t_comp,
         alpha,
         total,
         blocks,
-    })
+    }
 }
 
 /// Estimate, mapping structural failures to `+∞` (convenient for sorting
@@ -354,11 +462,9 @@ mod tests {
         assert!(b.t_mem > a.t_mem);
     }
 
-    #[test]
-    fn stitched_traffic_is_accounted() {
-        // The stitched kernel moves strictly more bytes than its twin
-        // (raw f32 A, residual tile, stats pass, tail re-reads) — the
-        // saving shows up at plan level where the glue steps disappear.
+    /// An FFN with a LayerNorm prologue and a residual + LayerNorm tail
+    /// stitched in.
+    fn stitched_ffn() -> ChainSpec {
         let mut st = ChainSpec::gemm_chain("ffn", 1, 512, 64, 256, 256);
         st.prologue = Some(mcfuser_ir::PrologueSpec {
             residual: true,
@@ -372,6 +478,15 @@ mod tests {
             affine: true,
             eps: 1e-5,
         });
+        st
+    }
+
+    #[test]
+    fn stitched_traffic_is_accounted() {
+        // The stitched kernel moves strictly more bytes than its twin
+        // (raw f32 A, residual tile, stats pass, tail re-reads) — the
+        // saving shows up at plan level where the glue steps disappear.
+        let st = stitched_ffn();
         let twin = st.unstitched();
         let cd = Candidate::new(
             TilingExpr::parse("mhnk", &st).unwrap(),
@@ -382,6 +497,78 @@ mod tests {
         let b = estimate(&twin, &cd, &dev).unwrap();
         assert!(a.t_mem > b.t_mem, "{} !> {}", a.t_mem, b.t_mem);
         assert_eq!(a.t_comp, b.t_comp);
+    }
+
+    /// Every field of an estimate as bits, so equality is exact.
+    fn bits(e: Result<PerfEstimate, PlacementError>) -> Result<[u64; 5], PlacementError> {
+        e.map(|e| {
+            [
+                e.t_mem.to_bits(),
+                e.t_comp.to_bits(),
+                e.alpha.to_bits(),
+                e.total.to_bits(),
+                e.blocks,
+            ]
+        })
+    }
+
+    #[test]
+    fn memoized_estimates_match_estimate_with() {
+        // Every pruned candidate, plus each with one axis's tile stepped
+        // to a neighbouring domain value (a `mutate` child, which may
+        // leave the pruned set), priced through one memo per chain under
+        // both model variants: bit-identical to placing every time.
+        let dev = DeviceSpec::a100();
+        let chains = [
+            chain(),
+            ChainSpec::attention("s", 8, 512, 512, 64, 64),
+            ChainSpec::masked_attention("sm", 8, 512, 512, 64, 64),
+            ChainSpec::chain(
+                "c3",
+                1,
+                256,
+                vec![64, 128, 128, 64],
+                vec![mcfuser_ir::Epilogue::Relu; 3],
+            ),
+            stitched_ffn(),
+        ];
+        for chain in &chains {
+            let space =
+                crate::prune::prune(chain, &dev, &crate::space::SearchSpace::generate(chain));
+            let mut memo = PlacementMemo::new(chain);
+            let mut estimated = 0usize;
+            for (i, cand) in space.iter().enumerate() {
+                let mut child = cand.clone();
+                let axis = i % child.tiles.len();
+                let domain = &space.tile_domains[axis];
+                let cur = domain.iter().position(|&t| t == child.tiles[axis]).unwrap();
+                let next = if i % 2 == 0 {
+                    (cur + 1).min(domain.len() - 1)
+                } else {
+                    cur.saturating_sub(1)
+                };
+                child.tiles[axis] = domain[next];
+                for c in [&cand, &child] {
+                    for opts in [ModelOptions::default(), ModelOptions::chimera()] {
+                        assert_eq!(
+                            bits(memo.estimate(c, &dev, &opts)),
+                            bits(estimate_with(chain, c, &dev, &opts)),
+                            "{} {:?}",
+                            c.describe(chain),
+                            opts
+                        );
+                        estimated += 1;
+                    }
+                }
+            }
+            assert!(
+                memo.placed() < estimated,
+                "{}: placed {} structures for {} estimates",
+                chain.name,
+                memo.placed(),
+                estimated
+            );
+        }
     }
 
     #[test]

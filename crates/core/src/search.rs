@@ -4,7 +4,9 @@
 //! the paper makes:
 //!
 //! 1. the learned cost model is replaced by the *analytical* model of
-//!    Eqs. 2–5 (no training, estimates are free), and
+//!    Eqs. 2–5 (no training, no measurement; each loop structure is
+//!    placed once per search, so an estimate is a memo lookup plus
+//!    arithmetic), and
 //! 2. the fixed trial budget is replaced by a *convergence criterion*:
 //!    when the best newly measured candidate stops improving on the
 //!    incumbent by more than ε, the search stops by itself.
@@ -27,6 +29,7 @@ use mcfuser_ir::ChainSpec;
 use mcfuser_sim::{measure_noisy, CostProfile, DeviceSpec, KernelProfile, TuningClock};
 use mcfuser_tile::{lower, Candidate, LoweredKernel, LoweringOptions};
 
+use crate::perf_model::PlacementMemo;
 use crate::space::CandidateSpace;
 
 /// Parameters of Algorithm 1.
@@ -169,8 +172,9 @@ pub struct SearchOutcome {
 }
 
 /// Full-space ranking is attempted when the pruned space has at most
-/// this many candidates (analytical estimates are free; the candidates
-/// stream through the scorer without being materialized).
+/// this many candidates (analytical estimates need no measurement and
+/// share one placement per loop structure; the candidates stream
+/// through the scorer without being materialized).
 const FULL_RANKING_LIMIT: u64 = 20_000;
 
 /// What one device measurement produced: the lowered kernel and its
@@ -208,8 +212,15 @@ fn measure_candidate(
 
 /// Score one candidate for ranking: the analytical estimate, or the
 /// deterministic pseudo-random stand-in under `random_ranking`.
-fn rank_score(chain: &ChainSpec, cand: &Candidate, dev: &DeviceSpec, params: &SearchParams) -> f64 {
-    let e = crate::perf_model::estimate_or_inf_with(chain, cand, dev, &params.model);
+fn rank_score(
+    memo: &mut PlacementMemo,
+    cand: &Candidate,
+    dev: &DeviceSpec,
+    params: &SearchParams,
+) -> f64 {
+    let e = memo
+        .estimate(cand, dev, &params.model)
+        .map_or(f64::INFINITY, |e| e.total);
     if params.random_ranking && e.is_finite() {
         use std::hash::{Hash, Hasher};
         let mut h = rustc_hash::FxHasher::default();
@@ -303,10 +314,14 @@ pub fn heuristic_search(
         let i = rng.gen_range(0..space.len());
         (CandidateRef::Indexed(i), space.candidate(i))
     };
+    // One placement per loop structure for the whole search: the
+    // full ranking and every round's ranking price through it.
+    let mut memo = PlacementMemo::new(chain);
 
-    // Line 1: initial population. Analytical estimates are free, so when
-    // the pruned space is small enough we rank *all* of it and seed half
-    // the population with the model's best picks (the other half stays
+    // Line 1: initial population. Analytical estimates need no
+    // measurement and reuse the memo's placements, so when the pruned
+    // space is small enough we rank *all* of it and seed half the
+    // population with the model's best picks (the other half stays
     // random for diversity); otherwise fall back to uniform sampling.
     // Ranking streams candidates straight out of the index decoder — the
     // space is never materialized, only (index, score) pairs are kept.
@@ -314,7 +329,7 @@ pub fn heuristic_search(
         let mut scored: Vec<(u64, f64)> = space
             .iter()
             .enumerate()
-            .map(|(i, c)| (i as u64, rank_score(chain, &c, dev, params)))
+            .map(|(i, c)| (i as u64, rank_score(&mut memo, &c, dev, params)))
             .collect();
         // Sort by (score, index): equal scores keep space order, so the
         // seeded half of the population is deterministic.
@@ -348,10 +363,11 @@ pub fn heuristic_search(
 
     for round in 0..params.max_rounds {
         rounds = round + 1;
-        // Line 5: analytical estimates (free: no measurement).
+        // Line 5: analytical estimates (no measurement; placements come
+        // from the memo).
         let estimates: Vec<f64> = population
             .iter()
-            .map(|(_, c)| rank_score(chain, c, dev, params))
+            .map(|(_, c)| rank_score(&mut memo, c, dev, params))
             .collect();
         for _ in &estimates {
             clock.note_estimate();

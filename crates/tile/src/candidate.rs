@@ -43,13 +43,17 @@ impl Candidate {
         self.expr.without_axes(&grid_axes(chain))
     }
 
+    /// Axes whose loop runs one trip: the dead loops of §III-B.
+    pub fn dead_axes<'a>(&'a self, chain: &'a ChainSpec) -> impl Iterator<Item = LoopId> + 'a {
+        (0..chain.num_axes())
+            .map(LoopId)
+            .filter(move |&a| self.trips(chain, a) == 1)
+    }
+
     /// The per-block expression with extent-1 loops also removed — the
     /// dead-loop elimination of §III-B (Fig. 5(b)).
     pub fn live_block_expr(&self, chain: &ChainSpec) -> TilingExpr {
-        let dead: Vec<LoopId> = (0..chain.num_axes())
-            .map(LoopId)
-            .filter(|&a| self.trips(chain, a) == 1)
-            .collect();
+        let dead: Vec<LoopId> = self.dead_axes(chain).collect();
         self.block_expr(chain).without_axes(&dead)
     }
 

@@ -13,9 +13,10 @@
 //! and lets statements hoist outward — the k = 1 example of Fig. 5(b)
 //! where `LA`'s trip count drops by a factor of `h·n`.
 //!
-//! The resulting [`ScheduleTree`] is what the lowering walks, and the
-//! per-statement trip counts it exposes are exactly the `Π l_j` factors of
-//! the performance model's Eqs. (3)–(4).
+//! The resulting [`ScheduleTree`] is what the lowering walks. The loop
+//! path around each statement ([`Placement::paths`]) gives the `Π l_j`
+//! factors of the performance model's Eqs. (3)–(4): the product of the
+//! trips along the path.
 
 use mcfuser_ir::ChainSpec;
 
@@ -133,18 +134,6 @@ pub struct Placement {
     pub paths: Vec<(Stmt, Vec<LoopId>)>,
     /// The executable schedule tree.
     pub tree: ScheduleTree,
-}
-
-impl Placement {
-    /// Per-block trip count of a statement: product of enclosing
-    /// block-loop trips (the Eq. 3 `Π l_j` without the grid factor).
-    pub fn block_trips(&self, chain: &ChainSpec, cand: &Candidate, stmt: Stmt) -> u64 {
-        self.paths
-            .iter()
-            .find(|(s, _)| *s == stmt)
-            .map(|(_, path)| path.iter().map(|&a| cand.trips(chain, a)).product())
-            .unwrap_or(1)
-    }
 }
 
 /// Place all chain statements into the candidate's live per-block
@@ -499,6 +488,14 @@ mod tests {
         Candidate::new(TilingExpr::parse(expr, &chain()).unwrap(), tiles)
     }
 
+    /// The loops around `stmt`, root first.
+    fn path(p: &Placement, stmt: Stmt) -> &[LoopId] {
+        &p.paths.iter().find(|(s, _)| *s == stmt).unwrap().1
+    }
+
+    const K: LoopId = LoopId(1);
+    const N: LoopId = LoopId(2);
+
     /// Place into the FULL expression (no rule-1 binding) to reproduce the
     /// paper's Fig. 4(a) layout for `mhnk`.
     #[test]
@@ -523,15 +520,14 @@ mod tests {
         let c = chain();
         // k tile = 512 covers K → k loop extent 1 → eliminated.
         let cd = cand("mhnk", vec![128, 512, 64, 128]);
+        let la = Stmt::Load(crate::stmt::TensorRef::Input(0));
         let p = place_into(&c, &cd, &cd.expr.without_axes(&[])).unwrap();
         // With the full expr (k still present) LA is under k:
-        let full_trips = p.block_trips(&c, &cd, Stmt::Load(crate::stmt::TensorRef::Input(0)));
-        // After dead-loop elimination LA depends only on m:
-        let live = place_into(&c, &cd, &cd.live_block_expr(&c)); // rule-1 bound too
-        let live = live.unwrap();
-        let live_trips = live.block_trips(&c, &cd, Stmt::Load(crate::stmt::TensorRef::Input(0)));
-        assert!(live_trips < full_trips, "{live_trips} !< {full_trips}");
-        assert_eq!(live_trips, 1, "LA loaded once per block");
+        assert!(path(&p, la).contains(&K), "{:?}", path(&p, la));
+        // After dead-loop elimination (and Rule-1 binding) LA sits under
+        // no loop at all: loaded once per block.
+        let live = place_into(&c, &cd, &cd.live_block_expr(&c)).unwrap();
+        assert_eq!(path(&live, la), []);
     }
 
     #[test]
@@ -556,7 +552,7 @@ mod tests {
         let c = chain();
         let cd = cand("mhnk", vec![128, 64, 64, 128]);
         let p = place(&c, &cd).unwrap();
-        assert_eq!(p.block_trips(&c, &cd, Stmt::Store), 1);
+        assert_eq!(path(&p, Stmt::Store), []);
     }
 
     #[test]
@@ -564,9 +560,10 @@ mod tests {
         let c = chain();
         let cd = cand("mhnk", vec![128, 64, 64, 128]);
         let p = place(&c, &cd).unwrap();
-        // LB related {k,n}: inside both → trips = 8 * 16.
+        // LB related {k,n}: inside both → trips = 16 (n) * 8 (k).
         let lb = Stmt::Load(crate::stmt::TensorRef::Input(1));
-        assert_eq!(p.block_trips(&c, &cd, lb), 8 * 16);
+        assert_eq!(path(&p, lb), [N, K]);
+        assert_eq!((cd.trips(&c, N), cd.trips(&c, K)), (16, 8));
     }
 
     #[test]

@@ -4,6 +4,13 @@
 # opt-level 0 and the shipped release build must print byte-identical
 # output. A difference means the optimizer changed an answer.
 #
+# The shipped output must also match the stdout pinned under
+# results/paper/<bin>.txt, so a change that moves a paper number fails
+# here until it updates the pin, and the move shows as a diff of that
+# file. To re-pin one binary after an intended change:
+#
+#     target/release/<bin> <args> > results/paper/<bin>.txt
+#
 # Usage, from the root of a checkout:
 #
 #     scripts/opt-level-guard.sh
@@ -14,6 +21,7 @@ set -euo pipefail
 
 SHIPPED="${CARGO_TARGET_DIR:-target}"
 O0="${O0_TARGET_DIR:-target/opt-level-0}"
+PINNED=results/paper
 BINS=(
     fig2_roofline
     fig3_search_space
@@ -43,6 +51,11 @@ for entry in "${BINS[@]}"; do
     "$O0/release/$bin" $args > "$out/$bin.o0"
     if diff -u "$out/$bin.o0" "$out/$bin.shipped"; then
         echo "same output at opt-level 0 and as shipped: $bin $args"
+    else
+        status=1
+    fi
+    if diff -u "$PINNED/$bin.txt" "$out/$bin.shipped"; then
+        echo "same output as pinned in $PINNED/$bin.txt: $bin $args"
     else
         status=1
     fi
