@@ -39,10 +39,10 @@ fn bench(c: &mut Criterion) {
         b.iter(|| build_candidate_space(black_box(&big), &dev, &no_rule4))
     });
     // Dense vs frontier Rule-4 scan on a grid past FRONTIER_MIN_GRID
-    // (the non-power-of-two 3-GEMM chain keeps 14–22 Rule-3 options per
-    // axis — ~2.9M combinations): the frontier binary-searches one row
-    // prefix per fixed setting of the slow axes instead of estimating
-    // every combination.
+    // (the non-power-of-two 3-GEMM chain keeps 23/23/14/23/14 Rule-3
+    // options on axes m/k/n/h/p — 2,384,732 combinations): the frontier
+    // binary-searches one row prefix per fixed setting of the slow axes
+    // instead of estimating every combination.
     let wide = ChainSpec::chain(
         "mlp3-1536",
         1,
@@ -51,10 +51,10 @@ fn bench(c: &mut Criterion) {
         vec![Epilogue::None; 3],
     );
     let full = SpacePolicy::default();
-    g.bench_function("rule4_scan_dense_2_9e6_grid", |b| {
+    g.bench_function("rule4_scan_dense_2_4e6_grid", |b| {
         b.iter(|| build_candidate_space_scanned(black_box(&wide), &dev, &full, Rule4Scan::Dense))
     });
-    g.bench_function("rule4_scan_frontier_2_9e6_grid", |b| {
+    g.bench_function("rule4_scan_frontier_2_4e6_grid", |b| {
         b.iter(|| build_candidate_space_scanned(black_box(&wide), &dev, &full, Rule4Scan::Frontier))
     });
     // Indexed decoding: the hot operation of sampling-based search.

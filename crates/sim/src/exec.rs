@@ -106,14 +106,18 @@ impl HostTensor {
             let dst = &mut data[base..base + r * c];
             for i in 0..r {
                 let row = &src[i * c..(i + 1) * c];
-                // SAFETY: j ranges over 0..c and i over 0..r, so
-                // `j * r + i < r * c == dst.len()` for every write.
-                unsafe {
-                    let mut dp = dst.as_mut_ptr().add(i);
-                    for &v in row {
-                        *dp = v;
-                        dp = dp.add(r);
-                    }
+                // The pointer moves with `wrapping_add`, which has no
+                // in-bounds requirement: after a row's last write it sits
+                // `i` elements past the end of `dst`, beyond the whole
+                // allocation in the last batch slice, and it is never
+                // dereferenced there.
+                let mut dp = dst.as_mut_ptr().wrapping_add(i);
+                for &v in row {
+                    // SAFETY: the j-th write of row i lands at offset
+                    // `j * r + i` with j < c and i < r, which is below
+                    // `r * c == dst.len()`.
+                    unsafe { *dp = v };
+                    dp = dp.wrapping_add(r);
                 }
             }
         }
@@ -1144,6 +1148,33 @@ mod tests {
     use super::*;
     use crate::kernel::{BlockStmt, BufferRole, ProgramBuilder, TileAccess, TileIndex};
     use rand::{Rng, SeedableRng};
+
+    #[test]
+    fn transpose_last2_matches_index_arithmetic_and_inverts() {
+        for shape in [[3u64, 4, 5], [1, 1, 7], [2, 6, 1]] {
+            let [b, r, c] = shape.map(|d| d as usize);
+            let data: Vec<f32> = (0..b * r * c).map(|i| i as f32 * 0.37 - 1.5).collect();
+            let x = HostTensor::from_vec(&shape, data);
+            let t = x.transpose_last2();
+            assert_eq!(t.shape, vec![shape[0], shape[2], shape[1]]);
+            for bi in 0..b {
+                for i in 0..r {
+                    for j in 0..c {
+                        let want = x.data[(bi * r + i) * c + j];
+                        let got = t.data[(bi * c + j) * r + i];
+                        assert_eq!(got.to_bits(), want.to_bits(), "{shape:?} at {bi},{i},{j}");
+                    }
+                }
+            }
+            let back = t.transpose_last2();
+            assert_eq!(back.shape, x.shape);
+            assert!(back
+                .data
+                .iter()
+                .zip(&x.data)
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
+    }
 
     /// Naive reference matmul for oracle checks.
     fn ref_matmul(a: &HostTensor, b: &HostTensor) -> HostTensor {

@@ -20,7 +20,8 @@ pub struct Candidate {
 }
 
 impl Candidate {
-    /// Construct, checking that every axis has a tile size.
+    /// Construct from an expression and one tile size per axis (not
+    /// checked here: indexing a missing axis panics later).
     pub fn new(expr: TilingExpr, tiles: Vec<u64>) -> Candidate {
         Candidate { expr, tiles }
     }
@@ -67,9 +68,11 @@ impl Candidate {
         g
     }
 
-    /// Number of thread blocks (the `N_block` of Eq. 5).
+    /// Number of thread blocks (the `N_block` of Eq. 5): the product of
+    /// [`Candidate::grid`], computed without building it.
     pub fn num_blocks(&self, chain: &ChainSpec) -> u64 {
-        self.grid(chain).iter().product()
+        let [m, d_l] = grid_axes(chain);
+        chain.batch * self.trips(chain, m) * self.trips(chain, d_l)
     }
 
     /// Fraction of wasted (padded) work: `Π ceil(dim/t)·t / Π dim − 1`

@@ -60,12 +60,10 @@ pub fn axis_role(chain: &ChainSpec, id: LoopId) -> AxisRole {
     }
 }
 
-/// Axes of the chain that Rule 1 binds to `blockIdx` (output-spatial).
-pub fn grid_axes(chain: &ChainSpec) -> Vec<LoopId> {
-    (0..chain.num_axes())
-        .map(LoopId)
-        .filter(|&id| axis_role(chain, id) == AxisRole::OutputSpatial)
-        .collect()
+/// Axes of the chain that Rule 1 binds to `blockIdx`: the two
+/// output-spatial axes of [`axis_role`], `m` and `d_L`.
+pub fn grid_axes(chain: &ChainSpec) -> [LoopId; 2] {
+    [LoopId(0), LoopId(chain.num_axes() - 1)]
 }
 
 /// Axes that remain as per-block loops after Rule-1 binding.
@@ -124,7 +122,7 @@ mod tests {
         let c = chain();
         let g = grid_axes(&c);
         let b = block_axes(&c);
-        assert_eq!(g, vec![LoopId(0), LoopId(3)]);
+        assert_eq!(g, [LoopId(0), LoopId(3)]);
         assert_eq!(b, vec![LoopId(1), LoopId(2)]);
         assert_eq!(g.len() + b.len(), c.num_axes());
     }
@@ -192,6 +190,23 @@ mod tests {
         assert_eq!(axis_role(&c, LoopId(2)), AxisRole::Intermediate);
         assert_eq!(axis_role(&c, LoopId(3)), AxisRole::Intermediate);
         assert_eq!(axis_role(&c, LoopId(4)), AxisRole::OutputSpatial);
-        assert_eq!(grid_axes(&c), vec![LoopId(0), LoopId(4)]);
+        assert_eq!(grid_axes(&c), [LoopId(0), LoopId(4)]);
+    }
+
+    #[test]
+    fn grid_axes_are_the_output_spatial_axes_of_1_to_4_op_chains() {
+        for ops in 1..=4usize {
+            let c = ChainSpec::chain("c", 1, 64, vec![32; ops + 1], vec![Default::default(); ops]);
+            let spatial: Vec<LoopId> = (0..c.num_axes())
+                .map(LoopId)
+                .filter(|&id| axis_role(&c, id) == AxisRole::OutputSpatial)
+                .collect();
+            assert_eq!(grid_axes(&c).to_vec(), spatial, "{ops}-op chain");
+            assert_eq!(
+                grid_axes(&c).len() + block_axes(&c).len(),
+                c.num_axes(),
+                "{ops}-op chain"
+            );
+        }
     }
 }

@@ -6,23 +6,28 @@
 //! wider accumulator precision the lowering actually allocates — which is
 //! why the paper validates it against measured usage (Fig. 10) and prunes
 //! with a 1.2× error margin (Rule 4).
+//!
+//! Rule 4 evaluates the estimate once per Rule-3 tile combination under
+//! the dense scan, and once per binary-search probe under the frontier
+//! scan, so a call allocates nothing: the tensor census is an iterator
+//! and each tensor's axes are a fixed pair.
 
 use mcfuser_ir::ChainSpec;
 
 use crate::candidate::Candidate;
-use crate::stmt::{tensor_axes, TensorRef};
+use crate::stmt::{tensor_axes, tile_shape, TensorRef};
 
-/// All tensors of a chain: `A`, weights, intermediates, output.
-pub fn chain_tensors(chain: &ChainSpec) -> Vec<TensorRef> {
-    let mut v = vec![TensorRef::Input(0)];
-    for i in 0..chain.num_ops() {
-        v.push(TensorRef::Input(i + 1));
-        if i + 1 < chain.num_ops() {
-            v.push(TensorRef::Intermediate(i));
-        }
-    }
-    v.push(TensorRef::Output);
-    v
+/// All tensors of a chain in the paper's lettering order: `A`, `W₀`,
+/// `T₀`, `W₁`, `T₁`, …, `W_{L-1}`, output (`A, B, C, D, E` for a 2-GEMM
+/// chain).
+pub fn chain_tensors(chain: &ChainSpec) -> impl ExactSizeIterator<Item = TensorRef> {
+    let last = 2 * chain.num_ops();
+    (0..last + 1).map(move |p| match p {
+        0 => TensorRef::Input(0),
+        p if p == last => TensorRef::Output,
+        p if p % 2 == 1 => TensorRef::Input(p / 2 + 1),
+        p => TensorRef::Intermediate(p / 2 - 1),
+    })
 }
 
 /// The Rule-4 pruning margin over `Shm_max`: candidates are kept while
@@ -55,10 +60,9 @@ pub fn tail_panel_chunk(d_last: u64) -> u64 {
 pub fn estimate_shmem_bytes_for_tiles(chain: &ChainSpec, tiles: &[u64]) -> u64 {
     let esz = chain.dtype.size_bytes();
     let mut sum: u64 = chain_tensors(chain)
-        .iter()
-        .map(|&t| {
-            let ax = tensor_axes(chain, t);
-            tiles[ax[0].0] * tiles[ax[1].0] * esz
+        .map(|t| {
+            let (r, c) = tile_shape(chain, t, tiles);
+            r * c * esz
         })
         .sum();
     // A stitched prologue holds the A tile raw in f32 and, with a fused
@@ -80,8 +84,8 @@ pub fn estimate_shmem_bytes_for_tiles(chain: &ChainSpec, tiles: &[u64]) -> u64 {
         if t.layer_norm && tiles[last] == d_l {
             let chunk = tail_panel_chunk(d_l);
             if chunk < d_l {
-                let ax = tensor_axes(chain, TensorRef::Input(chain.num_ops()));
-                sum -= tiles[ax[0].0] * d_l * esz;
+                let [k, _] = tensor_axes(chain, TensorRef::Input(chain.num_ops()));
+                sum -= tiles[k.0] * d_l * esz;
             }
         }
     }
@@ -102,8 +106,11 @@ pub fn rule4_fits(chain: &ChainSpec, cand: &Candidate, shm_max: u64) -> bool {
 
 #[cfg(test)]
 mod tests {
+    use mcfuser_ir::{Epilogue, EpilogueStitch, PrologueSpec, ResidualSource};
+
     use super::*;
     use crate::expr::TilingExpr;
+    use crate::stmt::Stmt;
 
     fn chain() -> ChainSpec {
         ChainSpec::gemm_chain("g", 1, 1024, 1024, 512, 512)
@@ -115,9 +122,135 @@ mod tests {
     }
 
     #[test]
-    fn tensor_census_for_2gemm() {
-        // A, B(W0), C(T0), D(W1), E(out) — five tensors like the paper.
-        assert_eq!(chain_tensors(&chain()).len(), 5);
+    fn tensor_census_order_for_1_2_and_3_op_chains() {
+        use TensorRef::{Input, Intermediate, Output};
+        let cases = [
+            (vec![64, 32], vec![Input(0), Input(1), Output]),
+            // A, B(W0), C(T0), D(W1), E(out) — five tensors like the paper.
+            (
+                vec![64, 32, 48],
+                vec![Input(0), Input(1), Intermediate(0), Input(2), Output],
+            ),
+            (
+                vec![64, 32, 48, 16],
+                vec![
+                    Input(0),
+                    Input(1),
+                    Intermediate(0),
+                    Input(2),
+                    Intermediate(1),
+                    Input(3),
+                    Output,
+                ],
+            ),
+        ];
+        for (dims, want) in cases {
+            let ops = dims.len() - 1;
+            let c = ChainSpec::chain("c", 1, 128, dims, vec![Epilogue::None; ops]);
+            let got: Vec<TensorRef> = chain_tensors(&c).collect();
+            assert_eq!(got, want);
+            assert_eq!(chain_tensors(&c).len(), 2 * ops + 1);
+            // The census walks the paper's letters in order: A, B, C, …
+            let letters: String = got
+                .iter()
+                .map(|&t| Stmt::Load(t).short_name(&c)[1..].to_string())
+                .collect();
+            assert_eq!(letters, "ABCDEFG"[..2 * ops + 1]);
+        }
+    }
+
+    #[test]
+    fn estimate_matches_hand_computation_for_3gemm() {
+        // Axes m, k, n, h, p; seven tensors A, W0, T0, W1, T1, W2, out.
+        let c = ChainSpec::chain(
+            "c3",
+            1,
+            256,
+            vec![64, 128, 128, 96],
+            vec![Epilogue::None; 3],
+        );
+        // tiles m=32, k=16, n=48, h=64, p=80, f16 (2 B):
+        // A:32×16 + W0:16×48 + T0:32×48 + W1:48×64 + T1:32×64 + W2:64×80
+        // + out:32×80 = 512+768+1536+3072+2048+5120+2560 = 15616 elements.
+        let tiles = [32, 16, 48, 64, 80];
+        assert_eq!(estimate_shmem_bytes_for_tiles(&c, &tiles), 2 * 15616);
+    }
+
+    fn with_prologue(residual: bool) -> ChainSpec {
+        let mut c = chain();
+        c.prologue = Some(PrologueSpec {
+            residual,
+            affine: true,
+            a_half: false,
+            eps: 1e-5,
+        });
+        c
+    }
+
+    #[test]
+    fn stitched_prologue_holds_the_a_tile_raw_and_the_residual_tile() {
+        // tiles m=64, k=32, n=64, h=16, f16. Plain Eq. 1 is 20480 B (as
+        // in `estimate_matches_hand_computation`); the A tile (64×32 =
+        // 2048 elements) is held raw in f32, 2 B more per element, and a
+        // fused residual adds a second A-shaped f32 tile.
+        let tiles = [64, 32, 64, 16];
+        let plain = 2 * (2048 + 2048 + 4096 + 1024 + 1024);
+        let no_res = with_prologue(false);
+        assert_eq!(
+            estimate_shmem_bytes_for_tiles(&no_res, &tiles),
+            plain + 2048 * 2
+        );
+        // W0, T0, W1, out at 2 B, then the f32 A tile and f32 residual.
+        let res = with_prologue(true);
+        assert_eq!(
+            estimate_shmem_bytes_for_tiles(&res, &tiles),
+            2 * (2048 + 4096 + 1024 + 1024) + 4 * 2048 + 4 * 2048
+        );
+    }
+
+    fn with_tail_layer_norm(d_l: u64) -> ChainSpec {
+        let mut c = ChainSpec::gemm_chain("t", 1, 128, 128, 64, d_l);
+        c.stitch_epilogue = Some(EpilogueStitch {
+            residual: ResidualSource::External,
+            layer_norm: true,
+            affine: true,
+            eps: 1e-5,
+        });
+        c
+    }
+
+    #[test]
+    fn tail_layer_norm_streams_a_wide_final_panel() {
+        // d_L = 192 > 128 streams in 96-column chunks, so with the last
+        // tile at d_L the t_n × d_L weight panel leaves the estimate.
+        let c = with_tail_layer_norm(192);
+        assert_eq!(tail_panel_chunk(192), 96);
+        // tiles m=32, k=64, n=32, h=192: A:32×64 + W0:64×32 + T0:32×32
+        // + out:32×192; the W1 panel (32×192) is not counted.
+        let full_row = [32, 64, 32, 192];
+        assert_eq!(
+            estimate_shmem_bytes_for_tiles(&c, &full_row),
+            2 * (2048 + 2048 + 1024 + 6144)
+        );
+        // A last tile short of d_L keeps its weight tile.
+        let part_row = [32, 64, 32, 64];
+        assert_eq!(
+            estimate_shmem_bytes_for_tiles(&c, &part_row),
+            2 * (2048 + 2048 + 1024 + 2048 + 2048)
+        );
+    }
+
+    #[test]
+    fn tail_layer_norm_keeps_a_narrow_final_panel() {
+        // d_L = 128 ≤ 128 is one chunk: the panel stays resident and
+        // counts in full.
+        let c = with_tail_layer_norm(128);
+        assert_eq!(tail_panel_chunk(128), 128);
+        let tiles = [32, 64, 32, 128];
+        assert_eq!(
+            estimate_shmem_bytes_for_tiles(&c, &tiles),
+            2 * (2048 + 2048 + 1024 + 4096 + 4096)
+        );
     }
 
     #[test]

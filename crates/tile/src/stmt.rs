@@ -63,17 +63,18 @@ impl Stmt {
 }
 
 /// The axes that index a tensor's tiles (batch excluded — it is always
-/// grid-bound).
-pub fn tensor_axes(chain: &ChainSpec, t: TensorRef) -> Vec<LoopId> {
+/// grid-bound), rows first. Every tensor of a chain is a 2-D tile, so
+/// the pair is returned by value.
+pub fn tensor_axes(chain: &ChainSpec, t: TensorRef) -> [LoopId; 2] {
     let last = chain.num_axes() - 1;
     match t {
         // A[b, m, d0] → {m, k}
-        TensorRef::Input(0) => vec![LoopId(0), LoopId(1)],
+        TensorRef::Input(0) => [LoopId(0), LoopId(1)],
         // W_j[b, d_j, d_{j+1}] → {axis(1+j), axis(2+j)}
-        TensorRef::Input(j) => vec![LoopId(j), LoopId(j + 1)],
+        TensorRef::Input(j) => [LoopId(j), LoopId(j + 1)],
         // T_i[b, m, d_{i+1}] → {m, axis(2+i)}
-        TensorRef::Intermediate(i) => vec![LoopId(0), LoopId(i + 2)],
-        TensorRef::Output => vec![LoopId(0), LoopId(last)],
+        TensorRef::Intermediate(i) => [LoopId(0), LoopId(i + 2)],
+        TensorRef::Output => [LoopId(0), LoopId(last)],
     }
 }
 
@@ -81,8 +82,8 @@ pub fn tensor_axes(chain: &ChainSpec, t: TensorRef) -> Vec<LoopId> {
 /// computes; the tensor's own axes for memory statements).
 pub fn related_axes(chain: &ChainSpec, s: Stmt) -> Vec<LoopId> {
     match s {
-        Stmt::Load(t) => tensor_axes(chain, t),
-        Stmt::Store => tensor_axes(chain, TensorRef::Output),
+        Stmt::Load(t) => tensor_axes(chain, t).to_vec(),
+        Stmt::Store => tensor_axes(chain, TensorRef::Output).to_vec(),
         // Compute i touches m, d_i (reduction) and d_{i+1} (columns).
         Stmt::Compute(i) => vec![LoopId(0), LoopId(i + 1), LoopId(i + 2)],
     }
@@ -139,8 +140,8 @@ pub fn order_deps(chain: &ChainSpec) -> Vec<(Stmt, Stmt)> {
 /// Tile footprint (rows, cols) of a tensor under a per-axis tile
 /// assignment (`tiles[axis]`).
 pub fn tile_shape(chain: &ChainSpec, t: TensorRef, tiles: &[u64]) -> (u64, u64) {
-    let ax = tensor_axes(chain, t);
-    (tiles[ax[0].0], tiles[ax[1].0])
+    let [r, c] = tensor_axes(chain, t);
+    (tiles[r.0], tiles[c.0])
 }
 
 #[cfg(test)]
