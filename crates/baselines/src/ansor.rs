@@ -59,7 +59,8 @@ fn features(batch: u64, m: u64, n: u64, k: u64, t: (u64, u64, u64), dev: &Device
     ]
 }
 
-/// Tune one batched-matmul task with `trials` measurements.
+/// Tune one batched-matmul task with `trials` measurements, or one per
+/// distinct tile configuration when the task has fewer.
 #[allow(clippy::too_many_arguments)]
 pub fn tune_matmul_task(
     batch: u64,
@@ -84,6 +85,9 @@ pub fn tune_matmul_task(
         )
     };
 
+    // Each tile is measured at most once, so a budget past the task's
+    // distinct tiles could never be spent.
+    let trials = trials.min(dm.len() * dn.len() * dk.len());
     let mut measured: FxHashMap<(u64, u64, u64), f64> = FxHashMap::default();
     let mut xs: Vec<Vec<f64>> = Vec::new();
     let mut ys: Vec<f64> = Vec::new();
@@ -433,6 +437,23 @@ mod tests {
         );
         assert!(tuned.time < bad, "tuned {} vs bad {}", tuned.time, bad);
         assert!(tuned.tuning_seconds > 100.0, "{}", tuned.tuning_seconds);
+    }
+
+    #[test]
+    fn budget_past_the_distinct_tiles_returns() {
+        // (1, 128, 128) has 1 × 8 × 8 = 64 distinct tiles. Tuning runs on
+        // its own thread so a regression fails here instead of hanging.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let dev = DeviceSpec::a100();
+            tx.send(tune_matmul_task(1, 1, 128, 128, DType::F16, &dev, 1000, 7))
+                .expect("receiver waits");
+        });
+        let tuned = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("tuning a 64-tile task with 1000 trials must return");
+        assert_eq!(tuned.trials, 64);
+        assert!(tuned.time.is_finite());
     }
 
     #[test]

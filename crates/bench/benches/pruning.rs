@@ -2,15 +2,12 @@
 //! running example (1.09e8 candidates in, ~1e3 out), plus the lazy
 //! [`CandidateSpace`] paths that replaced the eager materialization —
 //! the Rule-4 survivor-index build (filter on), the `-rule4` ablation
-//! (filter off: O(1), nothing scanned), and indexed candidate decoding.
+//! (filter off: O(rows), no Eq. 1 call), and indexed candidate decoding.
 //!
 //! [`CandidateSpace`]: mcfuser_core::CandidateSpace
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mcfuser_core::{
-    build_candidate_space, build_candidate_space_scanned, prune, Rule4Scan, SearchSpace,
-    SpacePolicy,
-};
+use mcfuser_core::{build_candidate_space, prune, SearchSpace, SpacePolicy};
 use mcfuser_ir::{ChainSpec, Epilogue};
 use mcfuser_sim::DeviceSpec;
 use std::hint::black_box;
@@ -30,7 +27,8 @@ fn bench(c: &mut Criterion) {
         b.iter(|| prune(black_box(&attn), &dev, &attn_space))
     });
     // The -rule4 ablation path: the same lazy space with the filter
-    // disabled — no scan, no materialization, O(1) regardless of size.
+    // disabled — every row keeps all of axis 0, so the index costs
+    // O(rows) and no Eq. 1 call.
     let no_rule4 = SpacePolicy {
         shared_memory_pruning: false,
         ..Default::default()
@@ -38,11 +36,10 @@ fn bench(c: &mut Criterion) {
     g.bench_function("lazy_rule4_disabled", |b| {
         b.iter(|| build_candidate_space(black_box(&big), &dev, &no_rule4))
     });
-    // Dense vs frontier Rule-4 scan on a grid past FRONTIER_MIN_GRID
-    // (the non-power-of-two 3-GEMM chain keeps 23/23/14/23/14 Rule-3
-    // options on axes m/k/n/h/p — 2,384,732 combinations): the frontier
-    // binary-searches one row prefix per fixed setting of the slow axes
-    // instead of estimating every combination.
+    // The Rule-4 index on a large grid (the non-power-of-two 3-GEMM
+    // chain keeps 23/23/14/23/14 Rule-3 options on axes m/k/n/h/p —
+    // 2,384,732 combinations in 103,684 rows): one binary search of
+    // axis 0 per row.
     let wide = ChainSpec::chain(
         "mlp3-1536",
         1,
@@ -51,11 +48,8 @@ fn bench(c: &mut Criterion) {
         vec![Epilogue::None; 3],
     );
     let full = SpacePolicy::default();
-    g.bench_function("rule4_scan_dense_2_4e6_grid", |b| {
-        b.iter(|| build_candidate_space_scanned(black_box(&wide), &dev, &full, Rule4Scan::Dense))
-    });
-    g.bench_function("rule4_scan_frontier_2_4e6_grid", |b| {
-        b.iter(|| build_candidate_space_scanned(black_box(&wide), &dev, &full, Rule4Scan::Frontier))
+    g.bench_function("rule4_index_2_4e6_grid", |b| {
+        b.iter(|| build_candidate_space(black_box(&wide), &dev, &full))
     });
     // Indexed decoding: the hot operation of sampling-based search.
     let pruned = prune(&big, &dev, &big_space);

@@ -168,15 +168,6 @@ pub struct EngineStats {
     /// [`TuningCache`]. Like spaces, evicted
     /// schedules re-tune deterministically; the counter sizes the bound.
     pub tuning_cache_evictions: u64,
-    /// `Ranked` block-decode lookups served from a thread-sharded decode
-    /// cache without a re-filter, summed over the [`SpaceCache`]'s
-    /// resident spaces. Hits ≫ misses is the healthy regime; a depressed
-    /// ratio under concurrency means threads are contending for (and
-    /// evicting) each other's shard slots.
-    pub decode_cache_hits: u64,
-    /// `Ranked` block re-filters (decode-cache misses), summed over the
-    /// [`SpaceCache`]'s resident spaces.
-    pub decode_cache_misses: u64,
     /// Lowered programs that passed the static verifier (fresh tuning
     /// winners and cache rehydrations both count; see
     /// `mcfuser_sim::verify`).
@@ -263,8 +254,8 @@ impl EngineBuilder {
     /// [`space_fingerprint`] — everything construction depends on
     /// except the chain's name — so N same-shaped chains (every BERT
     /// layer) pay for one Rule-4 scan instead of N. Results are
-    /// bit-identical either way; disable only to measure the scan cost
-    /// itself (the `tune_smoke` bench does).
+    /// bit-identical either way; disable only to get a cold per-chain
+    /// reference (the `tune_smoke` bench compares against one).
     pub fn space_cache(mut self, enabled: bool) -> Self {
         self.space_caching = enabled;
         self
@@ -378,13 +369,6 @@ impl FusionEngine {
         stats.space_cache_hits = self.spaces.as_ref().map(|s| s.hits()).unwrap_or(0);
         stats.space_evictions = self.spaces.as_ref().map(|s| s.evictions()).unwrap_or(0);
         stats.tuning_cache_evictions = self.cache.as_ref().map(|c| c.evictions()).unwrap_or(0);
-        let (decode_hits, decode_misses) = self
-            .spaces
-            .as_ref()
-            .map(|s| s.decode_counters())
-            .unwrap_or((0, 0));
-        stats.decode_cache_hits = decode_hits;
-        stats.decode_cache_misses = decode_misses;
         stats
     }
 

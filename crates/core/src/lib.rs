@@ -3,16 +3,15 @@
 //! The paper's primary contribution, reproduced end to end:
 //!
 //! * [`space`] — comprehensive search-space generation from tiling
-//!   expressions (§III-A), and the lazy O(1)-indexed
+//!   expressions (§III-A), and the lazy index-addressed
 //!   [`CandidateSpace`] the tuner explores — no candidate `Vec`, no
 //!   materialization cap, every pruning survivor reachable by index;
 //!   spaces are content-addressed and shared across same-shaped chains
-//!   through the engine-level [`SpaceCache`], and large grids build
-//!   their Rule-4 index with a monotone per-axis frontier
-//!   ([`Rule4Scan`]) instead of a dense sweep;
+//!   through the engine-level [`SpaceCache`];
 //! * [`prune`](mod@prune) — pruning Rules 1–4 with the Fig. 7 waterfall (§III-C);
-//!   Rule 4 is a parallel scan that becomes the space's survivor index,
-//!   so [`PruneStats::after_rule4`](prune::PruneStats::after_rule4) is
+//!   Rule 4 becomes the space's survivor index — one count per tile-grid
+//!   row, since each row's survivors are a prefix of axis 0 — so
+//!   [`PruneStats::after_rule4`](prune::PruneStats::after_rule4) is
 //!   exact at any scale;
 //! * [`perf_model`] — the analytical performance model, Eqs. 2–5 (§IV-A);
 //! * [`search`] — the heuristic evolutionary search with automatic
@@ -104,11 +103,7 @@ pub use runtime::{ModelRuntime, PlanStats, RuntimeStats, ShutdownError, WEIGHT_C
 pub use scheduler::BatchPolicy;
 pub use search::{heuristic_search, CandidateRef, MeasuredSet, SearchOutcome, SearchParams};
 pub use session::{DecodeError, DecodeServing, DecodeSession, DecodeSpec};
-pub use space::{
-    space_fingerprint, CandidateSpace, Rule4Scan, SearchSpace, SpaceCache, FRONTIER_MIN_AXIS,
-    FRONTIER_MIN_GRID, SPACE_CACHE_CAPACITY,
-};
+pub use space::{space_fingerprint, CandidateSpace, SearchSpace, SpaceCache, SPACE_CACHE_CAPACITY};
 pub use tuner::{
-    build_candidate_space, build_candidate_space_scanned, McFuser, Rule4Rejection, SpacePolicy,
-    TuneError, TunedKernel,
+    build_candidate_space, McFuser, Rule4Rejection, SpacePolicy, TuneError, TunedKernel,
 };

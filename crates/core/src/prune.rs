@@ -20,20 +20,17 @@
 //! lower to identical per-block programs.
 //!
 //! Rules 1–3 shrink the *factors* of the space (expressions and per-axis
-//! tile domains); Rule 4 is evaluated as a parallel scan over the Rule-3
-//! tile grid and becomes the survivor index of the returned
+//! tile domains); Rule 4 becomes the survivor index of the returned
 //! [`CandidateSpace`]. No candidate `Vec` is ever materialized and there
 //! is no cap: `PruneStats::after_rule4` is the exact count of candidates
 //! reachable by index.
 //!
-//! For grids past [`FRONTIER_MIN_GRID`](crate::FRONTIER_MIN_GRID) the
-//! scan exploits Eq. 1's monotonicity (the estimate is a sum of
-//! `tileᵢ · tileⱼ` products, non-decreasing in every tile extent): the
-//! survivors of each fixed setting of the slow axes form a *prefix* of
-//! the fastest axis's ascending domain, so one binary search per row
-//! replaces a dense row sweep — `O(surface · log)` estimates instead of
-//! `O(volume)`, with a bit-identical survivor index
-//! (proptest-verified). `after_rule4` stays exact on both paths.
+//! Eq. 1 never decreases along axis 0 (`m` enters it only through
+//! non-negative products), so for each fixed setting of the other axes
+//! the Rule-4 survivors form a *prefix* of axis 0's ascending domain,
+//! and one binary search per grid row finds it. No other axis is
+//! monotone: a tail LayerNorm's streamed weight panel makes the estimate
+//! fall along the last axis.
 
 use rustc_hash::FxHashMap;
 

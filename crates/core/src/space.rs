@@ -14,11 +14,11 @@
 //!   sampled lazily;
 //! * [`CandidateSpace`] is the Rule-1–4 pruned space, addressed by a
 //!   dense index `0..len()` that decodes arithmetically to
-//!   `(expression, tile vector)`. Rule 4 is an indexed filter over the
-//!   Rule-3 tile grid, built in parallel — every surviving candidate is
+//!   `(expression, tile vector)`. Rule 4 is indexed by one survivor
+//!   count per row of the Rule-3 tile grid (each row's survivors are a
+//!   prefix of axis 0), built in parallel — every surviving candidate is
 //!   reachable by index, with no materialization cap and no truncation
-//!   bias. Large grids build the filter with a monotone per-axis
-//!   frontier ([`Rule4Scan`]) instead of a dense sweep.
+//!   bias.
 //!
 //! Built spaces are content-addressed ([`space_fingerprint`]) and
 //! shareable across tuning tasks through the engine-level
@@ -87,93 +87,29 @@ impl SearchSpace {
     }
 }
 
-/// Tile grids at most this large index Rule-4 survivors through a compact
-/// sorted id list (O(1) lookups, one `u64` per surviving combination).
-/// Larger grids switch to the block-rank index, whose memory is
-/// `O(grid / RANK_BLOCK)` regardless of how many combinations survive.
-const COMPACT_LIMIT: u64 = 1 << 22;
-
-/// Rule-3 grids at least this large use the monotone per-axis frontier
-/// scan under [`Rule4Scan::Auto`] instead of evaluating Eq. 1 on every
-/// combination: below it the dense scan's simplicity wins, above it the
-/// frontier's `O(grid / |axis₀| · log |axis₀|)` estimate count does.
-pub const FRONTIER_MIN_GRID: u64 = 1 << 16;
-
-/// The frontier only pays off when the binary-searched (fastest) axis
-/// offers enough tile options that `log₂ |axis₀| < |axis₀|` matters.
-pub const FRONTIER_MIN_AXIS: usize = 4;
-
-/// How the Rule-4 survivor index is computed over the Rule-3 tile grid.
-/// Both strategies produce *bit-identical* indexes (proptest-verified in
-/// `tests/candidate_space.rs`); they differ only in how many Eq. 1
-/// estimates they evaluate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Rule4Scan {
-    /// Pick per grid: the frontier for grids past [`FRONTIER_MIN_GRID`]
-    /// whose fastest axis has at least [`FRONTIER_MIN_AXIS`] options,
-    /// the dense scan otherwise.
-    #[default]
-    Auto,
-    /// Evaluate Eq. 1 on every Rule-3 combination (one pass over the
-    /// grid, chunk-parallel).
-    Dense,
-    /// Exploit Eq. 1's monotonicity: the estimate is a sum of
-    /// `tileᵢ · tileⱼ` products, so it is non-decreasing in every tile
-    /// extent, and the ascending Rule-3 domains make the survivors of
-    /// each grid *row* (a fixed setting of all axes but the fastest) a
-    /// prefix of axis 0. One binary search per row replaces `|axis₀|`
-    /// dense estimates — `O(surface · log)` instead of `O(volume)` work.
-    Frontier,
-}
-
-impl Rule4Scan {
-    /// Resolve `Auto` against a concrete grid.
-    fn use_frontier(self, tile_domains: &[Vec<u64>], grid: u64) -> bool {
-        match self {
-            Rule4Scan::Dense => false,
-            Rule4Scan::Frontier => true,
-            Rule4Scan::Auto => {
-                grid >= FRONTIER_MIN_GRID
-                    && tile_domains.first().map_or(0, Vec::len) >= FRONTIER_MIN_AXIS
-            }
-        }
-    }
-}
-
-/// Block size of the rank index for very large tile grids.
-const RANK_BLOCK: u64 = 1024;
-
-/// Parallel-scan chunks below this size are not worth a thread.
+/// Parallel Rule-4 builds split the grid into row ranges of at least
+/// this many combinations; smaller grids are not worth a thread.
 const MIN_CHUNK: u64 = 1 << 14;
 
-/// How Rule 4 is represented over the Rule-3 tile grid.
-#[derive(Debug, Clone)]
-enum Rule4Index {
-    /// Every Rule-3 combination is admitted: the filter is disabled
-    /// (`-rule4` ablation) or nothing was rejected. O(1) memory.
-    PassAll,
-    /// Sorted ids of the surviving combinations (small grids): O(1)
-    /// index, memory proportional to the survivors.
-    Compact(Vec<u64>),
-    /// Cumulative survivor counts per [`RANK_BLOCK`]-sized block of the
-    /// tile grid (large grids): `O(RANK_BLOCK)` index by re-filtering one
-    /// block, memory `O(grid / RANK_BLOCK)`.
-    Ranked(Vec<u64>),
-}
-
-/// The pruned search space Algorithm 1 explores — lazy and O(1)-indexed.
+/// The pruned search space Algorithm 1 explores — lazy and
+/// index-addressed.
 ///
 /// A candidate is the pair `(expr_idx, combo_rank)` packed into one dense
 /// index `0..len()`: `expr_idx = idx / surviving_combos()` selects the
 /// Rule-1/2 representative expression and `combo_rank` the Rule-4
-/// survivor among the Rule-3 tile combinations, decoded odometer-style
-/// (axis 0 fastest) from [`CandidateSpace::tile_domains`]. The order is
+/// survivor among the Rule-3 tile combinations, in grid order (axis 0
+/// fastest) over [`CandidateSpace::tile_domains`]. The order is
 /// identical to what the old eager materialization produced, but nothing
 /// is materialized: peak memory is O(1) in the candidate count (plus the
-/// Rule-4 index, which is bounded by the *tile grid*, never by
-/// `exprs × combos`), and there is no cap — index `len() - 1` is exactly
-/// as reachable as index 0.
-#[derive(Debug)]
+/// Rule-4 index, one count per grid *row*, never `exprs × combos`), and
+/// there is no cap — index `len() - 1` is exactly as reachable as
+/// index 0.
+///
+/// A grid row is the `|axis₀|` consecutive combinations that share the
+/// tiles of axes `1..`. Eq. 1 never decreases along axis 0 and the
+/// Rule-3 domains ascend, so each row's Rule-4 survivors are a prefix of
+/// axis 0: the index stores, per row, how many survivors precede it.
+#[derive(Debug, Clone)]
 pub struct CandidateSpace {
     /// The chain.
     pub chain: ChainSpec,
@@ -185,132 +121,30 @@ pub struct CandidateSpace {
     pub stats: PruneStats,
     /// Total Rule-3 tile combinations (the grid Rule 4 filters).
     grid: u64,
-    /// Rule-4 survivors among the grid.
-    combos: u64,
     /// Shared-memory budget behind Rule 4; `None` when the filter is
     /// disabled ([`SpacePolicy::shared_memory_pruning`] = false).
     ///
     /// [`SpacePolicy::shared_memory_pruning`]: crate::SpacePolicy::shared_memory_pruning
     smem_limit: Option<u64>,
-    /// The Rule-4 survivor index.
-    rule4: Rule4Index,
-    /// Smallest Eq. 1 estimate across the whole grid (filter enabled,
-    /// non-empty grid only) — the context behind `EmptySearchSpace` when
-    /// Rule 4 rejects everything.
-    min_estimated_smem: Option<u64>,
-    /// Recently decoded blocks of the `Ranked` index, sharded by
-    /// *thread* ([`DECODE_SHARDS`] shards of [`DECODE_CACHE_SLOTS`]
-    /// entries, most recent first): sampling-heavy searches that revisit
-    /// a block pay the O(`RANK_BLOCK`) re-filter once instead of per
-    /// call, and N concurrent searches over one shared space no longer
-    /// serialize on a single mutex (the contention that made the shared-
-    /// space `tune_smoke` path *slower* than cold). Each shard keeps two
-    /// slots so `candidate()` (sampling) and `index_of` (mutant
-    /// re-encoding) don't evict each other inside one search round;
-    /// a single-threaded search sees exactly the old 2-slot behavior.
-    decoded: Vec<Mutex<Vec<DecodedBlock>>>,
-    /// How many block re-filters the `Ranked` path has performed — cache
-    /// misses (the decode-cost probe behind the regression tests).
-    decodes: AtomicU64,
-    /// How many `Ranked` block lookups were served from a decode-cache
-    /// shard without re-filtering — cache hits. Together with
-    /// [`CandidateSpace::ranked_block_decodes`] this proves the sharding
-    /// out: contention shows up as a depressed hit count (threads
-    /// evicting each other), not just as wall time.
-    decode_hits: AtomicU64,
-    /// Whether the Rule-4 index was built by the monotone frontier scan
-    /// (the threshold-regression probe; `false` when the dense scan ran
-    /// or Rule 4 was disabled).
-    frontier_scanned: bool,
-}
-
-impl Clone for CandidateSpace {
-    /// The clone starts with a cold decode cache (and a zeroed probe);
-    /// everything observable is identical.
-    fn clone(&self) -> Self {
-        CandidateSpace {
-            chain: self.chain.clone(),
-            exprs: self.exprs.clone(),
-            tile_domains: self.tile_domains.clone(),
-            stats: self.stats.clone(),
-            grid: self.grid,
-            combos: self.combos,
-            smem_limit: self.smem_limit,
-            rule4: self.rule4.clone(),
-            min_estimated_smem: self.min_estimated_smem,
-            decoded: fresh_decode_cache(),
-            decodes: AtomicU64::new(0),
-            decode_hits: AtomicU64::new(0),
-            frontier_scanned: self.frontier_scanned,
-        }
-    }
-}
-
-/// How many decoded `Ranked` blocks each shard retains.
-const DECODE_CACHE_SLOTS: usize = 2;
-
-/// How many thread-sharded decode caches a space keeps. Lookups hash the
-/// current thread id to a shard, so concurrent searches rarely share a
-/// mutex *or* a slot set — a hot block decoded by one thread no longer
-/// gets evicted by another thread's working set.
-const DECODE_SHARDS: usize = 8;
-
-/// A fresh (cold) sharded decode cache.
-fn fresh_decode_cache() -> Vec<Mutex<Vec<DecodedBlock>>> {
-    (0..DECODE_SHARDS).map(|_| Mutex::new(Vec::new())).collect()
-}
-
-/// The survivor ids of one decoded `Ranked` block.
-#[derive(Debug)]
-struct DecodedBlock {
-    block: u64,
-    ids: Vec<u64>,
-}
-
-/// Per-chunk result of the parallel Rule-4 scan.
-struct ScanPart {
-    /// Surviving ids (compact mode) or per-block survivor counts (ranked
-    /// mode) for the chunk's subrange.
-    payload: Vec<u64>,
-    /// Survivors in the subrange.
-    count: u64,
-    /// Smallest estimate seen in the subrange.
-    min_est: u64,
+    /// The Rule-4 survivor index: `row_offsets[r]` is the number of
+    /// survivors in grid rows `0..r`, so row `r` keeps the first
+    /// `row_offsets[r + 1] - row_offsets[r]` tiles of axis 0. One entry
+    /// per row plus a final total.
+    row_offsets: Vec<u64>,
 }
 
 impl CandidateSpace {
     /// Build the lazy space from the Rule-1–3 survivors. `smem_limit`
     /// enables Rule 4 (`Some(Shm_max)`) or disables it (`None`, the
-    /// `-rule4` ablation). `stats` carries the waterfall up to
-    /// `after_rule3`; `after_rule4` is finalized here from the exact
-    /// survivor count.
+    /// `-rule4` ablation: every row's prefix is the whole row). `stats`
+    /// carries the waterfall up to `after_rule3`; `after_rule4` is
+    /// finalized here from the exact survivor count.
     pub(crate) fn build(
         chain: &ChainSpec,
         exprs: Vec<TilingExpr>,
         tile_domains: Vec<Vec<u64>>,
         smem_limit: Option<u64>,
-        stats: PruneStats,
-    ) -> CandidateSpace {
-        Self::build_scanned(
-            chain,
-            exprs,
-            tile_domains,
-            smem_limit,
-            stats,
-            Rule4Scan::Auto,
-        )
-    }
-
-    /// [`CandidateSpace::build`] with an explicit Rule-4 scan strategy —
-    /// the hook behind the frontier ≡ dense equivalence tests and the
-    /// pruning benchmarks.
-    pub(crate) fn build_scanned(
-        chain: &ChainSpec,
-        exprs: Vec<TilingExpr>,
-        tile_domains: Vec<Vec<u64>>,
-        smem_limit: Option<u64>,
         mut stats: PruneStats,
-        scan: Rule4Scan,
     ) -> CandidateSpace {
         let grid_wide: u128 = tile_domains.iter().map(|d| d.len() as u128).product();
         assert!(
@@ -318,47 +152,29 @@ impl CandidateSpace {
             "Rule-3 tile grid exceeds u64 addressing"
         );
         let grid = grid_wide as u64;
-
-        let mut frontier_scanned = false;
-        let (rule4, combos, min_estimated_smem) = match smem_limit {
-            None => (Rule4Index::PassAll, grid, None),
-            Some(_) if grid == 0 => (Rule4Index::PassAll, 0, None),
-            Some(limit) => {
-                frontier_scanned = scan.use_frontier(&tile_domains, grid);
-                let (index, count, min_est) =
-                    scan_rule4(chain, &tile_domains, grid, limit, frontier_scanned);
-                (index, count, Some(min_est))
-            }
+        let row_len = tile_domains[0].len() as u64;
+        let rows = if grid == 0 { 0 } else { grid / row_len };
+        // With Rule 4 off (or nothing to filter) every row keeps all of
+        // axis 0.
+        let row_offsets = match smem_limit {
+            Some(limit) if rows > 0 => rule4_row_offsets(chain, &tile_domains, rows, limit),
+            _ => (0..=rows).map(|r| r * row_len).collect(),
         };
-
-        stats.after_rule4 = exprs.len() as u128 * combos as u128;
+        stats.after_rule4 = exprs.len() as u128 * row_offsets[rows as usize] as u128;
         CandidateSpace {
             chain: chain.clone(),
             exprs,
             tile_domains,
             stats,
             grid,
-            combos,
             smem_limit,
-            rule4,
-            min_estimated_smem,
-            decoded: fresh_decode_cache(),
-            decodes: AtomicU64::new(0),
-            decode_hits: AtomicU64::new(0),
-            frontier_scanned,
+            row_offsets,
         }
-    }
-
-    /// Whether the Rule-4 index came from the monotone frontier scan —
-    /// the probe behind the `Auto` threshold regression tests. `false`
-    /// for dense scans and Rule-4-disabled spaces.
-    pub fn frontier_scanned(&self) -> bool {
-        self.frontier_scanned
     }
 
     /// Number of candidates reachable by index (= `stats.after_rule4`).
     pub fn len(&self) -> u64 {
-        self.exprs.len() as u64 * self.combos
+        self.exprs.len() as u64 * self.surviving_combos()
     }
 
     /// Whether the pruned space has no candidates at all.
@@ -368,7 +184,7 @@ impl CandidateSpace {
 
     /// Rule-4-surviving tile combinations (per expression).
     pub fn surviving_combos(&self) -> u64 {
-        self.combos
+        self.row_offsets[self.row_offsets.len() - 1]
     }
 
     /// Size of the Rule-3 tile grid Rule 4 filtered.
@@ -377,146 +193,35 @@ impl CandidateSpace {
     }
 
     /// Smallest Eq. 1 shared-memory estimate across the Rule-3 grid.
-    /// `Some` only when Rule 4 ran over a non-empty grid; this is the
-    /// diagnostic surfaced when the filter rejects every combination.
+    /// `Some` only when Rule 4 is enabled and the grid is non-empty; this
+    /// is the diagnostic surfaced when the filter rejects every
+    /// combination. It estimates every combination, so only that error
+    /// path calls it.
     pub fn min_estimated_smem(&self) -> Option<u64> {
-        self.min_estimated_smem
+        self.smem_limit?;
+        (0..self.grid)
+            .map(|combo| estimate_shmem_bytes_for_tiles(&self.chain, &self.tiles_of(combo)))
+            .min()
     }
 
-    /// Decode candidate `idx` (`0..len()`). O(1) for compact/pass-all
-    /// grids, O(`RANK_BLOCK`) for block-ranked ones (amortized O(1)
-    /// within one block thanks to the decode cache).
+    /// Decode candidate `idx` (`0..len()`): a binary search over the
+    /// rows, then arithmetic.
     ///
     /// # Panics
     /// If `idx >= len()`.
     pub fn candidate(&self, idx: u64) -> Candidate {
         assert!(idx < self.len(), "candidate index {idx} out of range");
-        let expr = &self.exprs[(idx / self.combos) as usize];
-        let combo = self.combo_id(idx % self.combos);
-        Candidate::new(expr.clone(), self.tiles_of(combo))
+        let combos = self.surviving_combos();
+        let expr = &self.exprs[(idx / combos) as usize];
+        Candidate::new(expr.clone(), self.tiles_of(self.combo_id(idx % combos)))
     }
 
-    /// Map a survivor rank (`0..surviving_combos()`) to its tile-grid id.
+    /// Map a survivor rank (`0..surviving_combos()`) to its tile-grid id:
+    /// the last row whose survivors start at or before the rank, then the
+    /// rank's offset into that row's axis-0 prefix.
     fn combo_id(&self, rank: u64) -> u64 {
-        match &self.rule4 {
-            Rule4Index::PassAll => rank,
-            Rule4Index::Compact(ids) => ids[rank as usize],
-            Rule4Index::Ranked(cum) => {
-                // Last block whose prefix count is ≤ rank, then the
-                // rank-th survivor within it from the block cache.
-                let block = (cum.partition_point(|&c| c <= rank) - 1) as u64;
-                let offset = (rank - cum[block as usize]) as usize;
-                let mut cached = self.decode_shard().lock();
-                let ids = self.decoded_block_ids(&mut cached, block);
-                ids[offset]
-            }
-        }
-    }
-
-    /// The survivor ids of `block`, decoded through the small block
-    /// cache: a hit is O(1) (and refreshes the entry's recency); a miss
-    /// re-filters the block, inserts it most-recent first, and evicts the
-    /// oldest entry past [`DECODE_CACHE_SLOTS`]. The re-filter mirrors
-    /// the build-time scan split: when axis 0 offers at least
-    /// [`FRONTIER_MIN_AXIS`] options the block is rebuilt row-by-row with
-    /// one `partition_point` binary search per row (each row's survivors
-    /// are a prefix of axis 0 — Eq. 1 is monotone and the domains
-    /// ascend), `O(rows · log |axis₀|)` estimates instead of
-    /// O(`RANK_BLOCK`); narrow axes keep the dense odometer sweep.
-    fn decoded_block_ids<'a>(&self, cached: &'a mut Vec<DecodedBlock>, block: u64) -> &'a [u64] {
-        if let Some(pos) = cached.iter().position(|d| d.block == block) {
-            let hit = cached.remove(pos);
-            cached.insert(0, hit);
-            self.decode_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            let limit = self.smem_limit.expect("ranked index implies Rule 4");
-            let lo = block * RANK_BLOCK;
-            let hi = (lo + RANK_BLOCK).min(self.grid);
-            let mut ids = Vec::new();
-            let d0 = &self.tile_domains[0];
-            if d0.len() >= FRONTIER_MIN_AXIS {
-                let row_len = d0.len() as u64;
-                let mut row = lo / row_len;
-                let mut rest = row;
-                let mut digits: Vec<usize> = self.tile_domains[1..]
-                    .iter()
-                    .map(|d| {
-                        let i = (rest % d.len() as u64) as usize;
-                        rest /= d.len() as u64;
-                        i
-                    })
-                    .collect();
-                let mut tiles: Vec<u64> = std::iter::once(d0[0])
-                    .chain(
-                        digits
-                            .iter()
-                            .zip(&self.tile_domains[1..])
-                            .map(|(&i, d)| d[i]),
-                    )
-                    .collect();
-                while row * row_len < hi {
-                    let base = row * row_len;
-                    let cnt = d0.partition_point(|&t| {
-                        tiles[0] = t;
-                        combo_fits(&self.chain, &tiles, limit)
-                    }) as u64;
-                    // Clip the surviving prefix run to the block.
-                    let s = base.max(lo);
-                    let e = (base + cnt).min(hi);
-                    if s < e {
-                        ids.extend(s..e);
-                    }
-                    row += 1;
-                    for (a, d) in self.tile_domains[1..].iter().enumerate() {
-                        digits[a] += 1;
-                        if digits[a] < d.len() {
-                            tiles[a + 1] = d[digits[a]];
-                            break;
-                        }
-                        digits[a] = 0;
-                        tiles[a + 1] = d[0];
-                    }
-                }
-            } else {
-                let mut odo = Odometer::at(&self.tile_domains, lo);
-                for id in lo..hi {
-                    if combo_fits(&self.chain, odo.tiles(), limit) {
-                        ids.push(id);
-                    }
-                    odo.step();
-                }
-            }
-            self.decodes.fetch_add(1, Ordering::Relaxed);
-            cached.insert(0, DecodedBlock { block, ids });
-            cached.truncate(DECODE_CACHE_SLOTS);
-        }
-        &cached[0].ids
-    }
-
-    /// The calling thread's decode-cache shard (hash of the thread id) —
-    /// one thread always lands on one shard, so single-threaded searches
-    /// keep the exact slot behavior (and decode counts) of the old
-    /// unsharded cache.
-    fn decode_shard(&self) -> &Mutex<Vec<DecodedBlock>> {
-        use std::hash::{Hash, Hasher};
-        let mut h = rustc_hash::FxHasher::default();
-        std::thread::current().id().hash(&mut h);
-        &self.decoded[(h.finish() as usize) % self.decoded.len()]
-    }
-
-    /// How many `Ranked`-index block re-filters have run so far (decode
-    /// *misses*) — the probe behind the decode-cache regression tests.
-    /// Always 0 for pass-all and compact grids.
-    pub fn ranked_block_decodes(&self) -> u64 {
-        self.decodes.load(Ordering::Relaxed)
-    }
-
-    /// How many `Ranked`-index block lookups were served from a decode
-    /// shard without a re-filter (decode *hits*). A healthy
-    /// sampling-heavy search shows hits ≫ decodes; cross-thread shard
-    /// contention would depress this toward zero.
-    pub fn ranked_block_decode_hits(&self) -> u64 {
-        self.decode_hits.load(Ordering::Relaxed)
+        let row = self.row_offsets.partition_point(|&c| c <= rank) - 1;
+        row as u64 * self.tile_domains[0].len() as u64 + (rank - self.row_offsets[row])
     }
 
     /// The dense index of a candidate, or `None` if the candidate is not
@@ -529,67 +234,51 @@ impl CandidateSpace {
         if cand.tiles.len() != self.tile_domains.len() {
             return None;
         }
-        // Encode the tile vector as a grid id (axis 0 fastest).
-        let mut combo = 0u64;
-        let mut mul = 1u64;
-        for (d, &t) in self.tile_domains.iter().zip(&cand.tiles) {
-            let pos = d.iter().position(|&x| x == t)? as u64;
-            combo += pos * mul;
-            mul *= d.len() as u64;
+        // Axis 0 gives the offset into the row; axes 1.. give the row
+        // (mixed radix, axis 1 fastest).
+        let offset = self.tile_domains[0]
+            .iter()
+            .position(|&x| x == cand.tiles[0])? as u64;
+        let mut row = 0usize;
+        let mut mul = 1usize;
+        for (d, &t) in self.tile_domains[1..].iter().zip(&cand.tiles[1..]) {
+            row += d.iter().position(|&x| x == t)? * mul;
+            mul *= d.len();
         }
-        let rank = match &self.rule4 {
-            Rule4Index::PassAll => combo,
-            Rule4Index::Compact(ids) => ids.binary_search(&combo).ok()? as u64,
-            Rule4Index::Ranked(cum) => {
-                let block = combo / RANK_BLOCK;
-                let mut cached = self.decode_shard().lock();
-                let ids = self.decoded_block_ids(&mut cached, block);
-                let within = ids.binary_search(&combo).ok()? as u64;
-                cum[block as usize] + within
-            }
-        };
-        Some(ei * self.combos + rank)
+        let first = self.row_offsets[row];
+        (offset < self.row_offsets[row + 1] - first)
+            .then(|| ei * self.surviving_combos() + first + offset)
     }
 
-    /// Decode a tile-grid id to its tile vector (axis 0 fastest — the
-    /// same odometer order the eager materialization enumerated).
+    /// Decode a tile-grid id to its tile vector: mixed-radix with axis 0
+    /// as the fastest digit — the same odometer order the eager
+    /// materialization enumerated.
     fn tiles_of(&self, combo: u64) -> Vec<u64> {
-        decode_tiles(&self.tile_domains, combo)
+        let mut rest = combo;
+        self.tile_domains
+            .iter()
+            .map(|d| {
+                let t = d[(rest % d.len() as u64) as usize];
+                rest /= d.len() as u64;
+                t
+            })
+            .collect()
     }
 
     /// Stream every candidate in index order without materializing any.
     /// `iter().nth(i)` equals [`CandidateSpace::candidate`]`(i)`.
     pub fn iter(&self) -> impl Iterator<Item = Candidate> + '_ {
-        // For the block-rank index the survivor ids are gathered once up
-        // front (one grid scan shared by all expressions, O(survivors)
-        // transient memory); pass-all and compact grids replay their ids
-        // per expression for free.
-        let ranked_ids: Option<std::sync::Arc<Vec<u64>>> = match &self.rule4 {
-            Rule4Index::Ranked(_) => Some(std::sync::Arc::new(self.scan_ids().collect())),
-            _ => None,
-        };
+        let row_len = self.tile_domains[0].len() as u64;
         self.exprs.iter().flat_map(move |e| {
-            let ids: Box<dyn Iterator<Item = u64> + Send + '_> = match (&self.rule4, &ranked_ids) {
-                (Rule4Index::PassAll, _) => Box::new(0..self.combos),
-                (Rule4Index::Compact(ids), _) => Box::new(ids.iter().copied()),
-                (Rule4Index::Ranked(_), Some(ids)) => {
-                    let ids = ids.clone();
-                    Box::new((0..ids.len()).map(move |k| ids[k]))
+            // Walk the ranks in order, stepping the row past every row
+            // whose survivors all come before the rank.
+            (0..self.surviving_combos()).scan(0, move |row, rank| {
+                while self.row_offsets[*row + 1] <= rank {
+                    *row += 1;
                 }
-                (Rule4Index::Ranked(_), None) => unreachable!("ranked ids gathered above"),
-            };
-            ids.map(move |id| Candidate::new(e.clone(), self.tiles_of(id)))
-        })
-    }
-
-    /// Surviving grid ids by re-filtering the whole grid (Ranked mode).
-    fn scan_ids(&self) -> impl Iterator<Item = u64> + '_ {
-        let limit = self.smem_limit.expect("ranked index implies Rule 4");
-        let mut odo = Odometer::at(&self.tile_domains, 0);
-        (0..self.grid).filter(move |_| {
-            let fits = combo_fits(&self.chain, odo.tiles(), limit);
-            odo.step();
-            fits
+                let combo = *row as u64 * row_len + (rank - self.row_offsets[*row]);
+                Some(Candidate::new(e.clone(), self.tiles_of(combo)))
+            })
         })
     }
 
@@ -607,187 +296,24 @@ impl CandidateSpace {
     }
 }
 
-/// Decode a tile-grid id to its tile vector: mixed-radix with axis 0 as
-/// the fastest digit — the same odometer order the eager materialization
-/// enumerated. The single source of the index ↔ tiles contract; every
-/// other decoder ([`Odometer`], [`CandidateSpace::tiles_of`]) goes
-/// through here or is property-tested against it.
-fn decode_tiles(tile_domains: &[Vec<u64>], combo: u64) -> Vec<u64> {
-    let mut rest = combo;
-    tile_domains
-        .iter()
-        .map(|d| {
-            let t = d[(rest % d.len() as u64) as usize];
-            rest /= d.len() as u64;
-            t
-        })
-        .collect()
-}
-
 /// Rule-4 test for a decoded tile vector (Eq. 1 is
 /// expression-independent, so no `Candidate` is built).
 fn combo_fits(chain: &ChainSpec, tiles: &[u64], limit: u64) -> bool {
     estimate_shmem_bytes_for_tiles(chain, tiles) as f64 <= RULE4_MARGIN * limit as f64
 }
 
-/// An incremental mixed-radix counter over the tile grid: sequential
-/// scans reuse one tiles buffer instead of re-decoding (and
-/// re-allocating) every id.
-struct Odometer<'a> {
-    domains: &'a [Vec<u64>],
-    digits: Vec<usize>,
-    tiles: Vec<u64>,
-}
-
-impl<'a> Odometer<'a> {
-    /// Position the counter at grid id `combo`.
-    fn at(domains: &'a [Vec<u64>], combo: u64) -> Odometer<'a> {
-        let mut rest = combo;
-        let digits: Vec<usize> = domains
-            .iter()
-            .map(|d| {
-                let i = (rest % d.len() as u64) as usize;
-                rest /= d.len() as u64;
-                i
-            })
-            .collect();
-        let tiles = digits.iter().zip(domains).map(|(&i, d)| d[i]).collect();
-        Odometer {
-            domains,
-            digits,
-            tiles,
-        }
-    }
-
-    /// The tile vector at the current position.
-    fn tiles(&self) -> &[u64] {
-        &self.tiles
-    }
-
-    /// Advance to the next grid id (no-op past the end).
-    fn step(&mut self) {
-        for (a, d) in self.domains.iter().enumerate() {
-            self.digits[a] += 1;
-            if self.digits[a] < d.len() {
-                self.tiles[a] = d[self.digits[a]];
-                return;
-            }
-            self.digits[a] = 0;
-            self.tiles[a] = d[0];
-        }
-    }
-}
-
-/// One frontier-scanned chunk of the grid (ids `lo..hi`, block-aligned
-/// like the dense chunks): for every grid *row* intersecting the chunk —
-/// a row is the `|axis₀|` consecutive ids sharing the digits of axes
-/// `1..` — binary-search the largest surviving extent of axis 0 (Eq. 1
-/// is monotone non-decreasing in each tile and the domains are
-/// ascending, so each row's survivors are a prefix), then clip the
-/// surviving run to the chunk. Payload semantics match the dense scan
-/// exactly: survivor ids (compact) or per-block counts (ranked).
-/// `min_est` is settled globally by the caller (monotonicity puts the
-/// grid minimum at combo 0), so chunks report `u64::MAX`.
-#[allow(clippy::too_many_arguments)]
-fn scan_chunk_frontier(
+/// The Rule-4 survivor index over a grid of `rows` rows: each row's
+/// survivor count, split into contiguous row ranges across the host's
+/// cores (each range fills its own slots, so the outcome is identical at
+/// any thread count), then prefix-summed into `rows + 1` offsets.
+fn rule4_row_offsets(
     chain: &ChainSpec,
     tile_domains: &[Vec<u64>],
-    grid: u64,
+    rows: u64,
     limit: u64,
-    compact: bool,
-    lo_block: u64,
-    hi_block: u64,
-) -> ScanPart {
-    let lo = lo_block * RANK_BLOCK;
-    let hi = (hi_block * RANK_BLOCK).min(grid);
-    let d0 = &tile_domains[0];
-    let row_len = d0.len() as u64;
-    let mut payload = if compact {
-        Vec::new()
-    } else {
-        vec![0u64; (hi_block - lo_block) as usize]
-    };
-    let mut count = 0u64;
-    if lo >= hi {
-        return ScanPart {
-            payload,
-            count,
-            min_est: u64::MAX,
-        };
-    }
-
-    // Row odometer over axes 1.. (axis 0 is the binary-searched digit).
-    let mut row = lo / row_len;
-    let mut rest = row;
-    let mut digits: Vec<usize> = tile_domains[1..]
-        .iter()
-        .map(|d| {
-            let i = (rest % d.len() as u64) as usize;
-            rest /= d.len() as u64;
-            i
-        })
-        .collect();
-    let mut tiles: Vec<u64> = std::iter::once(d0[0])
-        .chain(digits.iter().zip(&tile_domains[1..]).map(|(&i, d)| d[i]))
-        .collect();
-
-    while row * row_len < hi {
-        let base = row * row_len;
-        let cnt = d0.partition_point(|&t| {
-            tiles[0] = t;
-            combo_fits(chain, &tiles, limit)
-        }) as u64;
-        // Clip the surviving prefix run [base, base + cnt) to the chunk.
-        let s = base.max(lo);
-        let e = (base + cnt).min(hi);
-        if s < e {
-            count += e - s;
-            if compact {
-                payload.extend(s..e);
-            } else {
-                let mut b = s / RANK_BLOCK;
-                while b * RANK_BLOCK < e {
-                    let b_lo = (b * RANK_BLOCK).max(s);
-                    let b_hi = ((b + 1) * RANK_BLOCK).min(e);
-                    payload[(b - lo_block) as usize] += b_hi - b_lo;
-                    b += 1;
-                }
-            }
-        }
-        row += 1;
-        for (a, d) in tile_domains[1..].iter().enumerate() {
-            digits[a] += 1;
-            if digits[a] < d.len() {
-                tiles[a + 1] = d[digits[a]];
-                break;
-            }
-            digits[a] = 0;
-            tiles[a + 1] = d[0];
-        }
-    }
-    ScanPart {
-        payload,
-        count,
-        min_est: u64::MAX,
-    }
-}
-
-/// The parallel Rule-4 scan: one pass over the Rule-3 grid, split into
-/// contiguous chunks across the host's cores (chunk results concatenate
-/// in order, so the outcome is identical at any thread count). With
-/// `frontier` set, each chunk runs the monotone per-axis frontier
-/// instead of the dense estimate-per-combination loop — same survivor
-/// index, `O(rows · log |axis₀|)` estimates instead of `O(grid)`.
-/// Returns the survivor index, the exact survivor count, and the
-/// smallest estimate anywhere in the grid.
-fn scan_rule4(
-    chain: &ChainSpec,
-    tile_domains: &[Vec<u64>],
-    grid: u64,
-    limit: u64,
-    frontier: bool,
-) -> (Rule4Index, u64, u64) {
-    let compact = grid <= COMPACT_LIMIT;
+) -> Vec<u64> {
+    let mut offsets = vec![0u64; rows as usize + 1];
+    let grid = rows * tile_domains[0].len() as u64;
     let threads = if grid < MIN_CHUNK {
         1
     } else {
@@ -796,113 +322,64 @@ fn scan_rule4(
             .unwrap_or(1)
             .min(grid.div_ceil(MIN_CHUNK) as usize)
     };
-    // Chunk boundaries are block-aligned so ranked per-block counts never
-    // straddle a chunk.
-    let blocks = grid.div_ceil(RANK_BLOCK);
-    let blocks_per_chunk = blocks.div_ceil(threads as u64);
-
-    let scan_chunk = |chunk: usize| -> ScanPart {
-        // The last chunks of an uneven split can land past the end;
-        // clamping makes them empty instead of inverted.
-        let lo_block = (chunk as u64 * blocks_per_chunk).min(blocks);
-        let hi_block = (lo_block + blocks_per_chunk).min(blocks);
-        if frontier {
-            return scan_chunk_frontier(
-                chain,
-                tile_domains,
-                grid,
-                limit,
-                compact,
-                lo_block,
-                hi_block,
-            );
-        }
-        let lo = lo_block * RANK_BLOCK;
-        let hi = (hi_block * RANK_BLOCK).min(grid);
-        let mut payload = Vec::new();
-        let mut count = 0u64;
-        let mut min_est = u64::MAX;
-        let mut odo = Odometer::at(tile_domains, lo);
-        if compact {
-            for id in lo..hi {
-                let est = estimate_shmem_bytes_for_tiles(chain, odo.tiles());
-                min_est = min_est.min(est);
-                if est as f64 <= RULE4_MARGIN * limit as f64 {
-                    payload.push(id);
-                    count += 1;
-                }
-                odo.step();
-            }
-        } else {
-            for block in lo_block..hi_block {
-                let b_hi = ((block + 1) * RANK_BLOCK).min(grid);
-                let mut block_count = 0u64;
-                for _ in block * RANK_BLOCK..b_hi {
-                    let est = estimate_shmem_bytes_for_tiles(chain, odo.tiles());
-                    min_est = min_est.min(est);
-                    if est as f64 <= RULE4_MARGIN * limit as f64 {
-                        block_count += 1;
-                    }
-                    odo.step();
-                }
-                payload.push(block_count);
-                count += block_count;
-            }
-        }
-        ScanPart {
-            payload,
-            count,
-            min_est,
-        }
-    };
-
-    let parts: Vec<ScanPart> = if threads <= 1 {
-        vec![scan_chunk(0)]
+    let counts = &mut offsets[1..];
+    if threads <= 1 {
+        count_row_survivors(chain, tile_domains, limit, 0, counts);
     } else {
-        let mut slots: Vec<Option<ScanPart>> = (0..threads).map(|_| None).collect();
+        let per_chunk = counts.len().div_ceil(threads);
         std::thread::scope(|s| {
-            for (chunk, slot) in slots.iter_mut().enumerate() {
-                let scan = &scan_chunk;
-                s.spawn(move || *slot = Some(scan(chunk)));
+            for (k, chunk) in counts.chunks_mut(per_chunk).enumerate() {
+                let first = (k * per_chunk) as u64;
+                s.spawn(move || count_row_survivors(chain, tile_domains, limit, first, chunk));
             }
         });
-        slots
-            .into_iter()
-            .map(|p| p.expect("chunk scanned"))
-            .collect()
-    };
-
-    let count: u64 = parts.iter().map(|p| p.count).sum();
-    let min_est = if frontier {
-        // Monotonicity puts the grid minimum at the all-smallest-tiles
-        // combination (id 0) — the same value the dense scan reports.
-        estimate_shmem_bytes_for_tiles(chain, &decode_tiles(tile_domains, 0))
-    } else {
-        parts.iter().map(|p| p.min_est).min().unwrap_or(u64::MAX)
-    };
-    if count == grid {
-        // Nothing rejected: the index is the identity.
-        return (Rule4Index::PassAll, count, min_est);
     }
-    if compact {
-        let mut ids = Vec::with_capacity(count as usize);
-        for p in parts {
-            ids.extend(p.payload);
-        }
-        (Rule4Index::Compact(ids), count, min_est)
-    } else {
-        // Prefix-sum the per-block counts: cum[b] = survivors before
-        // block b; cum.len() == blocks + 1.
-        let mut cum = Vec::with_capacity(blocks as usize + 1);
-        cum.push(0u64);
-        let mut running = 0u64;
-        for p in parts {
-            for c in p.payload {
-                running += c;
-                cum.push(running);
+    for r in 1..offsets.len() {
+        offsets[r] += offsets[r - 1];
+    }
+    offsets
+}
+
+/// Fill `counts[i]` with the Rule-4 survivors of grid row `first + i`.
+/// Eq. 1 never decreases along axis 0 and its Rule-3 domain ascends, so
+/// a row's survivors are a prefix of axis 0, found by one binary search.
+/// (Only axis 0 is monotone: a tail LayerNorm's streamed panel makes the
+/// estimate fall along the last axis.)
+fn count_row_survivors(
+    chain: &ChainSpec,
+    tile_domains: &[Vec<u64>],
+    limit: u64,
+    first: u64,
+    counts: &mut [u64],
+) {
+    let (d0, rest) = tile_domains.split_first().expect("a chain has axes");
+    // Row odometer over axes 1..; `tiles[0]` is the binary-searched slot.
+    let mut row = first;
+    let mut digits: Vec<usize> = rest
+        .iter()
+        .map(|d| {
+            let i = (row % d.len() as u64) as usize;
+            row /= d.len() as u64;
+            i
+        })
+        .collect();
+    let mut tiles: Vec<u64> = std::iter::once(d0[0])
+        .chain(digits.iter().zip(rest).map(|(&i, d)| d[i]))
+        .collect();
+    for count in counts {
+        *count = d0.partition_point(|&t| {
+            tiles[0] = t;
+            combo_fits(chain, &tiles, limit)
+        }) as u64;
+        for (a, d) in rest.iter().enumerate() {
+            digits[a] += 1;
+            if digits[a] < d.len() {
+                tiles[a + 1] = d[digits[a]];
+                break;
             }
+            digits[a] = 0;
+            tiles[a + 1] = d[0];
         }
-        (Rule4Index::Ranked(cum), count, min_est)
     }
 }
 
@@ -948,11 +425,6 @@ pub fn space_fingerprint(
 /// [`EngineStats::space_cache_hits`](crate::EngineStats::space_cache_hits);
 /// fresh builds are counted by the *caller* (the engine's
 /// `space_builds` probe covers the cache-disabled path too).
-///
-/// Note on `Ranked`-index grids (> `COMPACT_LIMIT` combinations): the
-/// shared space's interior decode cache is sharded by thread
-/// (`DECODE_SHARDS` mutex-guarded block caches), so concurrent searches
-/// over one huge-grid space rarely contend on the same shard.
 #[derive(Debug)]
 pub struct SpaceCache {
     entries: Mutex<SpaceCacheInner>,
@@ -1058,24 +530,6 @@ impl SpaceCache {
     /// Spaces dropped by the LRU bound.
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Aggregate `(hits, misses)` of the `Ranked` block-decode caches
-    /// across every resident space — the contention probe surfaced
-    /// through [`EngineStats`](crate::EngineStats). Evicted spaces take
-    /// their counters with them, so this reflects the current working
-    /// set, like [`SpaceCache::len`].
-    pub fn decode_counters(&self) -> (u64, u64) {
-        let entries = self.entries.lock();
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        for e in entries.map.values() {
-            if let Some(s) = e.cell.get() {
-                hits += s.ranked_block_decode_hits();
-                misses += s.ranked_block_decodes();
-            }
-        }
-        (hits, misses)
     }
 
     /// Number of cached spaces.
@@ -1207,77 +661,16 @@ mod tests {
     }
 
     #[test]
-    fn ranked_index_agrees_with_compact() {
-        // Force the block-rank path on a grid the compact path also
-        // handles, and check they decode identically.
+    fn index_of_inverts_candidate_with_and_without_rule4() {
         let chain = ChainSpec::gemm_chain("g", 1, 512, 512, 256, 256);
-        let space = pruned(&chain);
-        let limit = space.smem_limit.unwrap();
-        let (ranked, count, _) = {
-            // Rebuild with a forced Ranked index.
-            let grid = space.grid;
-            let blocks = grid.div_ceil(RANK_BLOCK);
-            let mut cum = Vec::with_capacity(blocks as usize + 1);
-            cum.push(0u64);
-            let mut running = 0;
-            let mut odo = Odometer::at(&space.tile_domains, 0);
-            for b in 0..blocks {
-                let hi = ((b + 1) * RANK_BLOCK).min(grid);
-                for _ in b * RANK_BLOCK..hi {
-                    if combo_fits(&chain, odo.tiles(), limit) {
-                        running += 1;
-                    }
-                    odo.step();
-                }
-                cum.push(running);
-            }
-            (Rule4Index::Ranked(cum), running, ())
-        };
-        assert_eq!(count, space.surviving_combos());
-        let mut forced = space.clone();
-        forced.rule4 = ranked;
-        for idx in (0..space.len()).step_by((space.len() / 53).max(1) as usize) {
-            assert_eq!(space.candidate(idx), forced.candidate(idx));
-        }
-    }
-
-    /// Rebuild a space with its Rule-4 index forced into `Ranked` form
-    /// (normally only grids past `COMPACT_LIMIT` use it).
-    fn force_ranked(space: &CandidateSpace) -> CandidateSpace {
-        let limit = space.smem_limit.unwrap();
-        let grid = space.grid;
-        let blocks = grid.div_ceil(RANK_BLOCK);
-        let mut cum = Vec::with_capacity(blocks as usize + 1);
-        cum.push(0u64);
-        let mut running = 0;
-        let mut odo = Odometer::at(&space.tile_domains, 0);
-        for b in 0..blocks {
-            let hi = ((b + 1) * RANK_BLOCK).min(grid);
-            for _ in b * RANK_BLOCK..hi {
-                if combo_fits(&space.chain, odo.tiles(), limit) {
-                    running += 1;
-                }
-                odo.step();
-            }
-            cum.push(running);
-        }
-        assert_eq!(running, space.surviving_combos());
-        let mut forced = space.clone();
-        forced.rule4 = Rule4Index::Ranked(cum);
-        forced
-    }
-
-    #[test]
-    fn index_of_inverts_candidate_on_every_index_form() {
-        let chain = ChainSpec::gemm_chain("g", 1, 512, 512, 256, 256);
-        let compact = pruned(&chain);
-        let ranked = force_ranked(&compact);
+        let filtered = pruned(&chain);
         let passall = {
             let space = SearchSpace::generate(&chain);
             let (reps, domains, stats) = crate::prune::rules123(&chain, &space);
             CandidateSpace::build(&chain, reps, domains, None, stats)
         };
-        for space in [&compact, &ranked, &passall] {
+        assert!(filtered.surviving_combos() < passall.surviving_combos());
+        for space in [&filtered, &passall] {
             let step = (space.len() / 67).max(1);
             let mut idx = 0;
             while idx < space.len() {
@@ -1311,81 +704,6 @@ mod tests {
         let mut short = space.candidate(0);
         short.tiles.pop();
         assert_eq!(space.index_of(&short), None);
-    }
-
-    #[test]
-    fn ranked_decode_cache_refilters_once_per_block() {
-        // Regression for the ROADMAP "ranked-index decode cost" item:
-        // before the cache, EVERY candidate() call on a Ranked grid paid
-        // an O(RANK_BLOCK) block re-filter; now repeated lookups in the
-        // same block pay exactly one.
-        let chain = ChainSpec::gemm_chain("g", 1, 512, 512, 256, 256);
-        let forced = force_ranked(&pruned(&chain));
-        assert_eq!(forced.ranked_block_decodes(), 0);
-
-        let first = forced.candidate(0);
-        assert_eq!(forced.ranked_block_decodes(), 1);
-        for _ in 0..50 {
-            assert_eq!(forced.candidate(0), first, "cache must not change decoding");
-        }
-        assert_eq!(
-            forced.ranked_block_decodes(),
-            1,
-            "same-block lookups must be served from the cache"
-        );
-        // index_of shares the same cache.
-        assert_eq!(forced.index_of(&first), Some(0));
-        assert_eq!(forced.ranked_block_decodes(), 1, "index_of hit the cache");
-
-        // Two cache slots: bouncing between two blocks (sampling via
-        // candidate() vs mutant re-encoding via index_of) decodes each
-        // block once, then every further lookup in either block hits.
-        let last = forced.surviving_combos() - 1;
-        let last_cand = forced.candidate(last);
-        let after_jump = forced.ranked_block_decodes();
-        assert!(after_jump <= 2);
-        assert_eq!(forced.candidate(last), last_cand);
-        assert_eq!(forced.ranked_block_decodes(), after_jump, "repeat is a hit");
-        for _ in 0..4 {
-            assert_eq!(forced.candidate(0), first);
-            assert_eq!(forced.candidate(last), last_cand);
-        }
-        assert_eq!(
-            forced.ranked_block_decodes(),
-            after_jump,
-            "alternating between two blocks stays within the cache"
-        );
-        // A fully random walk never decodes more often than it looks up.
-        let mut rng = StdRng::seed_from_u64(5);
-        let before = forced.ranked_block_decodes();
-        for _ in 0..32 {
-            forced.candidate(rng.gen_range(0..forced.len()));
-        }
-        assert!(forced.ranked_block_decodes() <= before + 32);
-    }
-
-    #[test]
-    fn ranked_refilter_frontier_and_dense_paths_agree() {
-        // m = 512 gives axis 0 ≥ FRONTIER_MIN_AXIS options (binary-search
-        // re-filter); m = 48 gives 3 (dense odometer fallback). Both must
-        // decode exactly what the compact index decodes.
-        for m in [512u64, 48] {
-            let chain = ChainSpec::gemm_chain("g", 1, m, 512, 256, 256);
-            let compact = pruned(&chain);
-            assert!(!compact.is_empty());
-            let forced = force_ranked(&compact);
-            let step = (compact.len() / 61).max(1);
-            let mut idx = 0;
-            while idx < compact.len() {
-                assert_eq!(
-                    compact.candidate(idx),
-                    forced.candidate(idx),
-                    "m={m} idx={idx}"
-                );
-                assert_eq!(forced.index_of(&compact.candidate(idx)), Some(idx));
-                idx += step;
-            }
-        }
     }
 
     #[test]

@@ -185,25 +185,13 @@ pub fn build_candidate_space(
     dev: &DeviceSpec,
     policy: &SpacePolicy,
 ) -> CandidateSpace {
-    build_candidate_space_scanned(chain, dev, policy, crate::space::Rule4Scan::Auto)
-}
-
-/// [`build_candidate_space`] with an explicit Rule-4 scan strategy —
-/// the entry point for the frontier ≡ dense equivalence tests and the
-/// pruning benchmarks; production code uses `Auto`.
-pub fn build_candidate_space_scanned(
-    chain: &ChainSpec,
-    dev: &DeviceSpec,
-    policy: &SpacePolicy,
-    scan: crate::space::Rule4Scan,
-) -> CandidateSpace {
     let mut space = SearchSpace::generate(chain);
     if policy.deep_tiling_only {
         space.exprs = mcfuser_tile::enumerate_deep(chain);
     }
     let (reps, tile_domains, stats) = crate::prune::rules123(chain, &space);
     let smem_limit = policy.shared_memory_pruning.then_some(dev.smem_per_block);
-    CandidateSpace::build_scanned(chain, reps, tile_domains, smem_limit, stats, scan)
+    CandidateSpace::build(chain, reps, tile_domains, smem_limit, stats)
 }
 
 /// Locate the first axis whose Rule-3 tile domain came back empty and
@@ -305,8 +293,7 @@ impl McFuser {
     /// [`SpaceCache`](crate::space::SpaceCache) builds the space (one
     /// Rule-4 scan) for the first chain of a shape and every same-shaped
     /// chain tunes in it via a shared `Arc` — results are identical to a
-    /// per-chain build because the search reads the space immutably (its
-    /// interior decode cache only memoizes, never changes decoding).
+    /// per-chain build because the search reads the space immutably.
     ///
     /// The space must have been built for a chain whose *content*
     /// (everything but the name) matches `chain` — see

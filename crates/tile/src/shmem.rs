@@ -7,10 +7,16 @@
 //! why the paper validates it against measured usage (Fig. 10) and prunes
 //! with a 1.2× error margin (Rule 4).
 //!
-//! Rule 4 evaluates the estimate once per Rule-3 tile combination under
-//! the dense scan, and once per binary-search probe under the frontier
-//! scan, so a call allocates nothing: the tensor census is an iterator
-//! and each tensor's axes are a fixed pair.
+//! Rule 4 evaluates the estimate once per binary-search probe along
+//! axis 0 of every Rule-3 tile-grid row, so a call allocates nothing: the
+//! tensor census is an iterator and each tensor's axes are a fixed pair.
+//!
+//! The estimate never decreases along axis 0 (`m`): that axis enters it
+//! only through non-negative products, and the one subtracted term (a
+//! tail LayerNorm's streamed panel, below) scales with the last weight's
+//! reduction tile, never with `m`. It is *not* monotone in every tile:
+//! that subtraction makes it fall along the last axis when the last tile
+//! reaches `d_L`.
 
 use mcfuser_ir::ChainSpec;
 
@@ -42,8 +48,9 @@ pub const RULE4_MARGIN: f64 = 1.2;
 /// which would force the final weight tile to hold a whole `t_k × d_L`
 /// panel. The lowering streams that panel in column slices of this width
 /// — the largest divisor of `d_L` that is ≤ 128 — so only one slice is
-/// resident at a time. Constant per chain, so the Rule-4 estimate stays
-/// monotone in every tile size.
+/// resident at a time. When `d_L > 128` the estimate drops the whole
+/// `t_k × d_L` panel once the last tile reaches `d_L`, so it can fall as
+/// the last tile grows (it still never decreases along axis 0).
 pub fn tail_panel_chunk(d_last: u64) -> u64 {
     if d_last <= 128 {
         return d_last;
@@ -251,6 +258,57 @@ mod tests {
             estimate_shmem_bytes_for_tiles(&c, &tiles),
             2 * (2048 + 2048 + 1024 + 4096 + 4096)
         );
+    }
+
+    /// How often Eq. 1 falls between neighbouring tiles along `axis`,
+    /// over every combination of each axis' tile options (a superset of
+    /// any Rule-3 domain, in the same ascending order).
+    fn decreases_along(c: &ChainSpec, axis: usize) -> usize {
+        let domains: Vec<Vec<u64>> = (0..c.num_axes())
+            .map(|a| crate::loops::tile_options(c.axis_extent(a)))
+            .collect();
+        let mut idx = vec![0usize; domains.len()];
+        let mut falls = 0;
+        loop {
+            if idx[axis] + 1 < domains[axis].len() {
+                let mut tiles: Vec<u64> = idx.iter().zip(&domains).map(|(&i, d)| d[i]).collect();
+                let here = estimate_shmem_bytes_for_tiles(c, &tiles);
+                tiles[axis] = domains[axis][idx[axis] + 1];
+                if estimate_shmem_bytes_for_tiles(c, &tiles) < here {
+                    falls += 1;
+                }
+            }
+            let Some(a) = (0..idx.len()).find(|&a| idx[a] + 1 < domains[a].len()) else {
+                return falls;
+            };
+            idx[a] += 1;
+            idx[..a].fill(0);
+        }
+    }
+
+    #[test]
+    fn estimate_never_decreases_along_axis_0_on_any_chain_family() {
+        let stitched = with_tail_layer_norm(512);
+        let families = [
+            ChainSpec::gemm_chain("gemm2", 1, 128, 128, 64, 128),
+            ChainSpec::chain(
+                "mlp3",
+                1,
+                96,
+                vec![64, 128, 64, 64],
+                vec![Epilogue::Relu; 3],
+            ),
+            ChainSpec::attention("attn", 4, 128, 128, 64, 64),
+            ChainSpec::masked_attention("masked", 4, 128, 128, 64, 64),
+            ChainSpec::chain("gemv", 1, 1, vec![128, 256, 128], vec![Epilogue::None; 2]),
+            stitched.clone(),
+        ];
+        for c in &families {
+            assert_eq!(decreases_along(c, 0), 0, "{}", c.name);
+        }
+        // The caveat the doc states: with d_L = 512 > 128 the streamed
+        // panel makes the estimate fall along the last axis.
+        assert!(decreases_along(&stitched, stitched.num_axes() - 1) > 0);
     }
 
     #[test]

@@ -5,22 +5,35 @@
 use proptest::prelude::*;
 
 use mcfuser::core::{
-    build_candidate_space, build_candidate_space_scanned, heuristic_search, prune, CandidateSpace,
-    Rule4Scan, SearchParams, SearchSpace, SpacePolicy, FRONTIER_MIN_GRID,
+    build_candidate_space, heuristic_search, prune, CandidateSpace, SearchParams, SearchSpace,
+    SpacePolicy,
 };
+use mcfuser::ir::{EpilogueStitch, PrologueSpec, ResidualSource};
 use mcfuser::prelude::*;
 use mcfuser::sim::TuningClock;
-use mcfuser::tile::{rule4_fits, Candidate, TilingExpr};
+use mcfuser::tile::{estimate_shmem_bytes_for_tiles, rule4_fits, Candidate, RULE4_MARGIN};
 
-/// The old eager materialization, reproduced as a reference oracle: an
-/// axis-0-fastest odometer over the Rule-3 tile domains, Rule 4 as an
-/// expression-independent pre-filter, then expression-major candidate
+/// The old eager materialization, reproduced as the reference oracle.
+struct Eager {
+    /// Every candidate, expression-major, in grid order.
+    candidates: Vec<Candidate>,
+    /// The tile combinations Rule 4 rejected.
+    rejected: Vec<Vec<u64>>,
+    /// The smallest Eq. 1 estimate over the whole grid.
+    min_estimate: Option<u64>,
+}
+
+/// An axis-0-fastest odometer over the Rule-3 tile domains that
+/// evaluates Rule 4 on every combination in grid order (an
+/// expression-independent pre-filter), then expression-major candidate
 /// construction. (The shipped version additionally clipped the result at
 /// 200 000 candidates and 10⁷ odometer steps — the bug under test — so
 /// the oracle is only run on small spaces.)
-fn eager_materialize(space: &CandidateSpace, smem_limit: Option<u64>) -> Vec<Candidate> {
+fn eager_materialize(space: &CandidateSpace, smem_limit: Option<u64>) -> Eager {
     let chain = &space.chain;
     let mut combos: Vec<Vec<u64>> = Vec::new();
+    let mut rejected = Vec::new();
+    let mut min_estimate = None::<u64>;
     if space.tile_domains.iter().all(|d| !d.is_empty()) {
         let mut idx = vec![0usize; space.tile_domains.len()];
         'outer: loop {
@@ -29,6 +42,8 @@ fn eager_materialize(space: &CandidateSpace, smem_limit: Option<u64>) -> Vec<Can
                 .enumerate()
                 .map(|(a, &i)| space.tile_domains[a][i])
                 .collect();
+            let est = estimate_shmem_bytes_for_tiles(chain, &tiles);
+            min_estimate = Some(min_estimate.map_or(est, |m| m.min(est)));
             let keep = match smem_limit {
                 Some(limit) => rule4_fits(
                     chain,
@@ -39,6 +54,8 @@ fn eager_materialize(space: &CandidateSpace, smem_limit: Option<u64>) -> Vec<Can
             };
             if keep {
                 combos.push(tiles);
+            } else {
+                rejected.push(tiles);
             }
             let mut a = 0;
             loop {
@@ -54,13 +71,55 @@ fn eager_materialize(space: &CandidateSpace, smem_limit: Option<u64>) -> Vec<Can
             }
         }
     }
-    let mut out = Vec::new();
+    let mut candidates = Vec::new();
     for e in &space.exprs {
         for tiles in &combos {
-            out.push(Candidate::new(e.clone(), tiles.clone()));
+            candidates.push(Candidate::new(e.clone(), tiles.clone()));
         }
     }
-    out
+    Eager {
+        candidates,
+        rejected,
+        min_estimate,
+    }
+}
+
+/// The space agrees with the dense oracle index for index: `len`,
+/// `stats.after_rule4`, `iter`, `candidate`, the `index_of` round trip,
+/// `index_of` on every rejected combination, and the diagnostic minimum.
+fn assert_matches_oracle(space: &CandidateSpace, smem_limit: Option<u64>) {
+    let name = &space.chain.name;
+    let eager = eager_materialize(space, smem_limit);
+    assert_eq!(space.len() as usize, eager.candidates.len(), "{name}: len");
+    assert_eq!(
+        space.stats.after_rule4,
+        eager.candidates.len() as u128,
+        "{name}: after_rule4"
+    );
+    let mut streamed = 0;
+    for (i, (lazy, reference)) in space.iter().zip(&eager.candidates).enumerate() {
+        assert_eq!(&lazy, reference, "{name}: stream diverges at {i}");
+        assert_eq!(
+            &space.candidate(i as u64),
+            reference,
+            "{name}: index diverges at {i}"
+        );
+        assert_eq!(
+            space.index_of(reference),
+            Some(i as u64),
+            "{name}: index_of at {i}"
+        );
+        streamed += 1;
+    }
+    assert_eq!(streamed, eager.candidates.len(), "{name}: stream length");
+    if let Some(expr) = space.exprs.first() {
+        for tiles in &eager.rejected {
+            let cand = Candidate::new(expr.clone(), tiles.clone());
+            assert_eq!(space.index_of(&cand), None, "{name}: rejected {tiles:?}");
+        }
+    }
+    let expected_min = smem_limit.and(eager.min_estimate);
+    assert_eq!(space.min_estimated_smem(), expected_min, "{name}: minimum");
 }
 
 fn small_chain_strategy() -> impl Strategy<Value = ChainSpec> {
@@ -81,7 +140,7 @@ fn device_strategy() -> impl Strategy<Value = DeviceSpec> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Lazy enumeration — streaming *and* O(1) indexing — is
+    /// Lazy enumeration — streaming, indexing and `index_of` — is
     /// index-for-index identical to the eager materialization, and
     /// `PruneStats::after_rule4` is exactly the reachable count.
     #[test]
@@ -91,13 +150,7 @@ proptest! {
     ) {
         let space = SearchSpace::generate(&chain);
         let pruned = prune(&chain, &dev, &space);
-        let eager = eager_materialize(&pruned, Some(dev.smem_per_block));
-        prop_assert_eq!(pruned.len() as usize, eager.len());
-        prop_assert_eq!(pruned.stats.after_rule4, eager.len() as u128);
-        for (i, (lazy, reference)) in pruned.iter().zip(eager.iter()).enumerate() {
-            prop_assert_eq!(&lazy, reference, "stream diverges at {}", i);
-            prop_assert_eq!(&pruned.candidate(i as u64), reference, "index diverges at {}", i);
-        }
+        assert_matches_oracle(&pruned, Some(dev.smem_per_block));
     }
 
     /// The `-rule4` ablation admits the whole Rule-3 grid through the
@@ -109,69 +162,120 @@ proptest! {
     ) {
         let policy = SpacePolicy { shared_memory_pruning: false, ..Default::default() };
         let pruned = build_candidate_space(&chain, &dev, &policy);
-        let eager = eager_materialize(&pruned, None);
-        prop_assert_eq!(pruned.len() as usize, eager.len());
-        let lazy: Vec<Candidate> = pruned.iter().collect();
-        prop_assert_eq!(lazy, eager);
+        prop_assert_eq!(pruned.surviving_combos(), pruned.grid_combos());
+        assert_matches_oracle(&pruned, None);
     }
+}
 
-    /// The frontier scan is the dense scan's oracle twin: for any chain
-    /// and device, forcing `Rule4Scan::Frontier` produces the *same*
-    /// survivor set — same count, same waterfall, same diagnostic
-    /// minimum estimate, and the same candidate at every index — while
-    /// touching O(surface) instead of O(volume) combinations. (The
-    /// frontier relies on Eq. 1 being monotone in each tile extent and
-    /// on ascending Rule-3 domains; this property test is what keeps
-    /// that assumption honest.)
-    #[test]
-    fn frontier_scan_equals_dense_scan(
-        chain in small_chain_strategy(),
-        dev in device_strategy(),
-    ) {
-        let policy = SpacePolicy::default();
-        let dense = build_candidate_space_scanned(&chain, &dev, &policy, Rule4Scan::Dense);
-        let frontier = build_candidate_space_scanned(&chain, &dev, &policy, Rule4Scan::Frontier);
-        prop_assert!(!dense.frontier_scanned());
-        prop_assert!(frontier.frontier_scanned());
-        prop_assert_eq!(dense.len(), frontier.len());
-        prop_assert_eq!(dense.surviving_combos(), frontier.surviving_combos());
-        prop_assert_eq!(&dense.stats, &frontier.stats);
-        prop_assert_eq!(dense.min_estimated_smem(), frontier.min_estimated_smem());
-        for i in 0..dense.len() {
-            prop_assert_eq!(
-                dense.candidate(i),
-                frontier.candidate(i),
-                "survivor {} diverges",
-                i
-            );
+/// A stitched FFN with a residual LayerNorm prologue and a tail
+/// LayerNorm over d_L = 512 > 128: its last weight panel streams, so
+/// Eq. 1 falls along the last axis and Rule 4 flips from reject to
+/// accept there.
+fn stitched_tail_layer_norm() -> ChainSpec {
+    let mut chain = ChainSpec::gemm_chain("ffn-tail-ln", 1, 512, 2048, 512, 512);
+    chain.prologue = Some(PrologueSpec {
+        residual: true,
+        affine: true,
+        a_half: false,
+        eps: 1e-5,
+    });
+    chain.stitch_epilogue = Some(EpilogueStitch {
+        residual: ResidualSource::PrologueOut,
+        layer_norm: true,
+        affine: true,
+        eps: 1e-5,
+    });
+    chain
+}
+
+/// Every chain family the partitioner emits: plain 2- and 3-GEMM,
+/// attention, masked attention, an m = 1 GEMV chain and the stitched
+/// tail-LayerNorm chain.
+fn chain_families() -> [ChainSpec; 6] {
+    [
+        ChainSpec::gemm_chain("gemm2", 2, 256, 128, 64, 128),
+        ChainSpec::chain(
+            "mlp3",
+            1,
+            96,
+            vec![128, 256, 128, 64],
+            vec![Epilogue::Relu, Epilogue::Relu, Epilogue::None],
+        ),
+        ChainSpec::attention("attn", 4, 128, 256, 64, 64),
+        ChainSpec::masked_attention("masked-attn", 4, 128, 256, 64, 64),
+        ChainSpec::chain(
+            "gemv",
+            1,
+            1,
+            vec![256, 1024, 256],
+            vec![Epilogue::Relu, Epilogue::None],
+        ),
+        stitched_tail_layer_norm(),
+    ]
+}
+
+/// The frontier scan that builds the index — one binary search per grid
+/// row for the end of the row's axis-0 prefix of Rule-4 survivors —
+/// equals the dense scan that estimates every combination, on every
+/// chain family and both devices. That includes the stitched
+/// tail-LayerNorm chain, whose estimate is monotone along axis 0 only.
+#[test]
+fn frontier_scan_equals_dense_scan() {
+    for dev in [DeviceSpec::a100(), DeviceSpec::rtx3080()] {
+        for chain in &chain_families() {
+            let space = build_candidate_space(chain, &dev, &SpacePolicy::default());
+            assert!(!space.is_empty(), "{} on {}", chain.name, dev.name);
+            assert_matches_oracle(&space, Some(dev.smem_per_block));
         }
     }
 
-    /// With Rule 4 disabled there is nothing to scan: both strategies
-    /// degrade to the identical pass-all space.
-    #[test]
-    fn frontier_scan_equals_dense_scan_without_rule4(
-        chain in small_chain_strategy(),
-        dev in device_strategy(),
-    ) {
-        let policy = SpacePolicy { shared_memory_pruning: false, ..Default::default() };
-        let dense = build_candidate_space_scanned(&chain, &dev, &policy, Rule4Scan::Dense);
-        let frontier = build_candidate_space_scanned(&chain, &dev, &policy, Rule4Scan::Frontier);
-        prop_assert!(!frontier.frontier_scanned(), "no Rule 4, no scan");
-        prop_assert_eq!(dense.len(), frontier.len());
-        prop_assert_eq!(dense.surviving_combos(), dense.grid_combos());
-        prop_assert_eq!(&dense.stats, &frontier.stats);
-        let step = (dense.len() / 97).max(1);
-        let mut i = 0;
-        while i < dense.len() {
-            prop_assert_eq!(dense.candidate(i), frontier.candidate(i));
-            i += step;
+    // The stitched chain really exercises the caveat: on the A100 some
+    // row is rejected at a partial last tile and accepted at the full
+    // row, so an index that assumed monotonicity along the last axis
+    // would drop survivors.
+    let chain = stitched_tail_layer_norm();
+    let dev = DeviceSpec::a100();
+    let space = build_candidate_space(&chain, &dev, &SpacePolicy::default());
+    let last = space.tile_domains.len() - 1;
+    let d_l = *chain.dims.last().unwrap();
+    let flips = space
+        .iter()
+        .filter(|c| c.tiles[last] == d_l)
+        .filter(|c| {
+            let mut partial = c.clone();
+            partial.tiles[last] = d_l / 2;
+            space.index_of(&partial).is_none()
+        })
+        .count();
+    assert!(flips > 0, "no reject-to-accept flip along the last axis");
+}
+
+/// With Rule 4 off every row's frontier is the whole of axis 0: the
+/// index admits the full Rule-3 grid and equals the dense scan of it,
+/// on every chain family and both devices.
+#[test]
+fn frontier_scan_equals_dense_scan_without_rule4() {
+    let policy = SpacePolicy {
+        shared_memory_pruning: false,
+        ..Default::default()
+    };
+    for dev in [DeviceSpec::a100(), DeviceSpec::rtx3080()] {
+        for chain in &chain_families() {
+            let space = build_candidate_space(chain, &dev, &policy);
+            assert!(!space.is_empty(), "{} on {}", chain.name, dev.name);
+            assert_eq!(
+                space.surviving_combos(),
+                space.grid_combos(),
+                "{}",
+                chain.name
+            );
+            assert_matches_oracle(&space, None);
         }
     }
 }
 
 /// A 3-GEMM chain whose pruned space exceeds the old 200 000-candidate
-/// materialization cap (non-power-of-two 1536/768 extents keep 14–22
+/// materialization cap (non-power-of-two 1536/768 extents keep 14–23
 /// Rule-3 options per axis across 5 axes → 273 885 survivors on A100).
 fn big_3gemm() -> ChainSpec {
     ChainSpec::chain(
@@ -183,45 +287,55 @@ fn big_3gemm() -> ChainSpec {
     )
 }
 
+/// On a 2.4M-combination grid, too large for the candidate oracle, a
+/// dense walk that estimates every combination in grid order finds the
+/// same survivor at every sampled rank, and `index_of` agrees on both
+/// sides of the Rule-4 boundary.
 #[test]
-fn auto_scan_uses_the_frontier_past_the_threshold_and_matches_dense() {
+fn large_grid_index_matches_a_dense_walk() {
+    let chain = big_3gemm();
     let dev = DeviceSpec::a100();
-    let policy = SpacePolicy::default();
-
-    // Small grid: Auto stays dense.
-    let small = ChainSpec::gemm_chain("small", 1, 256, 128, 64, 64);
-    let auto_small = build_candidate_space(&small, &dev, &policy);
-    assert!(auto_small.grid_combos() < FRONTIER_MIN_GRID);
-    assert!(!auto_small.frontier_scanned());
-
-    // The 273 885-survivor 3-GEMM chain: its Rule-3 grid is well past
-    // FRONTIER_MIN_GRID, so Auto must pick the frontier — and the
-    // resulting space must be indistinguishable from a forced dense
-    // scan (count, waterfall, diagnostics, and sampled survivors).
-    let big = big_3gemm();
-    let auto_big = build_candidate_space(&big, &dev, &policy);
-    assert!(
-        auto_big.grid_combos() >= FRONTIER_MIN_GRID,
-        "grid {} is supposed to exceed the frontier threshold",
-        auto_big.grid_combos()
-    );
-    assert!(auto_big.frontier_scanned(), "Auto must pick the frontier");
-    let dense = build_candidate_space_scanned(&big, &dev, &policy, Rule4Scan::Dense);
-    assert!(!dense.frontier_scanned());
-    assert_eq!(auto_big.len(), dense.len());
-    assert_eq!(auto_big.stats, dense.stats);
-    assert_eq!(auto_big.min_estimated_smem(), dense.min_estimated_smem());
-    let step = (dense.len() / 409).max(1);
-    let mut i = 0;
-    while i < dense.len() {
-        assert_eq!(auto_big.candidate(i), dense.candidate(i), "index {i}");
-        i += step;
+    let space = build_candidate_space(&chain, &dev, &SpacePolicy::default());
+    assert!(space.grid_combos() > 2_000_000, "{}", space.grid_combos());
+    let budget = RULE4_MARGIN * dev.smem_per_block as f64;
+    let domains = &space.tile_domains;
+    let expr = &space.exprs[0];
+    let mut idx = vec![0usize; domains.len()];
+    let mut tiles: Vec<u64> = domains.iter().map(|d| d[0]).collect();
+    let (mut rank, mut rejected) = (0u64, 0u64);
+    for _ in 0..space.grid_combos() {
+        let fits = estimate_shmem_bytes_for_tiles(&chain, &tiles) as f64 <= budget;
+        if fits {
+            if rank % 997 == 0 {
+                let cand = space.candidate(rank);
+                assert_eq!(cand.tiles, tiles, "rank {rank}");
+                assert_eq!(space.index_of(&cand), Some(rank));
+            }
+            rank += 1;
+        } else {
+            if rejected % 997 == 0 {
+                let cand = Candidate::new(expr.clone(), tiles.clone());
+                assert_eq!(space.index_of(&cand), None, "rejected {tiles:?}");
+            }
+            rejected += 1;
+        }
+        for (a, d) in domains.iter().enumerate() {
+            idx[a] += 1;
+            if idx[a] < d.len() {
+                tiles[a] = d[idx[a]];
+                break;
+            }
+            idx[a] = 0;
+            tiles[a] = d[0];
+        }
     }
-    // Including the extremes.
+    assert_eq!(rank, space.surviving_combos());
     assert_eq!(
-        auto_big.candidate(dense.len() - 1),
-        dense.candidate(dense.len() - 1)
+        space.stats.after_rule4,
+        (space.exprs.len() as u64 * rank) as u128
     );
+    let last = space.surviving_combos() - 1;
+    assert_eq!(space.index_of(&space.candidate(last)), Some(last));
 }
 
 #[test]
