@@ -21,13 +21,19 @@
 //! invariant the search's placement memo relies on: one
 //! [`heuristic_search`](crate::heuristic_search) call places each
 //! `(expression, dead-axis set)` once and prices every candidate sharing
-//! it with a lookup plus the Eqs. 3–5 arithmetic.
+//! it with a lookup plus the Eqs. 3–5 arithmetic. The memo is keyed by
+//! the expression's position in the searched space and prices a borrowed
+//! tile slice, so a hit neither hashes an expression tree nor builds a
+//! candidate.
 
 use rustc_hash::FxHashMap;
 
 use mcfuser_ir::ChainSpec;
 use mcfuser_sim::DeviceSpec;
-use mcfuser_tile::{place, Candidate, LoopId, PlacementError, Stmt, TensorRef, TilingExpr};
+use mcfuser_tile::{
+    dead_axes_for_tiles, num_blocks_for_tiles, place, trips_for_tiles, Candidate, LoopId,
+    PlacementError, Stmt, TensorRef, TilingExpr,
+};
 
 /// Breakdown of an analytical estimate.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,7 +106,7 @@ pub fn estimate_with(
     opts: &ModelOptions,
 ) -> Result<PerfEstimate, PlacementError> {
     let paths = placed_paths(chain, cand, opts)?;
-    Ok(estimate_on(chain, cand, dev, opts, &paths))
+    Ok(estimate_on(chain, &cand.tiles, dev, opts, &paths))
 }
 
 /// For each statement: the block-loop axes around it, root first — the
@@ -125,7 +131,8 @@ fn placed_paths(
 
 /// Placements of one chain, memoized for the length of one search.
 ///
-/// Keyed by the tiling expression, then by the mask of axes dead-loop
+/// Indexed by the position of the tiling expression in the searched
+/// space's expression list, then keyed by the mask of axes dead-loop
 /// elimination drops from its block expression: bit `a` is set for each
 /// axis in [`Candidate::dead_axes`], the set `place` eliminates, and the
 /// mask is 0 when the model skips the elimination. The elimination flag
@@ -137,45 +144,48 @@ fn placed_paths(
 /// owned, not shared.
 pub(crate) struct PlacementMemo<'c> {
     chain: &'c ChainSpec,
-    by_expr: FxHashMap<TilingExpr, FxHashMap<u64, Result<Paths, PlacementError>>>,
+    exprs: &'c [TilingExpr],
+    by_expr: Vec<FxHashMap<u64, Result<Paths, PlacementError>>>,
 }
 
 impl<'c> PlacementMemo<'c> {
-    /// An empty memo for `chain`.
-    pub(crate) fn new(chain: &'c ChainSpec) -> Self {
+    /// An empty memo for `chain` and its space's expressions.
+    pub(crate) fn new(chain: &'c ChainSpec, exprs: &'c [TilingExpr]) -> Self {
         assert!(
             chain.num_axes() <= u64::BITS as usize,
             "the dead-axis mask holds at most 64 axes"
         );
         PlacementMemo {
             chain,
-            by_expr: FxHashMap::default(),
+            exprs,
+            by_expr: vec![FxHashMap::default(); exprs.len()],
         }
     }
 
-    /// [`estimate_with`] for this memo's chain, placing the candidate's
-    /// loop structure only the first time it is seen.
+    /// [`estimate_with`] of the candidate `(exprs[expr], tiles)`, placing
+    /// its loop structure only the first time it is seen.
     pub(crate) fn estimate(
         &mut self,
-        cand: &Candidate,
+        expr: usize,
+        tiles: &[u64],
         dev: &DeviceSpec,
         opts: &ModelOptions,
     ) -> Result<PerfEstimate, PlacementError> {
-        let chain = self.chain;
+        let (chain, exprs) = (self.chain, self.exprs);
         let dead = if opts.dead_loop_elimination {
-            cand.dead_axes(chain).fold(0u64, |mask, a| mask | 1 << a.0)
+            dead_axes_for_tiles(chain, tiles).fold(0u64, |mask, a| mask | 1 << a.0)
         } else {
             0
         };
-        let by_dead = match self.by_expr.get_mut(&cand.expr) {
-            Some(by_dead) => by_dead,
-            None => self.by_expr.entry(cand.expr.clone()).or_default(),
-        };
-        let paths = by_dead
-            .entry(dead)
-            .or_insert_with(|| placed_paths(chain, cand, opts));
+        let paths = self.by_expr[expr].entry(dead).or_insert_with(|| {
+            placed_paths(
+                chain,
+                &Candidate::new(exprs[expr].clone(), tiles.to_vec()),
+                opts,
+            )
+        });
         match paths {
-            Ok(paths) => Ok(estimate_on(chain, cand, dev, opts, paths)),
+            Ok(paths) => Ok(estimate_on(chain, tiles, dev, opts, paths)),
             Err(e) => Err(e.clone()),
         }
     }
@@ -183,25 +193,27 @@ impl<'c> PlacementMemo<'c> {
     /// Distinct loop structures placed so far.
     #[cfg(test)]
     fn placed(&self) -> usize {
-        self.by_expr.values().map(FxHashMap::len).sum()
+        self.by_expr.iter().map(FxHashMap::len).sum()
     }
 }
 
 /// Per-block trip count of a statement on `path`: the product of its
 /// enclosing loops' trips (Eq. 3's `Π l_j` without the grid factor).
-fn block_trips(chain: &ChainSpec, cand: &Candidate, path: &[LoopId]) -> u64 {
-    path.iter().map(|&a| cand.trips(chain, a)).product()
+fn block_trips(chain: &ChainSpec, tiles: &[u64], path: &[LoopId]) -> u64 {
+    path.iter()
+        .map(|&a| trips_for_tiles(chain, tiles, a))
+        .product()
 }
 
 /// Eqs. 2–5 over placed paths.
 fn estimate_on(
     chain: &ChainSpec,
-    cand: &Candidate,
+    tiles: &[u64],
     dev: &DeviceSpec,
     opts: &ModelOptions,
     paths: &[(Stmt, Vec<LoopId>)],
 ) -> PerfEstimate {
-    let blocks = cand.num_blocks(chain);
+    let blocks = num_blocks_for_tiles(chain, tiles);
     let nb = blocks as f64;
     let esz = chain.dtype.size_bytes() as f64;
     // Grid-wide trips of a statement; one per block when it is unplaced.
@@ -209,27 +221,27 @@ fn estimate_on(
         let trips = paths
             .iter()
             .find(|(st, _)| *st == s)
-            .map_or(1, |(_, path)| block_trips(chain, cand, path));
+            .map_or(1, |(_, path)| block_trips(chain, tiles, path));
         trips as f64 * nb
     };
 
     let mut t_mem = 0.0f64;
     let mut t_comp = 0.0f64;
     for (stmt, path) in paths {
-        let trips = block_trips(chain, cand, path) as f64 * nb;
+        let trips = block_trips(chain, tiles, path) as f64 * nb;
         match stmt {
             Stmt::Load(t) => {
-                let (r, c) = mcfuser_tile::tile_shape(chain, *t, &cand.tiles);
+                let (r, c) = mcfuser_tile::tile_shape(chain, *t, tiles);
                 t_mem += (r * c) as f64 * esz * trips / dev.dram_bandwidth;
             }
             Stmt::Store => {
-                let (r, c) = mcfuser_tile::tile_shape(chain, TensorRef::Output, &cand.tiles);
+                let (r, c) = mcfuser_tile::tile_shape(chain, TensorRef::Output, tiles);
                 t_mem += (r * c) as f64 * esz * trips / dev.dram_bandwidth;
             }
             Stmt::Compute(i) => {
-                let tm = cand.tiles[0];
-                let tk = cand.tiles[i + 1];
-                let tn = cand.tiles[i + 2];
+                let tm = tiles[0];
+                let tk = tiles[i + 1];
+                let tn = tiles[i + 2];
                 let flops = 2.0 * (tm * tk * tn) as f64;
                 t_comp += flops * trips / dev.peak_flops(chain.dtype);
             }
@@ -251,12 +263,12 @@ fn estimate_on(
             Stmt::Store
         };
         let trips = trips_of(emit_at);
-        let cols = cand.tiles[i + 2] as f64;
+        let cols = tiles[i + 2] as f64;
         if has_bias {
             t_mem += cols * esz * trips / dev.dram_bandwidth;
         }
         if has_mask {
-            t_mem += cand.tiles[0] as f64 * cols * esz * trips / dev.dram_bandwidth;
+            t_mem += tiles[0] as f64 * cols * esz * trips / dev.dram_bandwidth;
         }
     }
 
@@ -268,10 +280,10 @@ fn estimate_on(
     // tail re-reads its columns raw before the f32 store.
     if chain.prologue.is_some() || chain.stitch_epilogue.is_some() {
         let bw = dev.dram_bandwidth;
-        let tm = cand.tiles[0] as f64;
+        let tm = tiles[0] as f64;
         if let Some(p) = chain.prologue {
             let a_trips = trips_of(Stmt::Load(TensorRef::Input(0)));
-            let tk = cand.tiles[1] as f64;
+            let tk = tiles[1] as f64;
             t_mem += tm * tk * (4.0 - esz) * a_trips / bw;
             if p.residual {
                 t_mem += tm * tk * 4.0 * a_trips / bw;
@@ -285,7 +297,7 @@ fn estimate_on(
         }
         if let Some(t) = chain.stitch_epilogue {
             let s_trips = trips_of(Stmt::Store);
-            let tn = *cand.tiles.last().unwrap() as f64;
+            let tn = *tiles.last().unwrap() as f64;
             t_mem += tm * tn * (4.0 - esz) * s_trips / bw;
             match t.residual {
                 mcfuser_ir::ResidualSource::External => {
@@ -517,7 +529,8 @@ mod tests {
         // Every pruned candidate, plus each with one axis's tile stepped
         // to a neighbouring domain value (a `mutate` child, which may
         // leave the pruned set), priced through one memo per chain under
-        // both model variants: bit-identical to placing every time.
+        // both model variants, keyed by the expression's position in the
+        // space: bit-identical to placing every time.
         let dev = DeviceSpec::a100();
         let chains = [
             chain(),
@@ -535,9 +548,10 @@ mod tests {
         for chain in &chains {
             let space =
                 crate::prune::prune(chain, &dev, &crate::space::SearchSpace::generate(chain));
-            let mut memo = PlacementMemo::new(chain);
+            let mut memo = PlacementMemo::new(chain, &space.exprs);
             let mut estimated = 0usize;
             for (i, cand) in space.iter().enumerate() {
+                let expr = space.expr_of(i as u64);
                 let mut child = cand.clone();
                 let axis = i % child.tiles.len();
                 let domain = &space.tile_domains[axis];
@@ -551,7 +565,7 @@ mod tests {
                 for c in [&cand, &child] {
                     for opts in [ModelOptions::default(), ModelOptions::chimera()] {
                         assert_eq!(
-                            bits(memo.estimate(c, &dev, &opts)),
+                            bits(memo.estimate(expr, &c.tiles, &dev, &opts)),
                             bits(estimate_with(chain, c, &dev, &opts)),
                             "{} {:?}",
                             c.describe(chain),

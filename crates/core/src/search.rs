@@ -17,9 +17,20 @@
 //!
 //! The search addresses the pruned space through [`CandidateSpace`]
 //! indices: sampling draws an index and decodes it, the full-ranking
-//! seed path streams candidates instead of cloning a materialized `Vec`,
-//! and every candidate the space admits — however large the space — is
-//! reachable.
+//! seed path visits borrowed tile slices ([`CandidateSpace::visit`])
+//! without building a candidate, and every candidate the space admits —
+//! however large the space — is reachable. Population members carry the
+//! position of their expression in the space, and mutants inherit it,
+//! so the placement memo never compares or hashes an expression tree,
+//! and the measurement cache does so only for a detached mutant.
+//!
+//! Each round walks the ranking and lowers fresh candidates through
+//! [`lower_within`] until `n` of them have run. A candidate that fails a
+//! lowering legality check costs nothing. A legal one whose single-copy
+//! shared memory exceeds the device's is charged one compile, as the
+//! real toolchain would, but is refused before any kernel is emitted.
+//! Only the rest are emitted and measured. [`SearchOutcome`] counts all
+//! three.
 
 use rand::distributions::WeightedIndex;
 use rand::prelude::*;
@@ -27,7 +38,7 @@ use rustc_hash::FxHashMap;
 
 use mcfuser_ir::ChainSpec;
 use mcfuser_sim::{measure_noisy, CostProfile, DeviceSpec, KernelProfile, TuningClock};
-use mcfuser_tile::{lower, Candidate, LoweredKernel, LoweringOptions};
+use mcfuser_tile::{lower_within, Candidate, Launch, LoweredKernel, LoweringOptions};
 
 use crate::perf_model::PlacementMemo;
 use crate::space::CandidateSpace;
@@ -109,9 +120,10 @@ pub enum CandidateRef {
 }
 
 impl CandidateRef {
-    /// Key a candidate against a space: indexed when it is a survivor.
-    fn of(cand: &Candidate, space: &CandidateSpace) -> Self {
-        match space.index_of(cand) {
+    /// Key a candidate whose expression sits at position `expr` of the
+    /// space's expressions: indexed when it is a survivor.
+    fn of(expr: usize, cand: &Candidate, space: &CandidateSpace) -> Self {
+        match space.index_in(expr, &cand.tiles) {
             Some(i) => CandidateRef::Indexed(i),
             None => CandidateRef::Detached(cand.clone()),
         }
@@ -163,8 +175,18 @@ pub struct SearchOutcome {
     pub profile: KernelProfile,
     /// Rounds executed before convergence.
     pub rounds: usize,
-    /// Distinct candidates measured on the device.
+    /// Distinct candidates the search tried to lower: the ones it
+    /// measured on the device, plus the [`illegal`](Self::illegal) and
+    /// the [`refused`](Self::refused) ones. Not a count of device
+    /// measurements.
     pub measured: usize,
+    /// Of those, legal candidates refused because their kernel needs
+    /// more shared memory per block than the device has. Each was
+    /// charged one compile and never emitted.
+    pub refused: usize,
+    /// Of those, candidates that failed a lowering legality check. They
+    /// were charged nothing.
+    pub illegal: usize,
     /// Best measured time after each round (monotone non-increasing).
     pub history: Vec<f64>,
     /// The measured set in index terms (per-range reporting).
@@ -177,19 +199,30 @@ pub struct SearchOutcome {
 /// through the scorer without being materialized).
 const FULL_RANKING_LIMIT: u64 = 20_000;
 
-/// What one device measurement produced: the lowered kernel and its
-/// profile, or `None` for candidates that fail lowering / exceed launch
-/// limits. Cached per candidate so round winners are never re-lowered or
-/// re-measured.
-type Measurement = Option<(LoweredKernel, KernelProfile)>;
-
-fn measured_time(m: &Measurement) -> f64 {
-    m.as_ref().map(|(_, p)| p.time).unwrap_or(f64::INFINITY)
+/// Why a candidate the search tried to lower never ran.
+#[derive(Debug, Clone, Copy)]
+enum Unlaunched {
+    /// It failed a lowering legality check.
+    Illegal,
+    /// Its kernel needs more shared memory than the device has.
+    Refused,
 }
 
-/// Measure one candidate on the device, charging the tuning clock.
-/// Returns `None` for candidates that fail lowering or exceed the
-/// device's shared memory (unlaunchable).
+/// What one device measurement produced: the lowered kernel and its
+/// profile, or why there is none. Cached per candidate so round winners
+/// are never re-lowered or re-measured.
+type Measurement = Result<(LoweredKernel, KernelProfile), Unlaunched>;
+
+fn measured_time(m: &Measurement) -> f64 {
+    m.as_ref().map_or(f64::INFINITY, |(_, p)| p.time)
+}
+
+/// Measure one candidate on the device, charging the tuning clock: one
+/// compile for a legal candidate, plus the measurement when it launches;
+/// nothing for an illegal one. A legal candidate over the device's
+/// shared memory still costs its compile, since the real toolchain
+/// learns the size only by compiling (Fig. 10: "eliminated during PTX
+/// code lowering"), but only kernels that launch are emitted here.
 fn measure_candidate(
     chain: &ChainSpec,
     cand: &Candidate,
@@ -199,42 +232,64 @@ fn measure_candidate(
     seed: u64,
     lower_opts: &LoweringOptions,
 ) -> Measurement {
-    let lk = lower(chain, cand, lower_opts).ok()?;
+    let launch = lower_within(chain, cand, lower_opts, dev.smem_per_block)
+        .map_err(|_| Unlaunched::Illegal)?;
     clock.charge_compile(cost);
-    if lk.smem_bytes > dev.smem_per_block {
-        // Refused by the driver at launch: costs a compile, no runtime.
-        return None;
-    }
+    let Launch::Ready(lk) = launch else {
+        return Err(Unlaunched::Refused);
+    };
     let prof = measure_noisy(&lk.program, dev, seed);
     clock.charge_measurement(cost, prof.time);
-    Some((lk, prof))
+    Ok((lk, prof))
 }
 
-/// Score one candidate for ranking: the analytical estimate, or the
-/// deterministic pseudo-random stand-in under `random_ranking`.
+/// Score the candidate `(space.exprs[expr], tiles)` for ranking: the
+/// analytical estimate, or the deterministic pseudo-random stand-in
+/// under `random_ranking`.
 fn rank_score(
     memo: &mut PlacementMemo,
-    cand: &Candidate,
+    space: &CandidateSpace,
+    expr: usize,
+    tiles: &[u64],
     dev: &DeviceSpec,
     params: &SearchParams,
 ) -> f64 {
     let e = memo
-        .estimate(cand, dev, &params.model)
+        .estimate(expr, tiles, dev, &params.model)
         .map_or(f64::INFINITY, |e| e.total);
     if params.random_ranking && e.is_finite() {
         use std::hash::{Hash, Hasher};
+        // The expression, then the tiles: what `Candidate`'s derived
+        // `Hash` feeds the hasher.
         let mut h = rustc_hash::FxHasher::default();
-        cand.hash(&mut h);
+        space.exprs[expr].hash(&mut h);
+        tiles.hash(&mut h);
         mcfuser_sim::noise::unit_sample(params.seed, h.finish())
     } else {
         e
     }
 }
 
-/// One population member: the decoded candidate plus its cache key
-/// (space index for survivors, the candidate itself for detached
-/// mutants).
-type Member = (CandidateRef, Candidate);
+/// One population member: its cache key (space index for survivors,
+/// the candidate itself for detached mutants), the position of its
+/// expression in the space (mutants inherit their parent's), and the
+/// decoded candidate.
+struct Member {
+    key: CandidateRef,
+    expr: usize,
+    cand: Candidate,
+}
+
+impl Member {
+    /// The survivor at space index `idx`.
+    fn indexed(space: &CandidateSpace, idx: u64) -> Member {
+        Member {
+            key: CandidateRef::Indexed(idx),
+            expr: space.expr_of(idx),
+            cand: space.candidate(idx),
+        }
+    }
+}
 
 /// Cap on a single breeding weight. `1 / estimate` overflows to `+inf`
 /// for a zero Eq. 2 estimate (a degenerate but reachable model output),
@@ -283,9 +338,13 @@ fn breed_population(
     Some(
         (0..size)
             .map(|_| {
-                let (_, parent) = &population[dist.sample(rng)];
-                let child = mutate(parent, space, rng);
-                (CandidateRef::of(&child, space), child)
+                let parent = &population[dist.sample(rng)];
+                let cand = mutate(&parent.cand, space, rng);
+                Member {
+                    key: CandidateRef::of(parent.expr, &cand, space),
+                    expr: parent.expr,
+                    cand,
+                }
             })
             .collect(),
     )
@@ -310,38 +369,37 @@ pub fn heuristic_search(
     } else {
         LoweringOptions::for_device(dev).without_dead_loop_elimination()
     };
-    let sample_idx = |rng: &mut StdRng| -> Member {
-        let i = rng.gen_range(0..space.len());
-        (CandidateRef::Indexed(i), space.candidate(i))
-    };
+    let sample_idx = |rng: &mut StdRng| Member::indexed(space, rng.gen_range(0..space.len()));
     // One placement per loop structure for the whole search: the
     // full ranking and every round's ranking price through it.
-    let mut memo = PlacementMemo::new(chain);
+    let mut memo = PlacementMemo::new(chain, &space.exprs);
 
     // Line 1: initial population. Analytical estimates need no
     // measurement and reuse the memo's placements, so when the pruned
     // space is small enough we rank *all* of it and seed half the
     // population with the model's best picks (the other half stays
     // random for diversity); otherwise fall back to uniform sampling.
-    // Ranking streams candidates straight out of the index decoder — the
-    // space is never materialized, only (index, score) pairs are kept.
+    // Ranking visits borrowed tile slices straight out of the index
+    // decoder — no candidate is built, only (index, score) pairs are kept.
     let mut population: Vec<Member> = if space.len() <= FULL_RANKING_LIMIT {
-        let mut scored: Vec<(u64, f64)> = space
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (i as u64, rank_score(&mut memo, &c, dev, params)))
-            .collect();
-        // Sort by (score, index): equal scores keep space order, so the
-        // seeded half of the population is deterministic.
-        scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        for _ in &scored {
-            clock.note_estimate();
+        let mut scored: Vec<(u64, f64)> = Vec::with_capacity(space.len() as usize);
+        space.visit(|i, expr, tiles| {
+            scored.push((i, rank_score(&mut memo, space, expr, tiles, dev, params)));
+        });
+        clock.note_estimates(scored.len() as u64);
+        // Order by (score, index): equal scores keep space order, so the
+        // seeded half of the population is deterministic. The order is
+        // total, so selecting the seeded prefix and sorting only it
+        // gives the prefix a full sort would.
+        let seeded = (params.population / 2).min(scored.len());
+        let by_score = |a: &(u64, f64), b: &(u64, f64)| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0));
+        if seeded < scored.len() {
+            scored.select_nth_unstable_by(seeded, by_score);
         }
-        let seeded = params.population / 2;
-        let mut pop: Vec<Member> = scored
+        scored[..seeded].sort_unstable_by(by_score);
+        let mut pop: Vec<Member> = scored[..seeded]
             .iter()
-            .take(seeded)
-            .map(|&(i, _)| (CandidateRef::Indexed(i), space.candidate(i)))
+            .map(|&(i, _)| Member::indexed(space, i))
             .collect();
         while pop.len() < params.population {
             pop.push(sample_idx(&mut rng));
@@ -360,6 +418,7 @@ pub fn heuristic_search(
     let mut measured_cache: FxHashMap<CandidateRef, Measurement> = FxHashMap::default();
     let mut history = Vec::new();
     let mut rounds = 0usize;
+    let (mut refused, mut illegal) = (0usize, 0usize);
 
     for round in 0..params.max_rounds {
         rounds = round + 1;
@@ -367,11 +426,9 @@ pub fn heuristic_search(
         // from the memo).
         let estimates: Vec<f64> = population
             .iter()
-            .map(|(_, c)| rank_score(&mut memo, c, dev, params))
+            .map(|m| rank_score(&mut memo, space, m.expr, &m.cand.tiles, dev, params))
             .collect();
-        for _ in &estimates {
-            clock.note_estimate();
-        }
+        clock.note_estimates(estimates.len() as u64);
 
         // Lines 6-7: sort by estimate, take top-n for real measurement.
         // The coarse model produces exact ties between candidates it
@@ -392,8 +449,8 @@ pub fn heuristic_search(
         // Fresh-measurement best — the paper's `top1_t` (its measured
         // top-k are always new candidates), used for the convergence test.
         let mut fresh_best: Option<f64> = None;
-        for (i, (key, _)) in population.iter().enumerate() {
-            if let Some(m) = measured_cache.get(key) {
+        for (i, member) in population.iter().enumerate() {
+            if let Some(m) = measured_cache.get(&member.key) {
                 let t = measured_time(m);
                 if t.is_finite() && round_best.map(|(_, bt)| t < bt).unwrap_or(true) {
                     round_best = Some((i, t));
@@ -405,13 +462,26 @@ pub fn heuristic_search(
             if fresh >= params.topk {
                 break;
             }
-            if !estimates[i].is_finite() || measured_cache.contains_key(&population[i].0) {
+            let member = &population[i];
+            if !estimates[i].is_finite() || measured_cache.contains_key(&member.key) {
                 continue;
             }
-            let (key, cand) = population[i].clone();
-            let m = measure_candidate(chain, &cand, dev, &cost, clock, params.seed, &lower_opts);
+            let m = measure_candidate(
+                chain,
+                &member.cand,
+                dev,
+                &cost,
+                clock,
+                params.seed,
+                &lower_opts,
+            );
             let t = measured_time(&m);
-            measured_cache.insert(key, m);
+            match m {
+                Err(Unlaunched::Illegal) => illegal += 1,
+                Err(Unlaunched::Refused) => refused += 1,
+                Ok(_) => {}
+            }
+            measured_cache.insert(member.key.clone(), m);
             if t.is_finite() {
                 fresh += 1;
                 if fresh_best.map(|b| t < b).unwrap_or(true) {
@@ -430,14 +500,15 @@ pub fn heuristic_search(
                 .collect();
             continue;
         };
-        let (top1_key, top1_cand) = population[top1_idx].clone();
+        let top1 = &population[top1_idx];
         // The winner's kernel + profile come straight from the
         // measurement cache — a finite round-best time implies a
         // successful measurement, so no re-lowering and no panic path.
         let (top1_lk, top1_prof) = measured_cache
-            .get(&top1_key)
-            .and_then(|m| m.clone())
+            .get(&top1.key)
+            .and_then(|m| m.as_ref().ok().cloned())
             .expect("round-best candidate has a cached measurement");
+        let top1_cand = top1.cand.clone();
 
         // Lines 10-12: convergence test against the incumbent, on freshly
         // measured candidates only (re-reading the cache is not evidence
@@ -497,6 +568,8 @@ pub fn heuristic_search(
         profile,
         rounds,
         measured: measured_cache.len(),
+        refused,
+        illegal,
         history,
         measured_set,
     })
@@ -645,10 +718,7 @@ mod tests {
         let pruned = pruned_space(&chain, &dev);
         let mut rng = StdRng::seed_from_u64(9);
         let population: Vec<Member> = (0..4)
-            .map(|i| {
-                let idx = i % pruned.len();
-                (CandidateRef::Indexed(idx), pruned.candidate(idx))
-            })
+            .map(|i| Member::indexed(&pruned, i % pruned.len()))
             .collect();
         for weights in [
             vec![f64::INFINITY, 1.0, 1.0, 1.0],
@@ -690,10 +760,7 @@ mod tests {
         let chain = ChainSpec::gemm_chain("g", 1, 512, 256, 64, 64);
         let pruned = pruned_space(&chain, &DeviceSpec::a100());
         let population: Vec<Member> = (0..4)
-            .map(|i| {
-                let idx = i % pruned.len();
-                (CandidateRef::Indexed(idx), pruned.candidate(idx))
-            })
+            .map(|i| Member::indexed(&pruned, i % pruned.len()))
             .collect();
         let mut rng = StdRng::seed_from_u64(3);
         let next = breed_population(
@@ -755,7 +822,7 @@ mod tests {
         let pruned = pruned_space(&chain, &dev);
         let survivor = pruned.candidate(0);
         assert_eq!(
-            CandidateRef::of(&survivor, &pruned),
+            CandidateRef::of(pruned.expr_of(0), &survivor, &pruned),
             CandidateRef::Indexed(0)
         );
         let mut rng = StdRng::seed_from_u64(21);
@@ -763,8 +830,13 @@ mod tests {
             .take(400)
             .find(|c| pruned.index_of(c).is_none())
             .expect("some Rule-3 combination is rejected by Rule 4");
+        let expr = pruned
+            .exprs
+            .iter()
+            .position(|e| *e == outside.expr)
+            .unwrap();
         assert_eq!(
-            CandidateRef::of(&outside, &pruned),
+            CandidateRef::of(expr, &outside, &pruned),
             CandidateRef::Detached(outside.clone())
         );
     }
@@ -795,5 +867,135 @@ mod tests {
         .expect("winner measures");
         assert_eq!(lk.smem_bytes, out.kernel.smem_bytes);
         assert_eq!(prof.time, out.best_time);
+    }
+
+    /// An FFN with a residual LayerNorm prologue and a residual +
+    /// LayerNorm tail over `d_L = 256 > 128`: most of its Rule-4
+    /// survivors fail the tail's full-row check.
+    fn stitched_ffn() -> ChainSpec {
+        let mut c = ChainSpec::gemm_chain("ffn", 1, 128, 512, 256, 256);
+        c.biases = vec![true, true];
+        c.epilogues[0] = mcfuser_ir::Epilogue::Gelu;
+        c.prologue = Some(mcfuser_ir::PrologueSpec {
+            residual: true,
+            affine: true,
+            a_half: false,
+            eps: 1e-5,
+        });
+        c.stitch_epilogue = Some(mcfuser_ir::EpilogueStitch {
+            residual: mcfuser_ir::ResidualSource::PrologueOut,
+            layer_norm: true,
+            affine: true,
+            eps: 1e-5,
+        });
+        c
+    }
+
+    /// A biased GELU 3-layer MLP at m 96, h 768: some of the candidates
+    /// it lowers exceed the A100's shared memory.
+    fn mlp3() -> ChainSpec {
+        let mut c = ChainSpec::chain(
+            "mlp3",
+            1,
+            96,
+            vec![768; 4],
+            vec![
+                mcfuser_ir::Epilogue::Gelu,
+                mcfuser_ir::Epilogue::Gelu,
+                mcfuser_ir::Epilogue::None,
+            ],
+        );
+        c.biases = vec![true; 3];
+        c
+    }
+
+    /// Everything a search reports, floats as bits, the measured indices
+    /// folded into one word.
+    fn search_digest(chain: &ChainSpec, params: &SearchParams) -> String {
+        let dev = DeviceSpec::a100();
+        let space = pruned_space(chain, &dev);
+        let clock = TuningClock::new();
+        let out = heuristic_search(chain, &dev, &space, params, &clock).expect("a winner");
+        let fold = out.measured_set.indexed.iter().fold(0u64, |h, &i| {
+            (h.rotate_left(5) ^ i).wrapping_mul(0x517c_c1b7_2722_0a95)
+        });
+        let history: Vec<String> = out
+            .history
+            .iter()
+            .map(|t| format!("{:x}", t.to_bits()))
+            .collect();
+        let rep = clock.report();
+        format!(
+            "{} t={:x} rounds={} measured={} indexed={}/{:x} detached={} history=[{}] \
+             compiles={} measurements={} estimates={} vs={:x}",
+            out.best.describe(chain),
+            out.best_time.to_bits(),
+            out.rounds,
+            out.measured,
+            out.measured_set.indexed.len(),
+            fold,
+            out.measured_set.detached,
+            history.join(","),
+            rep.compiles,
+            rep.measurements,
+            rep.estimates,
+            rep.virtual_seconds.to_bits(),
+        )
+    }
+
+    #[test]
+    fn search_outcomes_are_pinned() {
+        // Recorded before lowering learned to refuse candidates without
+        // emitting them: the walk, the winner and every clock charge must
+        // not move. The stitched FFN's survivors mostly fail the tail's
+        // full-row check; the MLP's lowerings are mostly refused for
+        // shared memory.
+        let random = SearchParams {
+            random_ranking: true,
+            ..SearchParams::default()
+        };
+        let pins = [
+            (
+                stitched_ffn(),
+                SearchParams::default(),
+                "mnkh[m=16,k=16,n=512,h=256] t=3ee6a636d98ff543 rounds=3 measured=192 \
+                 indexed=180/7177c6535cd583a6 detached=12 \
+                 history=[3eec699436e3e09d,3ee6a636d98ff543,3ee6a636d98ff543] \
+                 compiles=21 measurements=14 estimates=862 vs=404291095c3d5b1a",
+            ),
+            (
+                stitched_ffn(),
+                random.clone(),
+                "mnkh[m=16,k=32,n=512,h=256] t=3ee69153ca2115ce rounds=4 measured=183 \
+                 indexed=175/6e7b84ab654d40a2 detached=8 \
+                 history=[3ee740ea59f97482,3ee6a636d98ff543,3ee69153ca2115ce] \
+                 compiles=27 measurements=21 estimates=990 vs=4048411aec86e11c",
+            ),
+            (
+                mlp3(),
+                SearchParams::default(),
+                "mhnkp[m=16,k=96,n=112,h=192,p=128] t=3f1f77f2931a860b rounds=3 measured=95 \
+                 indexed=76/254ffdb0129b80d6 detached=19 \
+                 history=[3f22d3060a08881a,3f1f77f2931a860b,3f1f77f2931a860b] \
+                 compiles=95 measurements=24 estimates=384 vs=4063ccba572a8984",
+            ),
+            (
+                mlp3(),
+                random,
+                "mhnkp[m=32,k=48,n=64,h=256,p=80] t=3f223a08698e22d8 rounds=4 measured=41 \
+                 indexed=41/1f03aa776f4c0eb4 detached=0 \
+                 history=[3f30e6421aaa3edf,3f30cc81518b95ed,3f223a08698e22d8,3f223a08698e22d8] \
+                 compiles=41 measurements=32 estimates=512 vs=40533170437b9327",
+            ),
+        ];
+        for (chain, params, want) in pins {
+            assert_eq!(
+                search_digest(&chain, &params),
+                want,
+                "{} random_ranking={}",
+                chain.name,
+                params.random_ranking
+            );
+        }
     }
 }

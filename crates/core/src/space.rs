@@ -230,24 +230,39 @@ impl CandidateSpace {
     /// [`CandidateSpace::candidate`]: search mutations use it to keep
     /// survivors addressed by index.
     pub fn index_of(&self, cand: &Candidate) -> Option<u64> {
-        let ei = self.exprs.iter().position(|e| *e == cand.expr)? as u64;
-        if cand.tiles.len() != self.tile_domains.len() {
+        let expr = self.exprs.iter().position(|e| *e == cand.expr)?;
+        self.index_in(expr, &cand.tiles)
+    }
+
+    /// [`CandidateSpace::index_of`] for a candidate whose expression is
+    /// known by its position in [`CandidateSpace::exprs`]: no expression
+    /// is compared.
+    ///
+    /// # Panics
+    /// If `expr >= exprs.len()`.
+    pub fn index_in(&self, expr: usize, tiles: &[u64]) -> Option<u64> {
+        assert!(expr < self.exprs.len(), "expression {expr} out of range");
+        if tiles.len() != self.tile_domains.len() {
             return None;
         }
         // Axis 0 gives the offset into the row; axes 1.. give the row
         // (mixed radix, axis 1 fastest).
-        let offset = self.tile_domains[0]
-            .iter()
-            .position(|&x| x == cand.tiles[0])? as u64;
+        let offset = self.tile_domains[0].iter().position(|&x| x == tiles[0])? as u64;
         let mut row = 0usize;
         let mut mul = 1usize;
-        for (d, &t) in self.tile_domains[1..].iter().zip(&cand.tiles[1..]) {
+        for (d, &t) in self.tile_domains[1..].iter().zip(&tiles[1..]) {
             row += d.iter().position(|&x| x == t)? * mul;
             mul *= d.len();
         }
         let first = self.row_offsets[row];
         (offset < self.row_offsets[row + 1] - first)
-            .then(|| ei * self.surviving_combos() + first + offset)
+            .then(|| expr as u64 * self.surviving_combos() + first + offset)
+    }
+
+    /// Position in [`CandidateSpace::exprs`] of candidate `idx`'s
+    /// expression.
+    pub fn expr_of(&self, idx: u64) -> usize {
+        (idx / self.surviving_combos()) as usize
     }
 
     /// Decode a tile-grid id to its tile vector: mixed-radix with axis 0
@@ -280,6 +295,38 @@ impl CandidateSpace {
                 Some(Candidate::new(e.clone(), self.tiles_of(combo)))
             })
         })
+    }
+
+    /// Visit every candidate in index order as `(index, expression
+    /// position, tiles)` — the order of [`CandidateSpace::iter`], without
+    /// cloning an expression or allocating per candidate: one tile buffer
+    /// is reused for the whole walk.
+    pub fn visit(&self, mut f: impl FnMut(u64, usize, &[u64])) {
+        let Some((d0, rest)) = self.tile_domains.split_first() else {
+            return;
+        };
+        let combos = self.surviving_combos();
+        let mut tiles = vec![0u64; self.tile_domains.len()];
+        for expr in 0..self.exprs.len() {
+            let base = expr as u64 * combos;
+            for (row, w) in self.row_offsets.windows(2).enumerate() {
+                let (first, end) = (w[0], w[1]);
+                if first == end {
+                    continue;
+                }
+                // The row's tiles of axes 1.. (mixed radix, axis 1
+                // fastest), then its axis-0 prefix.
+                let mut digits = row as u64;
+                for (t, d) in tiles[1..].iter_mut().zip(rest) {
+                    *t = d[(digits % d.len() as u64) as usize];
+                    digits /= d.len() as u64;
+                }
+                for (offset, &t0) in (0..).zip(&d0[..(end - first) as usize]) {
+                    tiles[0] = t0;
+                    f(base + first + offset, expr, &tiles);
+                }
+            }
+        }
     }
 
     /// Draw a candidate from the *Rule-1–3* space, deliberately ignoring

@@ -241,7 +241,9 @@ pub struct TunedKernel {
     pub prune_stats: PruneStats,
     /// Search convergence data.
     pub rounds: usize,
-    /// Candidates actually measured.
+    /// Distinct candidates the search tried to lower, as
+    /// [`SearchOutcome::measured`](crate::SearchOutcome::measured): the
+    /// ones measured on the device plus the illegal and the refused ones.
     pub measured: usize,
 }
 

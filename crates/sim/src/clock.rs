@@ -118,9 +118,9 @@ impl TuningClock {
         g.virtual_seconds += cost.train_seconds;
     }
 
-    /// Record an analytical estimate (free, but counted).
-    pub fn note_estimate(&self) {
-        self.inner.lock().estimates += 1;
+    /// Record `n` analytical estimates (free, but counted).
+    pub fn note_estimates(&self, n: u64) {
+        self.inner.lock().estimates += n;
     }
 
     /// Charge an arbitrary fixed cost (e.g. graph-level passes).
@@ -182,7 +182,7 @@ mod tests {
     fn estimates_are_free() {
         let clock = TuningClock::new();
         for _ in 0..1000 {
-            clock.note_estimate();
+            clock.note_estimates(1);
         }
         assert_eq!(clock.virtual_seconds(), 0.0);
         assert_eq!(clock.report().estimates, 1000);

@@ -35,7 +35,7 @@ impl Candidate {
     /// Trip count of an axis: `⌈extent / tile⌉`.
     #[inline]
     pub fn trips(&self, chain: &ChainSpec, axis: LoopId) -> u64 {
-        chain.axis_extent(axis.0).div_ceil(self.tile(axis).max(1))
+        trips_for_tiles(chain, &self.tiles, axis)
     }
 
     /// Per-thread-block sub-tiling expression (Rule 1): the expression
@@ -46,9 +46,7 @@ impl Candidate {
 
     /// Axes whose loop runs one trip: the dead loops of §III-B.
     pub fn dead_axes<'a>(&'a self, chain: &'a ChainSpec) -> impl Iterator<Item = LoopId> + 'a {
-        (0..chain.num_axes())
-            .map(LoopId)
-            .filter(move |&a| self.trips(chain, a) == 1)
+        dead_axes_for_tiles(chain, &self.tiles)
     }
 
     /// The per-block expression with extent-1 loops also removed — the
@@ -71,8 +69,7 @@ impl Candidate {
     /// Number of thread blocks (the `N_block` of Eq. 5): the product of
     /// [`Candidate::grid`], computed without building it.
     pub fn num_blocks(&self, chain: &ChainSpec) -> u64 {
-        let [m, d_l] = grid_axes(chain);
-        chain.batch * self.trips(chain, m) * self.trips(chain, d_l)
+        num_blocks_for_tiles(chain, &self.tiles)
     }
 
     /// Fraction of wasted (padded) work: `Π ceil(dim/t)·t / Π dim − 1`
@@ -118,6 +115,30 @@ impl Candidate {
         s.push(']');
         s
     }
+}
+
+/// [`Candidate::trips`] from a bare tile vector (`tiles[a]` = tile size
+/// of axis `a`), so a search can price borrowed tiles without building a
+/// candidate.
+#[inline]
+pub fn trips_for_tiles(chain: &ChainSpec, tiles: &[u64], axis: LoopId) -> u64 {
+    chain.axis_extent(axis.0).div_ceil(tiles[axis.0].max(1))
+}
+
+/// [`Candidate::dead_axes`] from a bare tile vector.
+pub fn dead_axes_for_tiles<'a>(
+    chain: &'a ChainSpec,
+    tiles: &'a [u64],
+) -> impl Iterator<Item = LoopId> + 'a {
+    (0..chain.num_axes())
+        .map(LoopId)
+        .filter(move |&a| trips_for_tiles(chain, tiles, a) == 1)
+}
+
+/// [`Candidate::num_blocks`] from a bare tile vector.
+pub fn num_blocks_for_tiles(chain: &ChainSpec, tiles: &[u64]) -> u64 {
+    let [m, d_l] = grid_axes(chain);
+    chain.batch * trips_for_tiles(chain, tiles, m) * trips_for_tiles(chain, tiles, d_l)
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@ pub mod lower;
 pub mod shmem;
 pub mod stmt;
 
-pub use candidate::Candidate;
+pub use candidate::{dead_axes_for_tiles, num_blocks_for_tiles, trips_for_tiles, Candidate};
 pub use dag::{
     accumulator_instances, dag_view, place, place_into, render_tree, DagView, Placement,
     PlacementError, ScheduleItem, ScheduleTree, Scope,
@@ -38,7 +38,9 @@ pub use loops::{
     axes_of, axis_role, block_axes, grid_axes, tile_option_count, tile_options, AxisInfo, AxisRole,
     LoopId,
 };
-pub use lower::{lower, LoweredKernel, LoweringError, LoweringOptions};
+pub use lower::{
+    lower, lower_within, smem_footprint, Launch, LoweredKernel, LoweringError, LoweringOptions,
+};
 pub use shmem::{
     chain_tensors, estimate_shmem_bytes, estimate_shmem_bytes_for_tiles, rule4_fits, RULE4_MARGIN,
 };

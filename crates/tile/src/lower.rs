@@ -8,14 +8,29 @@
 //! Eq. 1's coarse estimate and what this module actually allocates is the
 //! scatter of the paper's Fig. 10.
 //!
-//! Lowering enforces the legality conditions the search space is pruned
-//! by:
+//! Lowering is a legality step followed by emission. The legality step
+//! enforces the conditions the search space is pruned by, cheapest
+//! first. Two need no placement and run before it:
 //!
-//! * consumers may not sit inside their producer's reduction loop
-//!   (partial-tile consumption — the Fig. 6(b) shapes Rule 2 removes);
-//! * accumulators must need exactly one shared-memory tile instance;
 //! * a softmax epilogue requires completed score tiles and a streaming
-//!   (online) update for the downstream accumulator.
+//!   (online) update for the downstream accumulator, so it may only
+//!   precede the final block;
+//! * a stitched prologue or tail must be honourable: no streaming
+//!   softmax beside it, an affine prologue LayerNorm, a tail LayerNorm's
+//!   whole row in one tile (`t_{d_L} == d_L`), and a `PrologueOut`
+//!   residual only with a prologue and `d_0 == d_L`.
+//!
+//! Then the statements are placed, and two checks read the result:
+//!
+//! * accumulators must need exactly one shared-memory tile instance;
+//! * consumers may not sit inside their producer's reduction loop
+//!   (partial-tile consumption — the Fig. 6(b) shapes Rule 2 removes).
+//!
+//! [`smem_footprint`] is the shared memory emission will allocate, one
+//! copy of every tile, computed from the tile sizes alone. Emission uses
+//! it as the base of its double-buffering decision, and
+//! [`lower_within`] uses it to refuse a kernel that cannot launch
+//! without emitting it.
 
 use mcfuser_ir::{AuxInput, ChainSpec, Epilogue, ResidualSource};
 use mcfuser_sim::{
@@ -24,7 +39,7 @@ use mcfuser_sim::{
 };
 
 use crate::candidate::Candidate;
-use crate::dag::{accumulator_instances, place, PlacementError, ScheduleItem, Scope};
+use crate::dag::{accumulator_instances, place, Placement, PlacementError, ScheduleItem, Scope};
 use crate::loops::LoopId;
 use crate::stmt::{compute_reduction_axis, tensor_axes, Stmt, TensorRef};
 
@@ -145,36 +160,70 @@ pub fn lower(
     cand: &Candidate,
     opts: &LoweringOptions,
 ) -> Result<LoweredKernel, LoweringError> {
-    let placement = if opts.dead_loop_elimination {
-        place(chain, cand)?
-    } else {
-        crate::dag::place_into(chain, cand, &cand.block_expr(chain))?
-    };
-    let num_ops = chain.num_ops();
+    let placement = legal_placement(chain, cand, opts)?;
+    Ok(emit(chain, cand, opts, &placement))
+}
 
-    // ---- Legality --------------------------------------------------------
-    for op in 0..num_ops {
-        let inst = accumulator_instances(chain, cand, op);
-        if inst > 1 {
-            return Err(LoweringError::MultiTileAccumulator {
-                op,
-                instances: inst,
-            });
-        }
+/// What [`lower_within`] produced for a legal candidate.
+#[derive(Debug, Clone)]
+pub enum Launch {
+    /// The kernel fits the limit: exactly what [`lower`] returns.
+    Ready(LoweredKernel),
+    /// The kernel would need more shared memory per block than the
+    /// limit, so it was never emitted.
+    Refused {
+        /// Shared memory the kernel needs per block: exactly the
+        /// `smem_bytes` [`lower`] reports whenever the double-buffer
+        /// budget is within the limit, as under
+        /// [`LoweringOptions::for_device`].
+        smem_bytes: u64,
+    },
+}
+
+/// [`lower`] for a launch with `smem_limit` bytes of shared memory per
+/// block: a legal candidate whose kernel would exceed the limit is
+/// refused without emitting it.
+///
+/// The refusal is exact. Single-copy tiles ([`smem_footprint`]) are the
+/// least lowering allocates, so a footprint over the limit is refused
+/// before emission. Lowering doubles the load tiles only when the
+/// doubled total fits `double_buffer_budget`, so under
+/// [`LoweringOptions::for_device`] (budget = `smem_per_block`) a
+/// footprint within the limit always launches; with a larger budget the
+/// emitted kernel is checked as well.
+pub fn lower_within(
+    chain: &ChainSpec,
+    cand: &Candidate,
+    opts: &LoweringOptions,
+    smem_limit: u64,
+) -> Result<Launch, LoweringError> {
+    let placement = legal_placement(chain, cand, opts)?;
+    let footprint = smem_footprint(chain, cand, opts);
+    if footprint > smem_limit {
+        return Ok(Launch::Refused {
+            smem_bytes: footprint,
+        });
     }
-    for op in 1..num_ops {
-        // Consumer placed inside producer's reduction loop?
-        let red = compute_reduction_axis(chain, op - 1);
-        let path = &placement
-            .paths
-            .iter()
-            .find(|(s, _)| *s == Stmt::Compute(op))
-            .expect("compute placed")
-            .1;
-        if path.contains(&red) {
-            return Err(LoweringError::PartialConsumption { op });
+    let kernel = emit(chain, cand, opts, &placement);
+    Ok(if kernel.smem_bytes > smem_limit {
+        Launch::Refused {
+            smem_bytes: kernel.smem_bytes,
         }
-    }
+    } else {
+        Launch::Ready(kernel)
+    })
+}
+
+/// The legality step of lowering: the checks that need no placement
+/// first (softmax position, every stitch check), then the placement and
+/// the two checks that read it or the loop nest (accumulator instances,
+/// partial consumption). Returns the placement emission walks.
+fn legal_placement(
+    chain: &ChainSpec,
+    cand: &Candidate,
+    opts: &LoweringOptions,
+) -> Result<Placement, LoweringError> {
+    let num_ops = chain.num_ops();
     for (i, e) in chain.epilogues.iter().enumerate() {
         if e.is_rowwise() && i + 2 != num_ops + 1 {
             // softmax between op i and op i+1 requires op i+1 to be final.
@@ -221,15 +270,143 @@ pub fn lower(
             ));
         }
     }
-    // A tail LayerNorm pins the last axis to the full row, which would
-    // force the final weight tile to hold a whole `t_k × d_L` panel.
-    // Stream that panel in column chunks instead: only one `t_k × chunk`
-    // slice is resident, and each slice fills its accumulator columns.
-    let tail_chunk: Option<(u64, u64)> = tail.filter(|t| t.layer_norm).and_then(|_| {
-        let d_l = *chain.dims.last().expect("chain has dims");
-        let chunk = crate::shmem::tail_panel_chunk(d_l);
-        (chunk < d_l).then_some((chunk, d_l / chunk))
-    });
+
+    let placement = if opts.dead_loop_elimination {
+        place(chain, cand)?
+    } else {
+        crate::dag::place_into(chain, cand, &cand.block_expr(chain))?
+    };
+    for op in 0..num_ops {
+        let inst = accumulator_instances(chain, cand, op);
+        if inst > 1 {
+            return Err(LoweringError::MultiTileAccumulator {
+                op,
+                instances: inst,
+            });
+        }
+    }
+    for op in 1..num_ops {
+        // Consumer placed inside producer's reduction loop?
+        let red = compute_reduction_axis(chain, op - 1);
+        let path = &placement
+            .paths
+            .iter()
+            .find(|(s, _)| *s == Stmt::Compute(op))
+            .expect("compute placed")
+            .1;
+        if path.contains(&red) {
+            return Err(LoweringError::PartialConsumption { op });
+        }
+    }
+    Ok(placement)
+}
+
+/// A tail LayerNorm pins the last axis to the full row, which would
+/// force the final weight tile to hold a whole `t_k × d_L` panel. That
+/// panel streams in column chunks instead: only one `t_k × chunk` slice
+/// is resident, and each slice fills its accumulator columns. Returns
+/// `(chunk, n_chunks)` when the panel is chunked.
+fn tail_chunk(chain: &ChainSpec) -> Option<(u64, u64)> {
+    chain
+        .stitch_epilogue
+        .filter(|t| t.layer_norm)
+        .and_then(|_| {
+            let d_l = *chain.dims.last().expect("chain has dims");
+            let chunk = crate::shmem::tail_panel_chunk(d_l);
+            (chunk < d_l).then_some((chunk, d_l / chunk))
+        })
+}
+
+/// Bank-conflict padding of a tile row of `cols` chain-precision
+/// elements: 8 extra columns when the row stride is a multiple of
+/// [`LoweringOptions::bank_conflict_stride`].
+fn bank_pad(opts: &LoweringOptions, esz: DType, cols: u64) -> u64 {
+    if opts.bank_conflict_stride > 0
+        && (cols * esz.size_bytes()).is_multiple_of(opts.bank_conflict_stride)
+    {
+        8
+    } else {
+        0
+    }
+}
+
+/// The shared memory lowering allocates for a legal candidate, one copy
+/// of every tile: bank-padded load tiles (streamed panels take none),
+/// f32 accumulators, softmax row statistics, bias strips and mask tiles,
+/// and the stitch tiles. This is the `smem_bytes` of the kernel [`lower`]
+/// emits without double buffering, computed without placing or emitting
+/// anything and without allocating.
+pub fn smem_footprint(chain: &ChainSpec, cand: &Candidate, opts: &LoweringOptions) -> u64 {
+    let num_ops = chain.num_ops();
+    let esz = chain.dtype;
+    let (eb, fb) = (esz.size_bytes(), DType::F32.size_bytes());
+    let tm = cand.tile(LoopId(0));
+    let tk = cand.tile(LoopId(1));
+    let tn = cand.tile(LoopId(chain.num_axes() - 1));
+    let tail_streamed = tail_chunk(chain).is_some();
+    let mut bytes = 0;
+    // Load tiles. Panels behind `A` stream when `m == 1`, and so does a
+    // chunked tail panel; a stitched prologue stages A raw in f32.
+    for i in 0..=num_ops {
+        if (i > 0 && chain.m == 1) || (i == num_ops && tail_streamed) {
+            continue;
+        }
+        let [r, c] = tensor_axes(chain, TensorRef::Input(i));
+        let (r, c) = (cand.tile(r), cand.tile(c));
+        let dt = if i == 0 && chain.prologue.is_some() {
+            fb
+        } else {
+            eb
+        };
+        bytes += r * (c + bank_pad(opts, esz, c)) * dt;
+    }
+    for op in 0..num_ops {
+        let [r, c] = tensor_axes(chain, crate::stmt::compute_output(chain, op));
+        bytes += cand.tile(r) * cand.tile(c) * fb;
+    }
+    if chain.epilogues.iter().any(Epilogue::is_rowwise) {
+        bytes += 2 * tm * fb; // row max and row sum
+    }
+    for stage in 0..num_ops {
+        let cols = cand.tile(LoopId(stage + 2));
+        if chain.biases.get(stage).copied().unwrap_or(false) {
+            bytes += cols * eb;
+        }
+        if chain.epilogues[stage].needs_mask() {
+            bytes += tm * cols * eb;
+        }
+    }
+    if let Some(p) = chain.prologue {
+        if p.residual {
+            bytes += tm * (tk + bank_pad(opts, esz, tk)) * fb;
+        }
+        // Row mean and rstd, gamma and beta strips.
+        bytes += 2 * tm * fb + 2 * tk * fb;
+    }
+    if let Some(t) = chain.stitch_epilogue {
+        if t.residual == ResidualSource::PrologueOut {
+            bytes += 2 * tn * fb; // recompute gamma and beta strips
+        }
+        if t.layer_norm && t.affine {
+            bytes += 2 * tn * fb;
+        }
+    }
+    bytes
+}
+
+/// Emit the tile program of a candidate that passed
+/// [`legal_placement`].
+fn emit(
+    chain: &ChainSpec,
+    cand: &Candidate,
+    opts: &LoweringOptions,
+    placement: &Placement,
+) -> LoweredKernel {
+    let num_ops = chain.num_ops();
+    let pro = chain.prologue;
+    let tail = chain.stitch_epilogue;
+    let last_axis = LoopId(chain.num_axes() - 1);
+    let tail_chunk = tail_chunk(chain);
 
     // ---- Declarations ----------------------------------------------------
     let esz = chain.dtype;
@@ -320,15 +497,7 @@ pub fn lower(
     };
 
     // Shared tiles. Load tiles at chain precision; accumulators in f32.
-    let pad = |cols: u64| -> u64 {
-        if opts.bank_conflict_stride > 0
-            && (cols * esz.size_bytes()).is_multiple_of(opts.bank_conflict_stride)
-        {
-            8
-        } else {
-            0
-        }
-    };
+    let pad = |cols: u64| bank_pad(opts, esz, cols);
     let mut load_tiles = Vec::with_capacity(num_ops + 1);
     for (i, &buf) in input_bufs.iter().enumerate() {
         let t = if i == 0 {
@@ -586,7 +755,13 @@ pub fn lower(
         targets.retain(|id| !program.smem[id.0].streamed);
         targets.sort_unstable_by_key(|id| id.0);
         targets.dedup();
-        let base = program.smem_bytes();
+        let base = smem_footprint(chain, cand, opts);
+        debug_assert_eq!(
+            base,
+            program.smem_bytes(),
+            "smem_footprint disagrees with {}",
+            cand.describe(chain)
+        );
         let extra: u64 = targets
             .iter()
             .map(|id| program.smem[id.0].alloc_bytes())
@@ -608,11 +783,11 @@ pub fn lower(
     // by accident.
     mcfuser_sim::verify::mark_expected_clips(&mut program);
 
-    Ok(LoweredKernel {
+    LoweredKernel {
         program,
         double_buffered,
         smem_bytes,
-    })
+    }
 }
 
 /// Emission context shared by the scope walker.
@@ -1445,6 +1620,162 @@ mod tests {
             eps: 1e-5,
         });
         c
+    }
+
+    /// Chains covering every kind of tile lowering allocates: plain and
+    /// biased 2- and 3-GEMM chains, attention with and without a mask, an
+    /// `m == 1` GEMV (streamed panels), a stitched prologue with and
+    /// without a residual, a full stitched FFN, and tail LayerNorms with
+    /// a streamed (`d_L = 512`) and a resident (`d_L = 128`) last panel.
+    fn footprint_families() -> Vec<ChainSpec> {
+        let tail_ln = |name: &str, m: u64, d_l: u64| {
+            let mut c = ChainSpec::gemm_chain(name, 1, m, 64, 32, d_l);
+            c.stitch_epilogue = Some(mcfuser_ir::EpilogueStitch {
+                residual: mcfuser_ir::ResidualSource::External,
+                layer_norm: true,
+                affine: true,
+                eps: 1e-5,
+            });
+            c
+        };
+        let mut biased = gemm_chain();
+        biased.biases = vec![true, true];
+        let gemm3 = ChainSpec::chain(
+            "g3",
+            1,
+            64,
+            vec![64, 48, 64, 32],
+            vec![Epilogue::Relu, Epilogue::Gelu, Epilogue::None],
+        );
+        let mut biased3 = gemm3.clone();
+        biased3.biases = vec![true, false, true];
+        let mut prologue = stitched_ffn(64, 64, 96);
+        prologue.stitch_epilogue = None;
+        let mut prologue_no_res = prologue.clone();
+        if let Some(p) = prologue_no_res.prologue.as_mut() {
+            p.residual = false;
+        }
+        vec![
+            gemm_chain(),
+            biased,
+            gemm3,
+            biased3,
+            ChainSpec::attention("attn", 2, 64, 64, 32, 32),
+            ChainSpec::masked_attention("mattn", 2, 64, 48, 32, 32),
+            ChainSpec::gemm_chain("gemv", 1, 1, 128, 96, 64),
+            prologue,
+            prologue_no_res,
+            stitched_ffn(64, 64, 96),
+            tail_ln("tail512", 32, 512),
+            tail_ln("tail128", 64, 128),
+        ]
+    }
+
+    /// Every expression of `chain` with each axis' smallest, middle and
+    /// largest tile option (smallest and largest past four axes).
+    fn sampled_candidates(chain: &ChainSpec) -> Vec<Candidate> {
+        let picks: Vec<Vec<u64>> = (0..chain.num_axes())
+            .map(|a| {
+                let opts = crate::loops::tile_options(chain.axis_extent(a));
+                let mut p = vec![opts[0], opts[opts.len() - 1]];
+                if chain.num_axes() <= 4 {
+                    p.push(opts[opts.len() / 2]);
+                }
+                p.sort_unstable();
+                p.dedup();
+                p
+            })
+            .collect();
+        let mut tiles = vec![vec![]];
+        for p in &picks {
+            tiles = tiles
+                .iter()
+                .flat_map(|t: &Vec<u64>| {
+                    p.iter().map(move |&x| {
+                        let mut t = t.clone();
+                        t.push(x);
+                        t
+                    })
+                })
+                .collect();
+        }
+        crate::expr::enumerate_all(chain)
+            .into_iter()
+            .flat_map(|e| {
+                tiles
+                    .iter()
+                    .map(move |t| Candidate::new(e.clone(), t.clone()))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn smem_footprint_equals_single_copy_smem_bytes() {
+        for chain in footprint_families() {
+            let mut legal = 0;
+            for stride in [0, 128] {
+                let opts = LoweringOptions {
+                    double_buffer_budget: None,
+                    bank_conflict_stride: stride,
+                    dead_loop_elimination: true,
+                };
+                for cand in sampled_candidates(&chain) {
+                    let Ok(k) = lower(&chain, &cand, &opts) else {
+                        continue;
+                    };
+                    legal += 1;
+                    assert!(!k.double_buffered);
+                    assert_eq!(
+                        smem_footprint(&chain, &cand, &opts),
+                        k.smem_bytes,
+                        "{} stride {stride}",
+                        cand.describe(&chain)
+                    );
+                }
+            }
+            assert!(legal > 0, "{}: no legal candidate sampled", chain.name);
+        }
+    }
+
+    #[test]
+    fn lower_within_refuses_exactly_what_cannot_launch() {
+        let mut chains = footprint_families();
+        chains.push(ChainSpec::gemm_chain("big", 1, 1024, 1024, 512, 512));
+        chains.push(ChainSpec::attention("big_attn", 4, 512, 512, 128, 128));
+        for dev in [DeviceSpec::a100(), DeviceSpec::rtx3080()] {
+            let opts = LoweringOptions::for_device(&dev);
+            let limit = dev.smem_per_block;
+            let (mut ready, mut refused) = (0, 0);
+            for chain in &chains {
+                for cand in sampled_candidates(chain) {
+                    let what = format!("{} on {}", cand.describe(chain), dev.name);
+                    match (
+                        lower(chain, &cand, &opts),
+                        lower_within(chain, &cand, &opts, limit),
+                    ) {
+                        (Err(a), Err(b)) => assert_eq!(a, b, "{what}"),
+                        (Ok(k), Ok(Launch::Refused { smem_bytes })) => {
+                            assert!(k.smem_bytes > limit, "{what}");
+                            assert_eq!(smem_bytes, k.smem_bytes, "{what}");
+                            refused += 1;
+                        }
+                        (Ok(k), Ok(Launch::Ready(w))) => {
+                            assert!(k.smem_bytes <= limit, "{what}");
+                            assert_eq!(w.program, k.program, "{what}");
+                            assert_eq!(w.smem_bytes, k.smem_bytes, "{what}");
+                            assert_eq!(w.double_buffered, k.double_buffered, "{what}");
+                            ready += 1;
+                        }
+                        (a, b) => panic!("{what}: lower {a:?} but lower_within {b:?}"),
+                    }
+                }
+            }
+            assert!(
+                ready > 0 && refused > 0,
+                "{}: {ready} ready, {refused} refused",
+                dev.name
+            );
+        }
     }
 
     #[test]

@@ -85,8 +85,10 @@ fn eager_materialize(space: &CandidateSpace, smem_limit: Option<u64>) -> Eager {
 }
 
 /// The space agrees with the dense oracle index for index: `len`,
-/// `stats.after_rule4`, `iter`, `candidate`, the `index_of` round trip,
-/// `index_of` on every rejected combination, and the diagnostic minimum.
+/// `stats.after_rule4`, `iter`, `candidate`, the borrowing `visit` (index,
+/// expression position and tiles, and `expr_of`/`index_in` on them), the
+/// `index_of` round trip, `index_of` on every rejected combination, and
+/// the diagnostic minimum.
 fn assert_matches_oracle(space: &CandidateSpace, smem_limit: Option<u64>) {
     let name = &space.chain.name;
     let eager = eager_materialize(space, smem_limit);
@@ -112,6 +114,24 @@ fn assert_matches_oracle(space: &CandidateSpace, smem_limit: Option<u64>) {
         streamed += 1;
     }
     assert_eq!(streamed, eager.candidates.len(), "{name}: stream length");
+    let mut visited = 0usize;
+    space.visit(|i, expr, tiles| {
+        let reference = &eager.candidates[visited];
+        assert_eq!(i, visited as u64, "{name}: visit index at {visited}");
+        assert_eq!(
+            space.exprs[expr], reference.expr,
+            "{name}: visit expr at {i}"
+        );
+        assert_eq!(tiles, &reference.tiles[..], "{name}: visit tiles at {i}");
+        assert_eq!(space.expr_of(i), expr, "{name}: expr_of at {i}");
+        assert_eq!(
+            space.index_in(expr, tiles),
+            Some(i),
+            "{name}: index_in at {i}"
+        );
+        visited += 1;
+    });
+    assert_eq!(visited, eager.candidates.len(), "{name}: visit length");
     if let Some(expr) = space.exprs.first() {
         for tiles in &eager.rejected {
             let cand = Candidate::new(expr.clone(), tiles.clone());
