@@ -2,9 +2,8 @@
 //! BERT (4 attention + 4 FFN) three ways, then count the space builds
 //! and searches each way performs and compare their winners —
 //!
-//! * **cold**: schedule cache off, space cache off — every chain pays
-//!   its own Rule-4 scan plus a full search (the pre-space-cache
-//!   worst case);
+//! * **cold**: no engine — `McFuser::tune` per chain, so every chain
+//!   pays its own Rule-4 scan plus a full search;
 //! * **shared-space**: schedule cache still off, space cache on — the
 //!   8 chains collapse onto 2 content-distinct candidate spaces (one
 //!   scan per *shape*), searches unchanged;
@@ -21,7 +20,7 @@
 //! cargo run --release -p mcfuser-bench --bin tune_smoke
 //! ```
 
-use mcfuser_core::{CachePolicy, FusionEngine, TunedKernel};
+use mcfuser_core::{CachePolicy, FusionEngine, McFuser, TunedKernel};
 use mcfuser_ir::{partition, ChainSpec};
 use mcfuser_sim::DeviceSpec;
 use mcfuser_workloads::{bert_graph, BertConfig};
@@ -65,19 +64,10 @@ fn main() {
     );
 
     // --- cold: per-chain scans, per-chain searches ----------------------
-    let cold_engine = FusionEngine::builder(device.clone())
-        .cache(CachePolicy::Disabled)
-        .space_cache(false)
-        .build();
     let cold: Vec<TunedKernel> = chains
         .iter()
-        .map(|c| cold_engine.tune(c).expect("cold tune"))
+        .map(|c| McFuser::new().tune(c, &device).expect("cold tune"))
         .collect();
-    assert_eq!(
-        cold_engine.stats().space_builds,
-        chains.len() as u64,
-        "cold tuning pays one Rule-4 scan per chain"
-    );
 
     // --- shared-space: one scan per shape, searches unchanged -----------
     let shared_engine = FusionEngine::builder(device.clone())

@@ -149,15 +149,13 @@ pub struct EngineStats {
     /// [`ModelRuntime::shutdown`](crate::ModelRuntime::shutdown)) to get
     /// the failure as a `Result`.
     pub cache_persist_errors: u64,
-    /// Candidate spaces built from scratch (each one Rule-4 scan).
-    /// With the space cache enabled this counts *distinct space
-    /// fingerprints*, not tuning tasks: N same-shaped chains cost one
-    /// build.
+    /// Candidate spaces built from scratch (each one Rule-4 scan). This
+    /// counts *distinct space fingerprints*, not tuning tasks: N
+    /// same-shaped chains cost one build (more only after an eviction).
     pub space_builds: u64,
     /// Tuning tasks whose candidate space was served from the engine's
-    /// [`SpaceCache`] (always 0 with the cache disabled, or when the
-    /// tuning cache answered first — a schedule hit never builds a
-    /// space at all).
+    /// [`SpaceCache`] (0 when the tuning cache answered first — a
+    /// schedule hit never builds a space at all).
     pub space_cache_hits: u64,
     /// Candidate spaces evicted from the LRU-bounded [`SpaceCache`].
     /// Eviction is safe — spaces rebuild deterministically — but a
@@ -189,7 +187,6 @@ pub struct EngineBuilder {
     cache: CachePolicy,
     custom_cache: Option<Box<dyn TuningCache>>,
     parallelism: usize,
-    space_caching: bool,
     stitching: bool,
 }
 
@@ -204,7 +201,6 @@ impl EngineBuilder {
             cache: CachePolicy::default(),
             custom_cache: None,
             parallelism: 1,
-            space_caching: true,
             stitching: true,
         }
     }
@@ -249,18 +245,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Whether the engine shares built candidate spaces across tuning
-    /// tasks (default: on). Spaces are content-addressed by
-    /// [`space_fingerprint`] — everything construction depends on
-    /// except the chain's name — so N same-shaped chains (every BERT
-    /// layer) pay for one Rule-4 scan instead of N. Results are
-    /// bit-identical either way; disable only to get a cold per-chain
-    /// reference (the `tune_smoke` bench compares against one).
-    pub fn space_cache(mut self, enabled: bool) -> Self {
-        self.space_caching = enabled;
-        self
-    }
-
     /// Whether the partitioner stitches adjacent elementwise glue
     /// (LayerNorm prologues, residual-Add/LayerNorm epilogues) into the
     /// fused chains (default: on). Disabling it extracts the *same*
@@ -301,7 +285,7 @@ impl EngineBuilder {
             policy: self.policy,
             fallback: self.fallback,
             cache,
-            spaces: self.space_caching.then(SpaceCache::new),
+            spaces: SpaceCache::new(),
             space_builds: AtomicU64::new(0),
             stitching: self.stitching,
             parallelism: self.parallelism.max(1),
@@ -320,10 +304,9 @@ pub struct FusionEngine {
     policy: SpacePolicy,
     fallback: Option<Arc<dyn OpCostModel + Send + Sync>>,
     cache: Option<Arc<dyn TuningCache>>,
-    /// Built candidate spaces, shared across same-shaped tuning tasks
-    /// (`None` when disabled via [`EngineBuilder::space_cache`]).
-    spaces: Option<SpaceCache>,
-    /// Fresh space constructions, cache or not (the Rule-4 scan probe).
+    /// Built candidate spaces, shared across same-shaped tuning tasks.
+    spaces: SpaceCache,
+    /// Fresh space constructions (the Rule-4 scan probe).
     space_builds: AtomicU64,
     /// Whether compilation stitches prologue/epilogue glue into chains.
     stitching: bool,
@@ -338,7 +321,7 @@ impl std::fmt::Debug for FusionEngine {
             .field("device", &self.device.name)
             .field("parallelism", &self.parallelism)
             .field("cached_entries", &self.cache.as_ref().map(|c| c.len()))
-            .field("cached_spaces", &self.spaces.as_ref().map(|s| s.len()))
+            .field("cached_spaces", &self.spaces.len())
             .field("fallback", &self.fallback.as_ref().map(|b| b.name()))
             .finish()
     }
@@ -366,8 +349,8 @@ impl FusionEngine {
         let mut stats = self.stats.lock().clone();
         stats.cache_persist_errors = self.cache.as_ref().map(|c| c.persist_errors()).unwrap_or(0);
         stats.space_builds = self.space_builds.load(Ordering::Relaxed);
-        stats.space_cache_hits = self.spaces.as_ref().map(|s| s.hits()).unwrap_or(0);
-        stats.space_evictions = self.spaces.as_ref().map(|s| s.evictions()).unwrap_or(0);
+        stats.space_cache_hits = self.spaces.hits();
+        stats.space_evictions = self.spaces.evictions();
         stats.tuning_cache_evictions = self.cache.as_ref().map(|c| c.evictions()).unwrap_or(0);
         stats
     }
@@ -666,20 +649,15 @@ impl FusionEngine {
 
     /// The candidate space for a chain — shared through the engine's
     /// [`SpaceCache`] (content-addressed, so every same-shaped chain and
-    /// every layout variant of one reuses a single Rule-4 scan), or
-    /// built fresh when space caching is disabled. Only reached on
-    /// tuning-cache misses: a schedule hit rehydrates without a space.
+    /// every layout variant of one reuses a single Rule-4 scan). Only
+    /// reached on tuning-cache misses: a schedule hit rehydrates without
+    /// a space.
     fn space_for(&self, chain: &ChainSpec) -> Arc<CandidateSpace> {
-        let build = || {
-            self.space_builds.fetch_add(1, Ordering::Relaxed);
-            build_candidate_space(chain, &self.device, &self.policy)
-        };
-        match &self.spaces {
-            Some(cache) => {
-                cache.get_or_build(space_fingerprint(chain, &self.device, &self.policy), build)
-            }
-            None => Arc::new(build()),
-        }
+        self.spaces
+            .get_or_build(space_fingerprint(chain, &self.device, &self.policy), || {
+                self.space_builds.fetch_add(1, Ordering::Relaxed);
+                build_candidate_space(chain, &self.device, &self.policy)
+            })
     }
 
     /// Rebuild a [`TunedKernel`] from a cached schedule: parse the

@@ -101,7 +101,7 @@ pub use plan::{
 pub use prune::{prune, rule2_ok, rule3_tiles, PruneStats};
 pub use runtime::{ModelRuntime, PlanStats, RuntimeStats, ShutdownError, WEIGHT_CACHE_CAPACITY};
 pub use scheduler::BatchPolicy;
-pub use search::{heuristic_search, CandidateRef, MeasuredSet, SearchOutcome, SearchParams};
+pub use search::{heuristic_search, MeasuredSet, SearchOutcome, SearchParams};
 pub use session::{DecodeError, DecodeServing, DecodeSession, DecodeSpec};
 pub use space::{space_fingerprint, CandidateSpace, SearchSpace, SpaceCache, SPACE_CACHE_CAPACITY};
 pub use tuner::{

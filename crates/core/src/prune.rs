@@ -23,7 +23,9 @@
 //! tile domains); Rule 4 becomes the survivor index of the returned
 //! [`CandidateSpace`]. No candidate `Vec` is ever materialized and there
 //! is no cap: `PruneStats::after_rule4` is the exact count of candidates
-//! reachable by index.
+//! reachable by index, and Algorithm 1 samples, mutates, ranks and
+//! lowers only those: a mutation step that Rule 4 rejects keeps the
+//! parent.
 //!
 //! Eq. 1 never decreases along axis 0 (`m` enters it only through
 //! non-negative products), so for each fixed setting of the other axes
@@ -167,7 +169,8 @@ pub(crate) fn rules123(
 }
 
 /// Run the full pruning cascade. Rule 4 becomes the lazy survivor index
-/// of the returned [`CandidateSpace`] — exact, parallel, uncapped.
+/// of the returned [`CandidateSpace`] — exact and uncapped, built on the
+/// calling thread.
 pub fn prune(chain: &ChainSpec, dev: &DeviceSpec, space: &SearchSpace) -> CandidateSpace {
     let (reps, tile_domains, stats) = rules123(chain, space);
     CandidateSpace::build(chain, reps, tile_domains, Some(dev.smem_per_block), stats)

@@ -15,14 +15,17 @@
 //! top-n on the (simulated) device, then breed the next population by
 //! mutation with selection probability ∝ 1/estimated-time.
 //!
-//! The search addresses the pruned space through [`CandidateSpace`]
-//! indices: sampling draws an index and decodes it, the full-ranking
-//! seed path visits borrowed tile slices ([`CandidateSpace::visit`])
-//! without building a candidate, and every candidate the space admits —
-//! however large the space — is reachable. Population members carry the
-//! position of their expression in the space, and mutants inherit it,
-//! so the placement memo never compares or hashes an expression tree,
-//! and the measurement cache does so only for a detached mutant.
+//! The search lives inside the pruned space: a population member is a
+//! Rule-4 survivor's [`CandidateSpace`] index plus its tile vector, and
+//! mutation returns the parent whenever its step would leave the
+//! survivors, so nothing Rule 4 rejected is ever ranked, lowered or
+//! charged. Sampling draws an index, the full-ranking seed path visits
+//! borrowed tile slices ([`CandidateSpace::visit`]) without building a
+//! candidate, and every candidate the space admits — however large the
+//! space — is reachable. A member's expression is its index's
+//! ([`CandidateSpace::expr_of`]), so the placement memo and the
+//! measurement cache never compare or hash an expression tree, and a
+//! [`Candidate`] is built only to lower a member or to return the winner.
 //!
 //! Each round walks the ranking and lowers fresh candidates through
 //! [`lower_within`] until `n` of them have run. A candidate that fails a
@@ -101,65 +104,15 @@ impl SearchParams {
     }
 }
 
-/// How the measurement cache addresses a candidate.
-///
-/// Survivors of the pruned [`CandidateSpace`] are keyed by their dense
-/// `u64` index — smaller and faster to hash than a full expression
-/// clone + tile vector, and it lets the measured set be reported per
-/// index range afterwards. A mutation can step outside the Rule-4
-/// surviving set (the mutant is still lowerable, just not indexed);
-/// those candidates are `Detached` and carry their own identity. The
-/// two arms never alias: [`CandidateSpace::index_of`] is total on
-/// survivors, so a survivor is always `Indexed`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum CandidateRef {
-    /// A pruning survivor, keyed by its dense space index.
-    Indexed(u64),
-    /// A mutant outside the surviving set.
-    Detached(Candidate),
-}
-
-impl CandidateRef {
-    /// Key a candidate whose expression sits at position `expr` of the
-    /// space's expressions: indexed when it is a survivor.
-    fn of(expr: usize, cand: &Candidate, space: &CandidateSpace) -> Self {
-        match space.index_in(expr, &cand.tiles) {
-            Some(i) => CandidateRef::Indexed(i),
-            None => CandidateRef::Detached(cand.clone()),
-        }
-    }
-}
-
-/// Which candidates a search actually measured, in index terms.
+/// Which candidates a search tried to lower, in index terms.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MeasuredSet {
-    /// Sorted distinct space indices of measured survivors.
+    /// Sorted distinct space indices of every candidate the search tried
+    /// to lower.
     pub indexed: Vec<u64>,
-    /// Measured mutants outside the surviving set.
+    /// Always 0: the search lowers only Rule-4 survivors. Kept until the
+    /// benchmark's compile replay stops reading it.
     pub detached: usize,
-}
-
-impl MeasuredSet {
-    /// Total distinct candidates measured.
-    pub fn total(&self) -> usize {
-        self.indexed.len() + self.detached
-    }
-
-    /// Histogram of the measured survivors over `buckets` equal index
-    /// ranges of a space with `space_len` candidates — where in the
-    /// pruned space the search actually spent its measurements.
-    pub fn per_range(&self, space_len: u64, buckets: usize) -> Vec<u64> {
-        let mut hist = vec![0u64; buckets.max(1)];
-        if space_len == 0 {
-            return hist;
-        }
-        let width = space_len.div_ceil(buckets.max(1) as u64).max(1);
-        for &i in &self.indexed {
-            let b = ((i / width) as usize).min(hist.len() - 1);
-            hist[b] += 1;
-        }
-        hist
-    }
 }
 
 /// Result of a completed search.
@@ -182,14 +135,16 @@ pub struct SearchOutcome {
     pub measured: usize,
     /// Of those, legal candidates refused because their kernel needs
     /// more shared memory per block than the device has. Each was
-    /// charged one compile and never emitted.
+    /// charged one compile and never emitted, so `refused` is the
+    /// compiles this search charged minus its measurements.
     pub refused: usize,
     /// Of those, candidates that failed a lowering legality check. They
     /// were charged nothing.
     pub illegal: usize,
     /// Best measured time after each round (monotone non-increasing).
     pub history: Vec<f64>,
-    /// The measured set in index terms (per-range reporting).
+    /// The candidates counted by [`measured`](Self::measured), as space
+    /// indices.
     pub measured_set: MeasuredSet,
 }
 
@@ -270,23 +225,20 @@ fn rank_score(
     }
 }
 
-/// One population member: its cache key (space index for survivors,
-/// the candidate itself for detached mutants), the position of its
-/// expression in the space (mutants inherit their parent's), and the
-/// decoded candidate.
+/// One population member: a Rule-4 survivor's space index and its tile
+/// vector. Its expression is the index's, [`CandidateSpace::expr_of`].
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Member {
-    key: CandidateRef,
-    expr: usize,
-    cand: Candidate,
+    idx: u64,
+    tiles: Vec<u64>,
 }
 
 impl Member {
     /// The survivor at space index `idx`.
-    fn indexed(space: &CandidateSpace, idx: u64) -> Member {
+    fn at(space: &CandidateSpace, idx: u64) -> Member {
         Member {
-            key: CandidateRef::Indexed(idx),
-            expr: space.expr_of(idx),
-            cand: space.candidate(idx),
+            idx,
+            tiles: space.tiles_at(idx),
         }
     }
 }
@@ -337,15 +289,7 @@ fn breed_population(
     let dist = WeightedIndex::new(weights).ok()?;
     Some(
         (0..size)
-            .map(|_| {
-                let parent = &population[dist.sample(rng)];
-                let cand = mutate(&parent.cand, space, rng);
-                Member {
-                    key: CandidateRef::of(parent.expr, &cand, space),
-                    expr: parent.expr,
-                    cand,
-                }
-            })
+            .map(|_| mutate(&population[dist.sample(rng)], space, rng))
             .collect(),
     )
 }
@@ -369,7 +313,7 @@ pub fn heuristic_search(
     } else {
         LoweringOptions::for_device(dev).without_dead_loop_elimination()
     };
-    let sample_idx = |rng: &mut StdRng| Member::indexed(space, rng.gen_range(0..space.len()));
+    let sample_idx = |rng: &mut StdRng| Member::at(space, rng.gen_range(0..space.len()));
     // One placement per loop structure for the whole search: the
     // full ranking and every round's ranking price through it.
     let mut memo = PlacementMemo::new(chain, &space.exprs);
@@ -399,7 +343,7 @@ pub fn heuristic_search(
         scored[..seeded].sort_unstable_by(by_score);
         let mut pop: Vec<Member> = scored[..seeded]
             .iter()
-            .map(|&(i, _)| Member::indexed(space, i))
+            .map(|&(i, _)| Member::at(space, i))
             .collect();
         while pop.len() < params.population {
             pop.push(sample_idx(&mut rng));
@@ -411,11 +355,9 @@ pub fn heuristic_search(
             .collect()
     };
 
-    let mut best: Option<(Candidate, f64, LoweredKernel, KernelProfile)> = None;
-    // Keyed by CandidateRef: survivors hash one u64 instead of a full
-    // expression + tile vector, and the key set doubles as the
-    // per-index-range measurement report.
-    let mut measured_cache: FxHashMap<CandidateRef, Measurement> = FxHashMap::default();
+    let mut best: Option<(u64, f64, LoweredKernel, KernelProfile)> = None;
+    // Keyed by space index; the key set is the reported measured set.
+    let mut measured_cache: FxHashMap<u64, Measurement> = FxHashMap::default();
     let mut history = Vec::new();
     let mut rounds = 0usize;
     let (mut refused, mut illegal) = (0usize, 0usize);
@@ -426,7 +368,16 @@ pub fn heuristic_search(
         // from the memo).
         let estimates: Vec<f64> = population
             .iter()
-            .map(|m| rank_score(&mut memo, space, m.expr, &m.cand.tiles, dev, params))
+            .map(|m| {
+                rank_score(
+                    &mut memo,
+                    space,
+                    space.expr_of(m.idx),
+                    &m.tiles,
+                    dev,
+                    params,
+                )
+            })
             .collect();
         clock.note_estimates(estimates.len() as u64);
 
@@ -450,7 +401,7 @@ pub fn heuristic_search(
         // top-k are always new candidates), used for the convergence test.
         let mut fresh_best: Option<f64> = None;
         for (i, member) in population.iter().enumerate() {
-            if let Some(m) = measured_cache.get(&member.key) {
+            if let Some(m) = measured_cache.get(&member.idx) {
                 let t = measured_time(m);
                 if t.is_finite() && round_best.map(|(_, bt)| t < bt).unwrap_or(true) {
                     round_best = Some((i, t));
@@ -463,12 +414,12 @@ pub fn heuristic_search(
                 break;
             }
             let member = &population[i];
-            if !estimates[i].is_finite() || measured_cache.contains_key(&member.key) {
+            if !estimates[i].is_finite() || measured_cache.contains_key(&member.idx) {
                 continue;
             }
             let m = measure_candidate(
                 chain,
-                &member.cand,
+                &space.candidate(member.idx),
                 dev,
                 &cost,
                 clock,
@@ -481,7 +432,7 @@ pub fn heuristic_search(
                 Err(Unlaunched::Refused) => refused += 1,
                 Ok(_) => {}
             }
-            measured_cache.insert(member.key.clone(), m);
+            measured_cache.insert(member.idx, m);
             if t.is_finite() {
                 fresh += 1;
                 if fresh_best.map(|b| t < b).unwrap_or(true) {
@@ -500,15 +451,14 @@ pub fn heuristic_search(
                 .collect();
             continue;
         };
-        let top1 = &population[top1_idx];
+        let top1 = population[top1_idx].idx;
         // The winner's kernel + profile come straight from the
         // measurement cache — a finite round-best time implies a
         // successful measurement, so no re-lowering and no panic path.
         let (top1_lk, top1_prof) = measured_cache
-            .get(&top1.key)
+            .get(&top1)
             .and_then(|m| m.as_ref().ok().cloned())
             .expect("round-best candidate has a cached measurement");
-        let top1_cand = top1.cand.clone();
 
         // Lines 10-12: convergence test against the incumbent, on freshly
         // measured candidates only (re-reading the cache is not evidence
@@ -527,7 +477,7 @@ pub fn heuristic_search(
             .map(|(_, bt, _, _)| top1_t < *bt)
             .unwrap_or(true);
         if improved {
-            best = Some((top1_cand, top1_t, top1_lk, top1_prof));
+            best = Some((top1, top1_t, top1_lk, top1_prof));
         }
         history.push(best.as_ref().unwrap().1);
         if converged {
@@ -552,17 +502,11 @@ pub fn heuristic_search(
         }
     }
 
-    let (best_cand, best_time, kernel, profile) = best?;
-    let mut measured_set = MeasuredSet::default();
-    for key in measured_cache.keys() {
-        match key {
-            CandidateRef::Indexed(i) => measured_set.indexed.push(*i),
-            CandidateRef::Detached(_) => measured_set.detached += 1,
-        }
-    }
-    measured_set.indexed.sort_unstable();
+    let (best_idx, best_time, kernel, profile) = best?;
+    let mut indexed: Vec<u64> = measured_cache.keys().copied().collect();
+    indexed.sort_unstable();
     Some(SearchOutcome {
-        best: best_cand,
+        best: space.candidate(best_idx),
         best_time,
         kernel,
         profile,
@@ -571,30 +515,38 @@ pub fn heuristic_search(
         refused,
         illegal,
         history,
-        measured_set,
+        measured_set: MeasuredSet {
+            indexed,
+            detached: 0,
+        },
     })
 }
 
 /// Mutate one loop's tile size to a neighboring option (the paper's
 /// mutation operator: "one loop is chosen to mutate the tile size").
-fn mutate(parent: &Candidate, space: &CandidateSpace, rng: &mut StdRng) -> Candidate {
-    let mut child = parent.clone();
-    let axis = rng.gen_range(0..child.tiles.len());
+/// A step that leaves the Rule-4 survivors returns the parent, so the
+/// child is always a member of the pruned space.
+fn mutate(parent: &Member, space: &CandidateSpace, rng: &mut StdRng) -> Member {
+    let axis = rng.gen_range(0..parent.tiles.len());
     let domain = &space.tile_domains[axis];
     if domain.len() <= 1 {
-        return child;
+        return parent.clone();
     }
     let cur = domain
         .iter()
-        .position(|&t| t == child.tiles[axis])
-        .unwrap_or(0);
+        .position(|&t| t == parent.tiles[axis])
+        .expect("a survivor's tiles lie in the Rule-3 domains");
     let next = if rng.gen_bool(0.5) && cur + 1 < domain.len() {
         cur + 1
     } else {
         cur.saturating_sub(1)
     };
-    child.tiles[axis] = domain[next];
-    child
+    let mut tiles = parent.tiles.clone();
+    tiles[axis] = domain[next];
+    match space.index_in(space.expr_of(parent.idx), &tiles) {
+        Some(idx) => Member { idx, tiles },
+        None => parent.clone(),
+    }
 }
 
 #[cfg(test)]
@@ -718,7 +670,7 @@ mod tests {
         let pruned = pruned_space(&chain, &dev);
         let mut rng = StdRng::seed_from_u64(9);
         let population: Vec<Member> = (0..4)
-            .map(|i| Member::indexed(&pruned, i % pruned.len()))
+            .map(|i| Member::at(&pruned, i % pruned.len()))
             .collect();
         for weights in [
             vec![f64::INFINITY, 1.0, 1.0, 1.0],
@@ -760,7 +712,7 @@ mod tests {
         let chain = ChainSpec::gemm_chain("g", 1, 512, 256, 64, 64);
         let pruned = pruned_space(&chain, &DeviceSpec::a100());
         let population: Vec<Member> = (0..4)
-            .map(|i| Member::indexed(&pruned, i % pruned.len()))
+            .map(|i| Member::at(&pruned, i % pruned.len()))
             .collect();
         let mut rng = StdRng::seed_from_u64(3);
         let next = breed_population(
@@ -785,60 +737,79 @@ mod tests {
     }
 
     #[test]
-    fn measured_set_reports_the_searched_index_ranges() {
-        let chain = ChainSpec::gemm_chain("g", 1, 512, 256, 64, 64);
+    fn searches_lower_only_rule4_survivors() {
+        // Every candidate a search tries to lower is a survivor, named by
+        // its space index: on chains where many mutation steps leave
+        // Rule 4 (the stitched FFN and mlp3), on attention and on an
+        // m = 1 GEMV.
+        let gemv = ChainSpec::chain(
+            "gemv",
+            1,
+            1,
+            vec![768, 3072, 768],
+            vec![mcfuser_ir::Epilogue::Gelu, mcfuser_ir::Epilogue::None],
+        );
+        let chains = [
+            mlp3(),
+            stitched_ffn(),
+            ChainSpec::attention("attn", 8, 512, 512, 64, 64),
+            gemv,
+        ];
         let dev = DeviceSpec::a100();
-        let pruned = pruned_space(&chain, &dev);
-        let clock = TuningClock::new();
-        let out =
-            heuristic_search(&chain, &dev, &pruned, &SearchParams::default(), &clock).unwrap();
-        // Every measured candidate is accounted for, exactly once.
-        assert_eq!(out.measured_set.total(), out.measured);
-        assert!(
-            out.measured_set.indexed.windows(2).all(|w| w[0] < w[1]),
-            "indices are sorted and distinct"
-        );
-        // Indexed entries decode back to candidates of this space, and
-        // detached entries are exactly the mutants outside it.
-        for &i in &out.measured_set.indexed {
-            assert!(i < pruned.len());
-            assert_eq!(pruned.index_of(&pruned.candidate(i)), Some(i));
+        for chain in &chains {
+            let space = pruned_space(chain, &dev);
+            for random_ranking in [false, true] {
+                let params = SearchParams {
+                    random_ranking,
+                    ..SearchParams::default()
+                };
+                let out = heuristic_search(chain, &dev, &space, &params, &TuningClock::new())
+                    .expect("a winner");
+                let set = &out.measured_set;
+                let what = format!("{} random_ranking={random_ranking}", chain.name);
+                assert_eq!(set.detached, 0, "{what}");
+                assert_eq!(set.indexed.len(), out.measured, "{what}");
+                assert!(set.indexed.windows(2).all(|w| w[0] < w[1]), "{what}");
+                assert!(set.indexed.iter().all(|&i| i < space.len()), "{what}");
+                assert!(space.index_of(&out.best).is_some(), "{what}");
+            }
         }
-        // The histogram over index ranges covers all indexed entries.
-        let hist = out.measured_set.per_range(pruned.len(), 8);
-        assert_eq!(hist.len(), 8);
-        assert_eq!(
-            hist.iter().sum::<u64>() as usize,
-            out.measured_set.indexed.len()
-        );
     }
 
     #[test]
-    fn detached_mutants_get_their_own_cache_identity() {
-        // A candidate outside the surviving set must key as Detached and
-        // never collide with an Indexed survivor.
-        let chain = ChainSpec::gemm_chain("g", 1, 1024, 1024, 512, 512);
+    fn mutation_stays_among_the_survivors() {
+        // A child is a survivor with its parent's expression, and either
+        // the parent itself or one step along one axis's Rule-3 domain.
         let dev = DeviceSpec::a100();
-        let pruned = pruned_space(&chain, &dev);
-        let survivor = pruned.candidate(0);
-        assert_eq!(
-            CandidateRef::of(pruned.expr_of(0), &survivor, &pruned),
-            CandidateRef::Indexed(0)
-        );
-        let mut rng = StdRng::seed_from_u64(21);
-        let outside = std::iter::repeat_with(|| pruned.sample_rule3(&mut rng))
-            .take(400)
-            .find(|c| pruned.index_of(c).is_none())
-            .expect("some Rule-3 combination is rejected by Rule 4");
-        let expr = pruned
-            .exprs
-            .iter()
-            .position(|e| *e == outside.expr)
-            .unwrap();
-        assert_eq!(
-            CandidateRef::of(expr, &outside, &pruned),
-            CandidateRef::Detached(outside.clone())
-        );
+        for chain in [mlp3(), stitched_ffn()] {
+            let space = pruned_space(&chain, &dev);
+            let (mut moved, mut stayed) = (0, 0);
+            for seed in 0..400u64 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let parent = Member::at(&space, rng.gen_range(0..space.len()));
+                let child = mutate(&parent, &space, &mut rng);
+                assert!(child.idx < space.len());
+                assert_eq!(space.tiles_at(child.idx), child.tiles, "seed {seed}");
+                assert_eq!(space.expr_of(child.idx), space.expr_of(parent.idx));
+                let steps: Vec<usize> = (0..child.tiles.len())
+                    .filter(|&a| child.tiles[a] != parent.tiles[a])
+                    .map(|a| {
+                        let d = &space.tile_domains[a];
+                        let pos = |t| d.iter().position(|&x| x == t).unwrap();
+                        pos(child.tiles[a]).abs_diff(pos(parent.tiles[a]))
+                    })
+                    .collect();
+                match steps[..] {
+                    [] => {
+                        assert_eq!(child, parent);
+                        stayed += 1;
+                    }
+                    [1] => moved += 1,
+                    _ => panic!("seed {seed}: {parent:?} -> {child:?}"),
+                }
+            }
+            assert!(moved > 0 && stayed > 0, "{}: {moved}/{stayed}", chain.name);
+        }
     }
 
     #[test]
@@ -945,11 +916,10 @@ mod tests {
 
     #[test]
     fn search_outcomes_are_pinned() {
-        // Recorded before lowering learned to refuse candidates without
-        // emitting them: the walk, the winner and every clock charge must
-        // not move. The stitched FFN's survivors mostly fail the tail's
-        // full-row check; the MLP's lowerings are mostly refused for
-        // shared memory.
+        // The walk, the winner and every clock charge of four searches.
+        // A change that moves any of them changes search paths. The
+        // stitched FFN's survivors mostly fail the tail's full-row check;
+        // the MLP's lowerings are mostly refused for shared memory.
         let random = SearchParams {
             random_ranking: true,
             ..SearchParams::default()
@@ -958,34 +928,34 @@ mod tests {
             (
                 stitched_ffn(),
                 SearchParams::default(),
-                "mnkh[m=16,k=16,n=512,h=256] t=3ee6a636d98ff543 rounds=3 measured=192 \
-                 indexed=180/7177c6535cd583a6 detached=12 \
+                "mnkh[m=16,k=16,n=512,h=256] t=3ee6a636d98ff543 rounds=3 measured=175 \
+                 indexed=175/2e822c48509ff0d detached=0 \
                  history=[3eec699436e3e09d,3ee6a636d98ff543,3ee6a636d98ff543] \
                  compiles=21 measurements=14 estimates=862 vs=404291095c3d5b1a",
             ),
             (
                 stitched_ffn(),
                 random.clone(),
-                "mnkh[m=16,k=32,n=512,h=256] t=3ee69153ca2115ce rounds=4 measured=183 \
-                 indexed=175/6e7b84ab654d40a2 detached=8 \
-                 history=[3ee740ea59f97482,3ee6a636d98ff543,3ee69153ca2115ce] \
-                 compiles=27 measurements=21 estimates=990 vs=4048411aec86e11c",
+                "mnkh[m=16,k=16,n=512,h=256] t=3ee6a636d98ff543 rounds=3 measured=139 \
+                 indexed=139/a7cc1dda41345c2b detached=0 \
+                 history=[3ee740ea59f97482,3ee6a636d98ff543,3ee6a636d98ff543] \
+                 compiles=17 measurements=13 estimates=862 vs=403e7d3180b96ac4",
             ),
             (
                 mlp3(),
                 SearchParams::default(),
-                "mhnkp[m=16,k=96,n=112,h=192,p=128] t=3f1f77f2931a860b rounds=3 measured=95 \
-                 indexed=76/254ffdb0129b80d6 detached=19 \
+                "mhnkp[m=16,k=96,n=112,h=192,p=128] t=3f1f77f2931a860b rounds=3 measured=78 \
+                 indexed=78/25cbbb67aff968ce detached=0 \
                  history=[3f22d3060a08881a,3f1f77f2931a860b,3f1f77f2931a860b] \
-                 compiles=95 measurements=24 estimates=384 vs=4063ccba572a8984",
+                 compiles=78 measurements=24 estimates=384 vs=4060662ffc2acd53",
             ),
             (
                 mlp3(),
                 random,
-                "mhnkp[m=32,k=48,n=64,h=256,p=80] t=3f223a08698e22d8 rounds=4 measured=41 \
-                 indexed=41/1f03aa776f4c0eb4 detached=0 \
+                "mhnkp[m=32,k=48,n=64,h=256,p=80] t=3f223a08698e22d8 rounds=4 measured=37 \
+                 indexed=37/5ad29aa121598c3c detached=0 \
                  history=[3f30e6421aaa3edf,3f30cc81518b95ed,3f223a08698e22d8,3f223a08698e22d8] \
-                 compiles=41 measurements=32 estimates=512 vs=40533170437b9327",
+                 compiles=37 measurements=32 estimates=512 vs=405195ff9fbf0905",
             ),
         ];
         for (chain, params, want) in pins {

@@ -16,9 +16,9 @@
 //!   dense index `0..len()` that decodes arithmetically to
 //!   `(expression, tile vector)`. Rule 4 is indexed by one survivor
 //!   count per row of the Rule-3 tile grid (each row's survivors are a
-//!   prefix of axis 0), built in parallel — every surviving candidate is
-//!   reachable by index, with no materialization cap and no truncation
-//!   bias.
+//!   prefix of axis 0), built by one binary search per row on the
+//!   calling thread — every surviving candidate is reachable by index,
+//!   with no materialization cap and no truncation bias.
 //!
 //! Built spaces are content-addressed ([`space_fingerprint`]) and
 //! shareable across tuning tasks through the engine-level
@@ -86,10 +86,6 @@ impl SearchSpace {
         Candidate::new(expr, tiles)
     }
 }
-
-/// Parallel Rule-4 builds split the grid into row ranges of at least
-/// this many combinations; smaller grids are not worth a thread.
-const MIN_CHUNK: u64 = 1 << 14;
 
 /// The pruned search space Algorithm 1 explores — lazy and
 /// index-addressed.
@@ -210,10 +206,17 @@ impl CandidateSpace {
     /// # Panics
     /// If `idx >= len()`.
     pub fn candidate(&self, idx: u64) -> Candidate {
+        let tiles = self.tiles_at(idx);
+        Candidate::new(self.exprs[self.expr_of(idx)].clone(), tiles)
+    }
+
+    /// The tile vector of candidate `idx`, without its expression.
+    ///
+    /// # Panics
+    /// If `idx >= len()`.
+    pub(crate) fn tiles_at(&self, idx: u64) -> Vec<u64> {
         assert!(idx < self.len(), "candidate index {idx} out of range");
-        let combos = self.surviving_combos();
-        let expr = &self.exprs[(idx / combos) as usize];
-        Candidate::new(expr.clone(), self.tiles_of(self.combo_id(idx % combos)))
+        self.tiles_of(self.combo_id(idx % self.surviving_combos()))
     }
 
     /// Map a survivor rank (`0..surviving_combos()`) to its tile-grid id:
@@ -350,9 +353,7 @@ fn combo_fits(chain: &ChainSpec, tiles: &[u64], limit: u64) -> bool {
 }
 
 /// The Rule-4 survivor index over a grid of `rows` rows: each row's
-/// survivor count, split into contiguous row ranges across the host's
-/// cores (each range fills its own slots, so the outcome is identical at
-/// any thread count), then prefix-summed into `rows + 1` offsets.
+/// survivor count, prefix-summed into `rows + 1` offsets.
 fn rule4_row_offsets(
     chain: &ChainSpec,
     tile_domains: &[Vec<u64>],
@@ -360,59 +361,28 @@ fn rule4_row_offsets(
     limit: u64,
 ) -> Vec<u64> {
     let mut offsets = vec![0u64; rows as usize + 1];
-    let grid = rows * tile_domains[0].len() as u64;
-    let threads = if grid < MIN_CHUNK {
-        1
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(grid.div_ceil(MIN_CHUNK) as usize)
-    };
-    let counts = &mut offsets[1..];
-    if threads <= 1 {
-        count_row_survivors(chain, tile_domains, limit, 0, counts);
-    } else {
-        let per_chunk = counts.len().div_ceil(threads);
-        std::thread::scope(|s| {
-            for (k, chunk) in counts.chunks_mut(per_chunk).enumerate() {
-                let first = (k * per_chunk) as u64;
-                s.spawn(move || count_row_survivors(chain, tile_domains, limit, first, chunk));
-            }
-        });
-    }
+    count_row_survivors(chain, tile_domains, limit, &mut offsets[1..]);
     for r in 1..offsets.len() {
         offsets[r] += offsets[r - 1];
     }
     offsets
 }
 
-/// Fill `counts[i]` with the Rule-4 survivors of grid row `first + i`.
-/// Eq. 1 never decreases along axis 0 and its Rule-3 domain ascends, so
-/// a row's survivors are a prefix of axis 0, found by one binary search.
+/// Fill `counts[r]` with the Rule-4 survivors of grid row `r`. Eq. 1
+/// never decreases along axis 0 and its Rule-3 domain ascends, so a
+/// row's survivors are a prefix of axis 0, found by one binary search.
 /// (Only axis 0 is monotone: a tail LayerNorm's streamed panel makes the
 /// estimate fall along the last axis.)
 fn count_row_survivors(
     chain: &ChainSpec,
     tile_domains: &[Vec<u64>],
     limit: u64,
-    first: u64,
     counts: &mut [u64],
 ) {
     let (d0, rest) = tile_domains.split_first().expect("a chain has axes");
     // Row odometer over axes 1..; `tiles[0]` is the binary-searched slot.
-    let mut row = first;
-    let mut digits: Vec<usize> = rest
-        .iter()
-        .map(|d| {
-            let i = (row % d.len() as u64) as usize;
-            row /= d.len() as u64;
-            i
-        })
-        .collect();
-    let mut tiles: Vec<u64> = std::iter::once(d0[0])
-        .chain(digits.iter().zip(rest).map(|(&i, d)| d[i]))
-        .collect();
+    let mut digits = vec![0usize; rest.len()];
+    let mut tiles: Vec<u64> = tile_domains.iter().map(|d| d[0]).collect();
     for count in counts {
         *count = d0.partition_point(|&t| {
             tiles[0] = t;
@@ -471,7 +441,7 @@ pub fn space_fingerprint(
 /// fingerprints build in parallel. [`SpaceCache::hits`] feeds
 /// [`EngineStats::space_cache_hits`](crate::EngineStats::space_cache_hits);
 /// fresh builds are counted by the *caller* (the engine's
-/// `space_builds` probe covers the cache-disabled path too).
+/// `space_builds` probe).
 #[derive(Debug)]
 pub struct SpaceCache {
     entries: Mutex<SpaceCacheInner>,

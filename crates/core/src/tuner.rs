@@ -319,7 +319,9 @@ impl McFuser {
                 && chain.dims == built_for.dims
                 && chain.epilogues == built_for.epilogues
                 && chain.biases == built_for.biases
-                && chain.dtype == built_for.dtype,
+                && chain.dtype == built_for.dtype
+                && chain.prologue == built_for.prologue
+                && chain.stitch_epilogue == built_for.stitch_epilogue,
             "tune_in_space: space was built for chain '{}', whose content \
              differs from '{}'",
             built_for.name,
@@ -479,6 +481,29 @@ mod tests {
             .map(|i| off.candidate(i))
             .any(|c| !mcfuser_tile::rule4_fits(&chain, &c, dev.smem_per_block));
         assert!(over, "expected some over-budget candidates with -rule4");
+    }
+
+    #[test]
+    #[should_panic(expected = "whose content differs")]
+    fn stitched_chain_is_not_tuned_in_its_plain_twins_space() {
+        // Stitching changes Eq. 1, so the twin's Rule-4 index is not the
+        // stitched chain's.
+        let mut ffn = ChainSpec::gemm_chain("ffn", 1, 128, 512, 256, 256);
+        ffn.prologue = Some(mcfuser_ir::PrologueSpec {
+            residual: true,
+            affine: true,
+            a_half: false,
+            eps: 1e-5,
+        });
+        ffn.stitch_epilogue = Some(mcfuser_ir::EpilogueStitch {
+            residual: mcfuser_ir::ResidualSource::PrologueOut,
+            layer_norm: true,
+            affine: true,
+            eps: 1e-5,
+        });
+        let dev = DeviceSpec::a100();
+        let twin = build_candidate_space(&ffn.unstitched(), &dev, &SpacePolicy::default());
+        let _ = McFuser::new().tune_in_space(&ffn, &dev, &TuningClock::new(), &twin);
     }
 
     #[test]

@@ -73,7 +73,10 @@ impl CostProfile {
 pub struct TuningReport {
     /// Accumulated virtual tuning time.
     pub virtual_seconds: f64,
-    /// Candidate kernels compiled.
+    /// Candidate kernels compiled. MCFuser's tuner measures every kernel
+    /// it compiles unless it refuses it for exceeding the device's
+    /// shared memory, so its refused compiles are
+    /// `compiles − measurements`.
     pub compiles: u64,
     /// Hardware measurements performed.
     pub measurements: u64,
