@@ -12,10 +12,9 @@
 //! 3. **no dead-loop elimination** — statements hoist only to their
 //!    rightmost related loop, missing the Fig. 5(b) opportunities.
 
-use mcfuser_core::{heuristic_search, prune, SearchParams, SearchSpace};
+use mcfuser_core::{McFuser, SearchParams, SpacePolicy};
 use mcfuser_ir::ChainSpec;
 use mcfuser_sim::{DeviceSpec, TuningClock};
-use mcfuser_tile::{enumerate_deep, tile_options};
 
 use crate::backend::{Backend, Capabilities, ChainRun, Unsupported};
 
@@ -39,24 +38,22 @@ impl Backend for Chimera {
     }
 
     fn run_chain(&self, chain: &ChainSpec, dev: &DeviceSpec) -> Result<ChainRun, Unsupported> {
-        // Deep-only search space.
-        let space = SearchSpace {
-            chain: chain.clone(),
-            exprs: enumerate_deep(chain),
-            tile_domains: (0..chain.num_axes())
-                .map(|a| tile_options(chain.axis_extent(a)))
-                .collect(),
+        let tuner = McFuser {
+            params: SearchParams::chimera(),
         };
-        let pruned = prune(chain, dev, &space);
-        let clock = TuningClock::new();
-        let outcome = heuristic_search(chain, dev, &pruned, &SearchParams::chimera(), &clock)
-            .ok_or_else(|| Unsupported::new("no viable candidate"))?;
+        let deep_only = SpacePolicy {
+            deep_tiling_only: true,
+            ..Default::default()
+        };
+        let tuned = tuner
+            .tune_with_policy(chain, dev, &TuningClock::new(), &deep_only)
+            .map_err(|e| Unsupported::new(e.to_string()))?;
         Ok(ChainRun {
-            time: outcome.best_time,
-            tuning_seconds: clock.virtual_seconds(),
+            time: tuned.profile.time,
+            tuning_seconds: tuned.tuning.virtual_seconds,
             kernels: 1,
             fused: true,
-            note: outcome.best.describe(chain),
+            note: tuned.candidate.describe(chain),
         })
     }
 }

@@ -1,26 +1,23 @@
 //! Batched-tuning smoke test: tune the 8 MBCI chains of a 4-layer mini
-//! BERT (4 attention + 4 FFN) three ways, then count the space builds
-//! and searches each way performs and compare their winners —
+//! BERT (4 attention + 4 FFN) two ways, then count the searches each
+//! way performs and compare their winners —
 //!
 //! * **cold**: no engine — `McFuser::tune` per chain, so every chain
-//!   pays its own Rule-4 scan plus a full search;
-//! * **shared-space**: schedule cache still off, space cache on — the
-//!   8 chains collapse onto 2 content-distinct candidate spaces (one
-//!   scan per *shape*), searches unchanged;
+//!   pays its own space build plus a full search;
 //! * **batched**: the production `tune_many` path with the schedule
-//!   cache on — identical chains additionally dedup to one search per
-//!   shape.
+//!   cache on — same-content chains merge into one tuning task, so
+//!   there is one space build and one search per distinct shape.
 //!
-//! Asserts the invariants CI cares about: the shared-space engine
-//! performs exactly one scan per distinct shape (probe-counted), its
-//! results are bit-identical to the cold per-chain builds, and the
-//! batched path agrees too. Writes `results/tune_smoke.json`.
+//! Asserts the invariants CI cares about: the batched path runs exactly
+//! one search per distinct shape, its winners are bit-identical to the
+//! cold per-chain tunes, and the tuning cache evicts nothing on a
+//! workload that fits it. Writes `results/tune_smoke.json`.
 //!
 //! ```sh
 //! cargo run --release -p mcfuser-bench --bin tune_smoke
 //! ```
 
-use mcfuser_core::{CachePolicy, FusionEngine, McFuser, TunedKernel};
+use mcfuser_core::{CacheKey, FusionEngine, McFuser, SearchParams, SpacePolicy, TunedKernel};
 use mcfuser_ir::{partition, ChainSpec};
 use mcfuser_sim::DeviceSpec;
 use mcfuser_workloads::{bert_graph, BertConfig};
@@ -44,16 +41,23 @@ fn main() {
         8,
         "4 BERT layers should partition into 8 MBCI chains"
     );
-    let fingerprints: Vec<String> = chains
+    // The engine's tuning-task identity: chains that differ only by
+    // name share a key.
+    let keys: Vec<CacheKey> = chains
         .iter()
-        .map(|c| mcfuser_core::space_fingerprint(c, &device, &Default::default()))
+        .map(|c| {
+            CacheKey::new(
+                c,
+                &[],
+                &device,
+                &SearchParams::default(),
+                &SpacePolicy::default(),
+            )
+        })
         .collect();
     // First chain index of each distinct shape, in batch order.
-    let first_of_shape: Vec<usize> = fingerprints
-        .iter()
-        .enumerate()
-        .filter(|(i, fp)| fingerprints[..*i].iter().all(|f| f != *fp))
-        .map(|(i, _)| i)
+    let first_of_shape: Vec<usize> = (0..keys.len())
+        .filter(|&i| !keys[..i].contains(&keys[i]))
         .collect();
     let shapes = first_of_shape.len();
     println!(
@@ -63,33 +67,11 @@ fn main() {
         device.name
     );
 
-    // --- cold: per-chain scans, per-chain searches ----------------------
+    // --- cold: per-chain builds, per-chain searches ---------------------
     let cold: Vec<TunedKernel> = chains
         .iter()
         .map(|c| McFuser::new().tune(c, &device).expect("cold tune"))
         .collect();
-
-    // --- shared-space: one scan per shape, searches unchanged -----------
-    let shared_engine = FusionEngine::builder(device.clone())
-        .cache(CachePolicy::Disabled)
-        .build();
-    let shared: Vec<TunedKernel> = chains
-        .iter()
-        .map(|c| shared_engine.tune(c).expect("shared tune"))
-        .collect();
-    let shared_stats = shared_engine.stats();
-    assert_eq!(
-        shared_stats.space_builds, shapes as u64,
-        "the space cache must collapse same-shaped chains onto one scan"
-    );
-    assert_eq!(
-        shared_stats.space_cache_hits,
-        (chains.len() - shapes) as u64
-    );
-    for (a, b) in cold.iter().zip(&shared) {
-        assert_eq!(a.candidate, b.candidate, "shared-space winner diverged");
-        assert_eq!(a.profile.time, b.profile.time);
-    }
 
     // --- batched: tune_many with the schedule cache on -------------------
     let batch_engine = FusionEngine::builder(device.clone()).build();
@@ -99,7 +81,6 @@ fn main() {
         .map(|r| r.expect("batched tune"))
         .collect();
     let batch_stats = batch_engine.stats();
-    assert_eq!(batch_stats.space_builds, shapes as u64);
     assert_eq!(
         batch_stats.cache_misses, shapes as u64,
         "identical chains dedup to one search per shape"
@@ -107,11 +88,11 @@ fn main() {
     // tune_many dedups same-content chains onto the first occurrence's
     // kernel (the measured noise is seeded per chain name, so only the
     // first of each shape has a per-chain reference to compare against).
-    for (i, fp) in fingerprints.iter().enumerate() {
+    for (i, key) in keys.iter().enumerate() {
         let first = first_of_shape
             .iter()
             .copied()
-            .find(|&j| &fingerprints[j] == fp)
+            .find(|&j| &keys[j] == key)
             .unwrap();
         assert_eq!(
             batched[i].candidate, batched[first].candidate,
@@ -121,37 +102,23 @@ fn main() {
     for &i in &first_of_shape {
         assert_eq!(
             batched[i].candidate, cold[i].candidate,
-            "batched winner diverged from the per-chain build"
+            "batched winner diverged from the per-chain tune"
         );
+        assert_eq!(batched[i].profile.time, cold[i].profile.time);
     }
 
+    println!("  cold         : {} searches", chains.len());
+    println!("  batched      : {} searches", batch_stats.cache_misses);
+    // The bounded-LRU tuning cache: this workload fits it, so the
+    // counter must stay at zero — a nonzero value here means the
+    // capacity clamp regressed.
     println!(
-        "  cold         : {} scans, {} searches",
-        chains.len(),
-        chains.len()
-    );
-    println!(
-        "  shared-space : {} scans, {} searches, {} space hits",
-        shared_stats.space_builds, shared_stats.cache_misses, shared_stats.space_cache_hits,
-    );
-    println!(
-        "  batched      : {} scans, {} searches",
-        batch_stats.space_builds, batch_stats.cache_misses
-    );
-    // Bounded-LRU eviction counters: this workload fits both caches, so
-    // the counters must exist and stay at zero — a nonzero value here
-    // means the capacity clamps regressed.
-    println!(
-        "  evictions    : space {} / tuning cache {}",
-        shared_stats.space_evictions, shared_stats.tuning_cache_evictions
+        "  evictions    : tuning cache {}",
+        batch_stats.tuning_cache_evictions
     );
     assert_eq!(
-        (
-            shared_stats.space_evictions,
-            shared_stats.tuning_cache_evictions
-        ),
-        (0, 0),
-        "this workload fits the bounded caches; evictions mean the LRU capacity regressed"
+        batch_stats.tuning_cache_evictions, 0,
+        "this workload fits the bounded cache; evictions mean the LRU capacity regressed"
     );
 
     mcfuser_bench::write_json(
@@ -159,12 +126,9 @@ fn main() {
         &serde_json::json!({
             "chains": chains.len(),
             "distinct_shapes": shapes,
-            "cold_scans": chains.len(),
-            "shared_space_scans": shared_stats.space_builds,
-            "shared_space_hits": shared_stats.space_cache_hits,
+            "cold_searches": chains.len(),
             "batched_searches": batch_stats.cache_misses,
-            "space_evictions": shared_stats.space_evictions,
-            "tuning_cache_evictions": shared_stats.tuning_cache_evictions,
+            "tuning_cache_evictions": batch_stats.tuning_cache_evictions,
         }),
     );
     println!("OK — tune_smoke invariants hold.");

@@ -15,7 +15,9 @@
 //! cargo run --release -p mcfuser-bench --bin verify_smoke
 //! ```
 //!
-//! Reports programs-verified/sec and writes `results/verify_smoke.json`.
+//! Prints programs verified per second and writes the counts to
+//! `results/verify_smoke.json`. The wall-clock rate stays on stdout, so
+//! the tracked file changes only when a count does.
 
 use std::time::Instant;
 
@@ -165,8 +167,6 @@ fn main() {
             })).collect::<Vec<_>>(),
             "total_verified": total_verified,
             "total_violations": total_violations,
-            "wall_seconds": wall,
-            "programs_per_second": per_sec,
         }),
     );
 

@@ -38,7 +38,7 @@
 //! ```
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -52,8 +52,7 @@ use crate::cache::{CacheKey, CachedTuning, JsonDiskCache, MemoryCache, TuningCac
 use crate::compiler::OpCostModel;
 use crate::plan::ExecutablePlan;
 use crate::search::SearchParams;
-use crate::space::{space_fingerprint, CandidateSpace, SpaceCache};
-use crate::tuner::{build_candidate_space, McFuser, SpacePolicy, TuneError, TunedKernel};
+use crate::tuner::{McFuser, SpacePolicy, TuneError, TunedKernel};
 
 /// One fused sub-graph in a compiled model.
 #[derive(Debug, Clone)]
@@ -149,22 +148,9 @@ pub struct EngineStats {
     /// [`ModelRuntime::shutdown`](crate::ModelRuntime::shutdown)) to get
     /// the failure as a `Result`.
     pub cache_persist_errors: u64,
-    /// Candidate spaces built from scratch (each one Rule-4 scan). This
-    /// counts *distinct space fingerprints*, not tuning tasks: N
-    /// same-shaped chains cost one build (more only after an eviction).
-    pub space_builds: u64,
-    /// Tuning tasks whose candidate space was served from the engine's
-    /// [`SpaceCache`] (0 when the tuning cache answered first — a
-    /// schedule hit never builds a space at all).
-    pub space_cache_hits: u64,
-    /// Candidate spaces evicted from the LRU-bounded [`SpaceCache`].
-    /// Eviction is safe — spaces rebuild deterministically — but a
-    /// non-zero count under a steady workload means the bound is
-    /// thrashing and should grow.
-    pub space_evictions: u64,
     /// Tuned schedules evicted from the LRU-bounded in-memory
-    /// [`TuningCache`]. Like spaces, evicted
-    /// schedules re-tune deterministically; the counter sizes the bound.
+    /// [`TuningCache`]. Evicted schedules re-tune deterministically; the
+    /// counter sizes the bound.
     pub tuning_cache_evictions: u64,
     /// Lowered programs that passed the static verifier (fresh tuning
     /// winners and cache rehydrations both count; see
@@ -285,8 +271,6 @@ impl EngineBuilder {
             policy: self.policy,
             fallback: self.fallback,
             cache,
-            spaces: SpaceCache::new(),
-            space_builds: AtomicU64::new(0),
             stitching: self.stitching,
             parallelism: self.parallelism.max(1),
             clock: TuningClock::new(),
@@ -304,10 +288,6 @@ pub struct FusionEngine {
     policy: SpacePolicy,
     fallback: Option<Arc<dyn OpCostModel + Send + Sync>>,
     cache: Option<Arc<dyn TuningCache>>,
-    /// Built candidate spaces, shared across same-shaped tuning tasks.
-    spaces: SpaceCache,
-    /// Fresh space constructions (the Rule-4 scan probe).
-    space_builds: AtomicU64,
     /// Whether compilation stitches prologue/epilogue glue into chains.
     stitching: bool,
     parallelism: usize,
@@ -321,7 +301,6 @@ impl std::fmt::Debug for FusionEngine {
             .field("device", &self.device.name)
             .field("parallelism", &self.parallelism)
             .field("cached_entries", &self.cache.as_ref().map(|c| c.len()))
-            .field("cached_spaces", &self.spaces.len())
             .field("fallback", &self.fallback.as_ref().map(|b| b.name()))
             .finish()
     }
@@ -344,13 +323,10 @@ impl FusionEngine {
     }
 
     /// Session counters (cache hits/misses, graphs compiled, cache
-    /// persistence failures, space builds and space-cache hits).
+    /// persistence failures, evictions and verifier verdicts).
     pub fn stats(&self) -> EngineStats {
         let mut stats = self.stats.lock().clone();
         stats.cache_persist_errors = self.cache.as_ref().map(|c| c.persist_errors()).unwrap_or(0);
-        stats.space_builds = self.space_builds.load(Ordering::Relaxed);
-        stats.space_cache_hits = self.spaces.hits();
-        stats.space_evictions = self.spaces.evictions();
         stats.tuning_cache_evictions = self.cache.as_ref().map(|c| c.evictions()).unwrap_or(0);
         stats
     }
@@ -617,10 +593,9 @@ impl FusionEngine {
             }
         }
         let local = TuningClock::new();
-        let space = self.space_for(chain);
         let tuned = self
             .tuner
-            .tune_in_space(chain, &self.device, &local, &space)?;
+            .tune_with_policy(chain, &self.device, &local, &self.policy)?;
         // Static gate: the winner must survive symbolic verification
         // before it is cached or returned. A reject here is a lowering
         // bug surfacing as a structured error instead of a miscompile —
@@ -645,19 +620,6 @@ impl FusionEngine {
             cache.put(&key, CachedTuning::from_tuned(&tuned));
         }
         Ok((tuned, Some(report)))
-    }
-
-    /// The candidate space for a chain — shared through the engine's
-    /// [`SpaceCache`] (content-addressed, so every same-shaped chain and
-    /// every layout variant of one reuses a single Rule-4 scan). Only
-    /// reached on tuning-cache misses: a schedule hit rehydrates without
-    /// a space.
-    fn space_for(&self, chain: &ChainSpec) -> Arc<CandidateSpace> {
-        self.spaces
-            .get_or_build(space_fingerprint(chain, &self.device, &self.policy), || {
-                self.space_builds.fetch_add(1, Ordering::Relaxed);
-                build_candidate_space(chain, &self.device, &self.policy)
-            })
     }
 
     /// Rebuild a [`TunedKernel`] from a cached schedule: parse the
@@ -787,8 +749,6 @@ mod tests {
                 cache_misses: 1,
                 graphs_compiled: 0,
                 cache_persist_errors: 0,
-                space_builds: 1,
-                space_cache_hits: 0,
                 // Both the fresh winner and its rehydrated cache hit
                 // pass the static gate.
                 programs_verified: 2,

@@ -6,8 +6,7 @@
 //!   expressions (§III-A), and the lazy index-addressed
 //!   [`CandidateSpace`] the tuner explores — no candidate `Vec`, no
 //!   materialization cap, every pruning survivor reachable by index;
-//!   spaces are content-addressed and shared across same-shaped chains
-//!   through the engine-level [`SpaceCache`];
+//!   each fresh tuning task builds its own;
 //! * [`prune`](mod@prune) — pruning Rules 1–4 with the Fig. 7 waterfall (§III-C);
 //!   Rule 4 becomes the space's survivor index — one count per tile-grid
 //!   row, since each row's survivors are a prefix of axis 0 — so
@@ -103,7 +102,7 @@ pub use runtime::{ModelRuntime, PlanStats, RuntimeStats, ShutdownError, WEIGHT_C
 pub use scheduler::BatchPolicy;
 pub use search::{heuristic_search, MeasuredSet, SearchOutcome, SearchParams};
 pub use session::{DecodeError, DecodeServing, DecodeSession, DecodeSpec};
-pub use space::{space_fingerprint, CandidateSpace, SearchSpace, SpaceCache, SPACE_CACHE_CAPACITY};
+pub use space::{space_fingerprint, CandidateSpace, SearchSpace, SpaceCache};
 pub use tuner::{
     build_candidate_space, McFuser, Rule4Rejection, SpacePolicy, TuneError, TunedKernel,
 };

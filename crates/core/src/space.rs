@@ -20,12 +20,10 @@
 //!   calling thread — every surviving candidate is reachable by index,
 //!   with no materialization cap and no truncation bias.
 //!
-//! Built spaces are content-addressed ([`space_fingerprint`]) and
-//! shareable across tuning tasks through the engine-level
-//! [`SpaceCache`]: N same-shaped chains (every BERT layer) pay for one
-//! Rule-4 scan instead of N.
+//! Each fresh tuning task builds its own space; the engine merges
+//! same-content chains into one task before it tunes, so N same-shaped
+//! chains (every BERT layer) already pay for one build.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
@@ -403,11 +401,10 @@ fn count_row_survivors(
 /// Content identity of a built [`CandidateSpace`]: everything space
 /// construction reads *except the chain's name* — batch/m/dims (the
 /// tile domains), epilogues and biases (expression enumeration and
-/// Rules 1–2), dtype (the Eq. 1 estimate), the expression policy, and
-/// the Rule-4 budget. Two tuning tasks sharing this fingerprint build
-/// bit-identical spaces, so e.g. every same-shaped BERT layer — and
-/// every transpose-layout or search-parameter variant of one — maps to
-/// one Rule-4 scan.
+/// Rules 1–2), dtype, prologue and stitched epilogue (the Eq. 1
+/// estimate), the expression policy, and the Rule-4 budget. Two chains
+/// sharing this fingerprint build bit-identical spaces. Only
+/// [`SpaceCache`]'s callers key on it.
 pub fn space_fingerprint(
     chain: &ChainSpec,
     dev: &DeviceSpec,
@@ -429,134 +426,31 @@ pub fn space_fingerprint(
     )
 }
 
-/// An engine-level cache of built candidate spaces, shared by every
-/// tuning task of a session (the same `Arc`-sharing discipline as
-/// [`TuningCache`](crate::TuningCache), but content-addressed by
-/// [`space_fingerprint`] instead of the full tuning-task key — the
-/// space does not depend on search parameters or input layout, so many
-/// tuning tasks map to one space).
-///
-/// Concurrent requests for the *same* fingerprint block on one
-/// `OnceLock` and build exactly once; requests for different
-/// fingerprints build in parallel. [`SpaceCache::hits`] feeds
-/// [`EngineStats::space_cache_hits`](crate::EngineStats::space_cache_hits);
-/// fresh builds are counted by the *caller* (the engine's
-/// `space_builds` probe).
-#[derive(Debug)]
+/// Built candidate spaces keyed by [`space_fingerprint`], each built
+/// once even under concurrent requests. The engine does not use it:
+/// it builds one space per fresh tuning task. It remains only for the
+/// benchmark's compile replay, and ROADMAP item 8 deletes it.
+#[derive(Debug, Default)]
 pub struct SpaceCache {
-    entries: Mutex<SpaceCacheInner>,
-    hits: AtomicU64,
-    evictions: AtomicU64,
-    capacity: usize,
-}
-
-#[derive(Debug, Default)]
-struct SpaceCacheInner {
-    map: FxHashMap<String, SpaceEntry>,
-    tick: u64,
-}
-
-#[derive(Debug, Default)]
-struct SpaceEntry {
-    cell: Arc<OnceLock<Arc<CandidateSpace>>>,
-    last_used: u64,
-}
-
-/// Default [`SpaceCache`] bound: distinct space fingerprints retained
-/// before least-recently-used eviction kicks in. Spaces rebuild
-/// deterministically, so eviction costs one Rule-4 scan, never
-/// correctness; the bound keeps a long-lived multi-tenant engine's
-/// memory proportional to its working set instead of its history.
-pub const SPACE_CACHE_CAPACITY: usize = 128;
-
-impl Default for SpaceCache {
-    fn default() -> Self {
-        Self::with_capacity(SPACE_CACHE_CAPACITY)
-    }
+    entries: Mutex<FxHashMap<String, Arc<OnceLock<Arc<CandidateSpace>>>>>,
 }
 
 impl SpaceCache {
-    /// An empty cache with the default LRU bound
-    /// ([`SPACE_CACHE_CAPACITY`]).
+    /// An empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty cache retaining at most `capacity` spaces (≥ 1).
-    pub fn with_capacity(capacity: usize) -> Self {
-        SpaceCache {
-            entries: Mutex::new(SpaceCacheInner::default()),
-            hits: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            capacity: capacity.max(1),
-        }
     }
 
     /// The space for `fingerprint`, building it with `build` if this is
     /// the first request. A concurrent duplicate request waits for the
     /// in-flight build instead of scanning twice.
-    ///
-    /// Inserting past the capacity evicts the least-recently-used
-    /// *completed* space (in-flight builds are never evicted, so the
-    /// build-once guarantee holds; holders of an evicted `Arc` keep
-    /// using it, and a later request simply rebuilds).
     pub fn get_or_build(
         &self,
         fingerprint: String,
         build: impl FnOnce() -> CandidateSpace,
     ) -> Arc<CandidateSpace> {
-        let cell = {
-            let mut inner = self.entries.lock();
-            inner.tick += 1;
-            let tick = inner.tick;
-            let entry = inner.map.entry(fingerprint).or_default();
-            entry.last_used = tick;
-            let cell = entry.cell.clone();
-            if inner.map.len() > self.capacity {
-                let victim = inner
-                    .map
-                    .iter()
-                    .filter(|(_, e)| e.last_used != tick && e.cell.get().is_some())
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(k, _)| k.clone());
-                if let Some(k) = victim {
-                    inner.map.remove(&k);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            cell
-        };
-        let mut fresh = false;
-        let space = cell
-            .get_or_init(|| {
-                fresh = true;
-                Arc::new(build())
-            })
-            .clone();
-        if !fresh {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        space
-    }
-
-    /// Requests served from an already-built space.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Spaces dropped by the LRU bound.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Number of cached spaces.
-    pub fn len(&self) -> usize {
-        self.entries.lock().map.len()
-    }
-
-    /// Whether nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        let cell = self.entries.lock().entry(fingerprint).or_default().clone();
+        cell.get_or_init(|| Arc::new(build())).clone()
     }
 }
 
@@ -615,34 +509,6 @@ mod tests {
     fn pruned(chain: &ChainSpec) -> CandidateSpace {
         let space = SearchSpace::generate(chain);
         prune(chain, &DeviceSpec::a100(), &space)
-    }
-
-    #[test]
-    fn space_cache_evicts_lru_completed_spaces() {
-        let cache = SpaceCache::with_capacity(2);
-        let chains: Vec<ChainSpec> = (0..3)
-            .map(|i| ChainSpec::gemm_chain(format!("c{i}"), 1, 128 << i, 64, 32, 32))
-            .collect();
-        let build = |i: usize| {
-            cache.get_or_build(format!("fp{i}"), || {
-                let s = SearchSpace::generate(&chains[i]);
-                prune(&chains[i], &DeviceSpec::a100(), &s)
-            })
-        };
-        build(0);
-        build(1);
-        // Touch 0 so 1 is the LRU victim when 2 overflows the bound.
-        build(0);
-        assert_eq!(cache.hits(), 1);
-        build(2);
-        assert_eq!(cache.evictions(), 1);
-        assert_eq!(cache.len(), 2);
-        // 0 survived (touched); 1 rebuilds from scratch (no new hit).
-        let hits_before = cache.hits();
-        build(0);
-        assert_eq!(cache.hits(), hits_before + 1);
-        build(1);
-        assert_eq!(cache.hits(), hits_before + 1, "evicted space must rebuild");
     }
 
     #[test]

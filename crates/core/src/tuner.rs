@@ -262,23 +262,13 @@ impl McFuser {
 
     /// Tune one chain for a device.
     pub fn tune(&self, chain: &ChainSpec, dev: &DeviceSpec) -> Result<TunedKernel, TuneError> {
-        let clock = TuningClock::new();
-        self.tune_with_clock(chain, dev, &clock)
+        self.tune_with_policy(chain, dev, &TuningClock::new(), &SpacePolicy::default())
     }
 
-    /// Tune, accumulating costs into an external clock (used by the
-    /// engine/compiler layer which tunes many sub-graphs).
-    pub fn tune_with_clock(
-        &self,
-        chain: &ChainSpec,
-        dev: &DeviceSpec,
-        clock: &TuningClock,
-    ) -> Result<TunedKernel, TuneError> {
-        self.tune_with_policy(chain, dev, clock, &SpacePolicy::default())
-    }
-
-    /// Tune over the space a [`SpacePolicy`] admits (the engine's
-    /// configurable pipeline; also drives the ablation variants).
+    /// Tune over the space a [`SpacePolicy`] admits, charging `clock`:
+    /// build the chain's pruned space, then run Algorithm 1 in it. The
+    /// engine calls this once per fresh tuning task; the ablation
+    /// variants and MCFuser-Chimera pick their policy here.
     pub fn tune_with_policy(
         &self,
         chain: &ChainSpec,
@@ -287,55 +277,15 @@ impl McFuser {
         policy: &SpacePolicy,
     ) -> Result<TunedKernel, TuneError> {
         let pruned = build_candidate_space(chain, dev, policy);
-        self.tune_in_space(chain, dev, clock, &pruned)
-    }
-
-    /// Tune over an already-built candidate space. This is the batched
-    /// multi-chain path: the engine's
-    /// [`SpaceCache`](crate::space::SpaceCache) builds the space (one
-    /// Rule-4 scan) for the first chain of a shape and every same-shaped
-    /// chain tunes in it via a shared `Arc` — results are identical to a
-    /// per-chain build because the search reads the space immutably.
-    ///
-    /// The space must have been built for a chain whose *content*
-    /// (everything but the name) matches `chain` — see
-    /// [`space_fingerprint`](crate::space::space_fingerprint).
-    ///
-    /// # Panics
-    /// If the space's chain content differs from `chain` (a mismatched
-    /// space would decode tile vectors of the wrong arity or extents
-    /// and tune a kernel for the wrong shape).
-    pub fn tune_in_space(
-        &self,
-        chain: &ChainSpec,
-        dev: &DeviceSpec,
-        clock: &TuningClock,
-        pruned: &CandidateSpace,
-    ) -> Result<TunedKernel, TuneError> {
-        let built_for = &pruned.chain;
-        assert!(
-            chain.batch == built_for.batch
-                && chain.m == built_for.m
-                && chain.dims == built_for.dims
-                && chain.epilogues == built_for.epilogues
-                && chain.biases == built_for.biases
-                && chain.dtype == built_for.dtype
-                && chain.prologue == built_for.prologue
-                && chain.stitch_epilogue == built_for.stitch_epilogue,
-            "tune_in_space: space was built for chain '{}', whose content \
-             differs from '{}'",
-            built_for.name,
-            chain.name,
-        );
         if pruned.is_empty() {
             return Err(TuneError::empty_space(
                 chain,
                 dev,
                 empty_axis_context(chain, &pruned.tile_domains),
-                rule4_rejection_context(pruned, dev),
+                rule4_rejection_context(&pruned, dev),
             ));
         }
-        let outcome: SearchOutcome = heuristic_search(chain, dev, pruned, &self.params, clock)
+        let outcome: SearchOutcome = heuristic_search(chain, dev, &pruned, &self.params, clock)
             .ok_or_else(|| TuneError::no_viable(chain, dev))?;
         Ok(TunedKernel {
             chain: chain.clone(),
@@ -343,7 +293,7 @@ impl McFuser {
             kernel: outcome.kernel,
             profile: outcome.profile,
             tuning: clock.report(),
-            prune_stats: pruned.stats.clone(),
+            prune_stats: pruned.stats,
             rounds: outcome.rounds,
             measured: outcome.measured,
         })
@@ -481,29 +431,6 @@ mod tests {
             .map(|i| off.candidate(i))
             .any(|c| !mcfuser_tile::rule4_fits(&chain, &c, dev.smem_per_block));
         assert!(over, "expected some over-budget candidates with -rule4");
-    }
-
-    #[test]
-    #[should_panic(expected = "whose content differs")]
-    fn stitched_chain_is_not_tuned_in_its_plain_twins_space() {
-        // Stitching changes Eq. 1, so the twin's Rule-4 index is not the
-        // stitched chain's.
-        let mut ffn = ChainSpec::gemm_chain("ffn", 1, 128, 512, 256, 256);
-        ffn.prologue = Some(mcfuser_ir::PrologueSpec {
-            residual: true,
-            affine: true,
-            a_half: false,
-            eps: 1e-5,
-        });
-        ffn.stitch_epilogue = Some(mcfuser_ir::EpilogueStitch {
-            residual: mcfuser_ir::ResidualSource::PrologueOut,
-            layer_norm: true,
-            affine: true,
-            eps: 1e-5,
-        });
-        let dev = DeviceSpec::a100();
-        let twin = build_candidate_space(&ffn.unstitched(), &dev, &SpacePolicy::default());
-        let _ = McFuser::new().tune_in_space(&ffn, &dev, &TuningClock::new(), &twin);
     }
 
     #[test]

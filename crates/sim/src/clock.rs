@@ -147,11 +147,6 @@ impl TuningClock {
     pub fn report(&self) -> TuningReport {
         self.inner.lock().clone()
     }
-
-    /// Total virtual seconds so far.
-    pub fn virtual_seconds(&self) -> f64 {
-        self.inner.lock().virtual_seconds
-    }
 }
 
 #[cfg(test)]
@@ -163,9 +158,9 @@ mod tests {
         let clock = TuningClock::new();
         let cost = CostProfile::triton();
         clock.charge_measurement(&cost, 1e-3);
-        let t1 = clock.virtual_seconds();
+        let t1 = clock.report().virtual_seconds;
         clock.charge_measurement(&cost, 2e-3);
-        let t2 = clock.virtual_seconds() - t1;
+        let t2 = clock.report().virtual_seconds - t1;
         assert!(t2 > t1 - cost.measure_overhead_seconds);
         assert!((t1 - (0.25 + 0.1)).abs() < 1e-9);
     }
@@ -177,7 +172,7 @@ mod tests {
         for _ in 0..10 {
             clock.charge_training(&cost);
         }
-        assert!((clock.virtual_seconds() - 160.0).abs() < 1e-9);
+        assert!((clock.report().virtual_seconds - 160.0).abs() < 1e-9);
         assert_eq!(clock.report().train_rounds, 10);
     }
 
@@ -187,7 +182,7 @@ mod tests {
         for _ in 0..1000 {
             clock.note_estimates(1);
         }
-        assert_eq!(clock.virtual_seconds(), 0.0);
+        assert_eq!(clock.report().virtual_seconds, 0.0);
         assert_eq!(clock.report().estimates, 1000);
     }
 

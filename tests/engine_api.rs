@@ -7,7 +7,7 @@ use std::path::PathBuf;
 
 use mcfuser::baselines::Relay;
 use mcfuser::core::{CacheKey, SearchParams, SpacePolicy};
-use mcfuser::ir::{evaluate, NodeId, Op};
+use mcfuser::ir::{evaluate, EpilogueStitch, NodeId, Op, PrologueSpec, ResidualSource};
 use mcfuser::prelude::*;
 use mcfuser::sim::HostTensor;
 use mcfuser::workloads::{bert_graph, BertConfig};
@@ -300,9 +300,9 @@ fn assert_tuned_eq(a: &TunedKernel, b: &TunedKernel) {
 }
 
 /// The batched-tuning acceptance contract: `tune_many` over N chains
-/// with identical tile domains performs exactly ONE Rule-4 scan (the
-/// `space_builds` probe), and every search that runs in the shared
-/// space returns results bit-identical to a per-chain space build.
+/// that differ only by name runs ONE tuning task (one space build, one
+/// search), and a search per chain under `CachePolicy::Disabled` returns
+/// exactly what `McFuser::tune` returns for that chain.
 #[test]
 fn tune_many_same_domain_chains_share_one_rule4_scan() {
     // Four same-shaped chains with distinct names — the BERT-layer
@@ -311,7 +311,6 @@ fn tune_many_same_domain_chains_share_one_rule4_scan() {
         .map(|l| ChainSpec::attention(format!("layer{l}.attn"), 4, 128, 128, 32, 32))
         .collect();
 
-    // The batched entry point: one scan for the whole batch.
     let batch_engine = FusionEngine::builder(DeviceSpec::a100()).build();
     let batched: Vec<TunedKernel> = batch_engine
         .tune_many(&chains)
@@ -320,40 +319,34 @@ fn tune_many_same_domain_chains_share_one_rule4_scan() {
         .collect();
     assert_eq!(batched.len(), 4);
     assert_eq!(
-        batch_engine.stats().space_builds,
+        batch_engine.stats().cache_misses,
         1,
-        "4 same-domain chains must share exactly one Rule-4 scan"
+        "4 same-domain chains must merge into one tuning task"
     );
+    let reference = McFuser::new()
+        .tune(&chains[0], &DeviceSpec::a100())
+        .unwrap();
+    for tuned in &batched {
+        assert_tuned_eq(tuned, &reference);
+    }
 
-    // Force four *independent searches* over the shared space (schedule
-    // reuse off, separate tune() calls): still one scan, and each chain's
-    // result is bit-identical to tuning it with its own per-chain space
-    // build — sharing the space must not perturb the search.
-    let shared = FusionEngine::builder(DeviceSpec::a100())
+    // Four independent searches (schedule reuse off, separate tune()
+    // calls): each is bit-identical to tuning the chain on its own.
+    let engine = FusionEngine::builder(DeviceSpec::a100())
         .cache(CachePolicy::Disabled)
         .build();
-    for (i, chain) in chains.iter().enumerate() {
-        let in_shared_space = shared.tune(chain).unwrap();
-        let solo = FusionEngine::builder(DeviceSpec::a100()).build();
-        let per_chain_build = solo.tune(chain).unwrap();
-        assert_eq!(solo.stats().space_builds, 1);
-        assert_eq!(solo.stats().space_cache_hits, 0);
-        assert_tuned_eq(&in_shared_space, &per_chain_build);
-        assert_eq!(shared.stats().space_cache_hits, i as u64);
+    for chain in &chains {
+        let per_chain = McFuser::new().tune(chain, &DeviceSpec::a100()).unwrap();
+        assert_tuned_eq(&engine.tune(chain).unwrap(), &per_chain);
     }
-    let stats = shared.stats();
-    assert_eq!(stats.cache_misses, 4, "four full searches ran");
-    assert_eq!(stats.space_builds, 1, "over one shared space");
-    assert_eq!(stats.space_cache_hits, 3);
+    assert_eq!(engine.stats().cache_misses, 4, "four full searches ran");
 }
 
-/// The space cache works *under* the tuning cache, so it still saves
-/// scans when schedule reuse is off: with `CachePolicy::Disabled`,
-/// re-tuning the same chain re-searches (cache_misses climbs) but never
-/// re-scans (space_builds stays 1), and the re-search in the cached
-/// space is bit-identical to the first search, in a fresh space.
+/// With schedule reuse off, re-tuning the same chain re-searches
+/// (cache_misses climbs) and the second search is bit-identical to the
+/// first.
 #[test]
-fn space_cache_saves_scans_even_with_tuning_cache_disabled() {
+fn retunes_are_deterministic_with_tuning_cache_disabled() {
     let chain = ChainSpec::gemm_chain("g", 1, 512, 256, 64, 64);
     let engine = FusionEngine::builder(DeviceSpec::a100())
         .cache(CachePolicy::Disabled)
@@ -363,16 +356,49 @@ fn space_cache_saves_scans_even_with_tuning_cache_disabled() {
     let stats = engine.stats();
     assert_eq!(stats.cache_misses, 2, "no schedule reuse was configured");
     assert_eq!(stats.cache_hits, 0);
-    assert_eq!(stats.space_builds, 1, "but the space was built once");
-    assert_eq!(stats.space_cache_hits, 1);
     assert_tuned_eq(&first, &second);
 }
 
-/// Layout variants of one chain are distinct tuning tasks (transposed
-/// inputs change the lowered kernel) but share the same candidate
-/// space — the space depends on chain content only.
+/// A stitched chain and its unstitched twin differ only in the glue,
+/// which changes Eq. 1 and therefore the Rule-4 space. Tuned back to
+/// back on one engine without schedule reuse, each must get its own
+/// space: each result equals `McFuser::tune` of that chain.
 #[test]
-fn layout_variants_share_the_candidate_space() {
+fn stitched_chain_and_its_twin_are_tuned_in_their_own_spaces() {
+    let mut stitched = ChainSpec::gemm_chain("ffn", 1, 128, 512, 256, 256);
+    stitched.prologue = Some(PrologueSpec {
+        residual: true,
+        affine: true,
+        a_half: false,
+        eps: 1e-5,
+    });
+    stitched.stitch_epilogue = Some(EpilogueStitch {
+        residual: ResidualSource::PrologueOut,
+        layer_norm: true,
+        affine: true,
+        eps: 1e-5,
+    });
+    let twin = stitched.unstitched();
+    let dev = DeviceSpec::a100();
+    let engine = FusionEngine::builder(dev.clone())
+        .cache(CachePolicy::Disabled)
+        .build();
+    let mut prune_stats = Vec::new();
+    for chain in [&stitched, &twin] {
+        let tuned = engine.tune(chain).unwrap();
+        let reference = McFuser::new().tune(chain, &dev).unwrap();
+        assert_eq!(tuned.candidate, reference.candidate);
+        assert_eq!(tuned.profile.time, reference.profile.time);
+        assert_eq!(tuned.prune_stats, reference.prune_stats);
+        prune_stats.push(tuned.prune_stats);
+    }
+    assert_ne!(prune_stats[0], prune_stats[1], "the two spaces differ");
+}
+
+/// Layout variants of one chain are distinct tuning tasks (transposed
+/// inputs change the lowered kernel).
+#[test]
+fn layout_variants_are_two_tuning_tasks() {
     let chain = ChainSpec::attention("s", 2, 128, 128, 32, 32);
     let engine = FusionEngine::builder(DeviceSpec::a100()).build();
     engine.tune_with_layout(&chain, &[]).unwrap();
@@ -381,12 +407,12 @@ fn layout_variants_share_the_candidate_space() {
         .unwrap();
     let stats = engine.stats();
     assert_eq!(stats.cache_misses, 2, "two distinct tuning tasks");
-    assert_eq!(stats.space_builds, 1, "one shared space");
-    assert_eq!(stats.space_cache_hits, 1);
+    assert_eq!(stats.cache_hits, 0);
 }
 
-/// A tuning-cache (schedule) hit rehydrates without touching spaces at
-/// all: the second `tune` of an identical chain builds nothing.
+/// A tuning-cache (schedule) hit rehydrates without searching, so it
+/// builds no space: the second `tune` of an identical chain is a hit
+/// and only the first ran a search.
 #[test]
 fn schedule_hits_build_no_spaces() {
     let chain = ChainSpec::gemm_chain("g", 1, 512, 256, 64, 64);
@@ -395,11 +421,7 @@ fn schedule_hits_build_no_spaces() {
     engine.tune(&chain).unwrap();
     let stats = engine.stats();
     assert_eq!(stats.cache_hits, 1);
-    assert_eq!(stats.space_builds, 1);
-    assert_eq!(
-        stats.space_cache_hits, 0,
-        "a schedule hit never reaches the space cache"
-    );
+    assert_eq!(stats.cache_misses, 1, "a schedule hit never searches");
 }
 
 /// Tuning-cache portability: engines targeting different devices can
