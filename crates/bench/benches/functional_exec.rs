@@ -1,9 +1,11 @@
 //! Criterion bench: functional (for-value) execution of fused kernels on
-//! the simulator — the correctness-oracle path.
+//! the simulator — the correctness-oracle path — and the host GEMM kernel
+//! every fused kernel and reference projection runs, at the tile shapes
+//! serving and decoding call it with.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mcfuser_ir::ChainSpec;
-use mcfuser_sim::{execute_with_arena, BufferArena, TensorStorage, VerifiedProgram};
+use mcfuser_sim::{execute_with_arena, gemm, BufferArena, TensorStorage, VerifiedProgram};
 use mcfuser_tile::{lower, Candidate, LoweringOptions, TilingExpr};
 use std::hint::black_box;
 
@@ -32,6 +34,22 @@ fn bench(c: &mut Criterion) {
     g.bench_function("cpu_reference_128x96", |b| {
         b.iter(|| chain.reference(black_box(&inputs)))
     });
+    g.finish();
+
+    // (m, k, n): the tiles of serve's FFN and Mixer kernels, a 16-column
+    // tile, and decode's m = 1 projection GEMV. One call is m·k·n MACs.
+    let mut g = c.benchmark_group("host_gemm");
+    g.sample_size(200);
+    for (m, k, n) in [(16, 128, 64), (16, 64, 128), (16, 64, 16), (1, 128, 384)] {
+        let fill = |len: usize, salt: f32| -> Vec<f32> {
+            (0..len).map(|i| (i as f32 * 0.37 + salt).sin()).collect()
+        };
+        let (a, b) = (fill(m * k, 1.0), fill(k * n, 2.0));
+        let mut acc = vec![0.0f32; m * n];
+        g.bench_function(&format!("gemm_{m}x{k}x{n}"), |bench| {
+            bench.iter(|| gemm(black_box(&a), black_box(&b), &mut acc, m, n, k, n))
+        });
+    }
     g.finish();
 }
 

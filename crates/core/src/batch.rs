@@ -282,20 +282,21 @@ fn stage_slice(
         .as_ref()
         .expect("topological order: input staged before use")
         .tensor();
-    let flipped;
-    let data: &[f32] = if transposed {
-        flipped = src.transpose_last2();
-        &flipped.data
-    } else {
-        &src.data
-    };
-    if data.len() != expect_elems {
+    if src.data.len() != expect_elems {
         return Err(format!(
             "batched input #{buf} holds {} elements, widened slot expects {expect_elems}",
-            data.len()
+            src.data.len()
         ));
     }
-    st.stage_at(buf, offset, data).map_err(|e| e.to_string())
+    let slot = st
+        .slot_mut(buf, offset, expect_elems)
+        .map_err(|e| e.to_string())?;
+    if transposed {
+        src.transpose_last2_into(slot);
+    } else {
+        slot.copy_from_slice(&src.data);
+    }
+    Ok(())
 }
 
 /// Widen every fused step of `plan` to `width`, summing the batch's

@@ -799,30 +799,27 @@ impl ExecutablePlan {
         let mut st = TensorStorage::for_program_in(program, arena);
         for (j, &node) in data_inputs.iter().enumerate() {
             let src = values[node.0].as_ref().expect("topological order").tensor();
-            // Transposition materializes a temporary; the common
-            // non-transposed case copies straight into the arena buffer.
-            // (Chain buffers are [batch, rows, cols]; graph tensors may
-            // be flat 2-D with batch = 1 — staging is by element count.)
-            let flipped;
-            let data: &[f32] = if transposed.get(j).copied().unwrap_or(false) {
-                flipped = src.transpose_last2();
-                &flipped.data
-            } else {
-                &src.data
-            };
+            // Each input is copied, or transposed, straight into its
+            // arena buffer. (Chain buffers are [batch, rows, cols]; graph
+            // tensors may be flat 2-D with batch = 1 — staging is by
+            // element count.)
             let dst = &mut st.tensors[j];
-            if dst.data.len() != data.len() {
+            if dst.data.len() != src.data.len() {
                 return Err(ExecError::Kernel {
                     model: self.name.clone(),
                     chain: chain.clone(),
                     detail: format!(
                         "input {j} holds {} elements, kernel expects {}",
-                        data.len(),
+                        src.data.len(),
                         dst.data.len()
                     ),
                 });
             }
-            dst.data.copy_from_slice(data);
+            if transposed.get(j).copied().unwrap_or(false) {
+                src.transpose_last2_into(&mut dst.data);
+            } else {
+                dst.data.copy_from_slice(&src.data);
+            }
         }
         execute_with_arena(program, &mut st, arena).map_err(|e| ExecError::Kernel {
             model: self.name.clone(),

@@ -120,11 +120,10 @@ pub struct MeasuredSet {
 pub struct SearchOutcome {
     /// The winning schedule.
     pub best: Candidate,
-    /// Its measured kernel time (seconds).
-    pub best_time: f64,
     /// The lowered kernel.
     pub kernel: LoweredKernel,
-    /// The full device profile of the winner.
+    /// The full device profile of the winner; `profile.time` is its
+    /// measured kernel time (seconds).
     pub profile: KernelProfile,
     /// Rounds executed before convergence.
     pub rounds: usize,
@@ -502,12 +501,11 @@ pub fn heuristic_search(
         }
     }
 
-    let (best_idx, best_time, kernel, profile) = best?;
+    let (best_idx, _, kernel, profile) = best?;
     let mut indexed: Vec<u64> = measured_cache.keys().copied().collect();
     indexed.sort_unstable();
     Some(SearchOutcome {
         best: space.candidate(best_idx),
-        best_time,
         kernel,
         profile,
         rounds,
@@ -572,7 +570,7 @@ mod tests {
         let chain = ChainSpec::gemm_chain("g1", 1, 512, 256, 64, 64);
         let dev = DeviceSpec::a100();
         let out = search_chain(&chain, &dev);
-        assert!(out.best_time.is_finite() && out.best_time > 0.0);
+        assert!(out.profile.time.is_finite() && out.profile.time > 0.0);
         assert!(out.kernel.smem_bytes <= dev.smem_per_block);
         assert!(out.measured > 0);
     }
@@ -600,7 +598,7 @@ mod tests {
         let a = search_chain(&chain, &dev);
         let b = search_chain(&chain, &dev);
         assert_eq!(a.best, b.best);
-        assert_eq!(a.best_time, b.best_time);
+        assert_eq!(a.profile.time, b.profile.time);
     }
 
     #[test]
@@ -626,9 +624,9 @@ mod tests {
             &LoweringOptions::for_device(&dev),
         ));
         assert!(
-            out.best_time < 0.8 * bad_t,
+            out.profile.time < 0.8 * bad_t,
             "best {} vs bad {}",
-            out.best_time,
+            out.profile.time,
             bad_t
         );
     }
@@ -638,7 +636,7 @@ mod tests {
         let chain = ChainSpec::attention("s1", 8, 512, 512, 64, 64);
         let dev = DeviceSpec::a100();
         let out = search_chain(&chain, &dev);
-        assert!(out.best_time.is_finite());
+        assert!(out.profile.time.is_finite());
         // The softmax chain must have picked a schedule where k is inside n
         // or k is a single tile — guaranteed by lowering legality.
         assert!(out.kernel.program.validate().is_ok());
@@ -837,7 +835,7 @@ mod tests {
         )
         .expect("winner measures");
         assert_eq!(lk.smem_bytes, out.kernel.smem_bytes);
-        assert_eq!(prof.time, out.best_time);
+        assert_eq!(prof.time, out.profile.time);
     }
 
     /// An FFN with a residual LayerNorm prologue and a residual +
@@ -900,7 +898,7 @@ mod tests {
             "{} t={:x} rounds={} measured={} indexed={}/{:x} detached={} history=[{}] \
              compiles={} measurements={} estimates={} vs={:x}",
             out.best.describe(chain),
-            out.best_time.to_bits(),
+            out.profile.time.to_bits(),
             out.rounds,
             out.measured,
             out.measured_set.indexed.len(),

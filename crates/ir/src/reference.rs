@@ -1,8 +1,13 @@
 //! CPU reference execution of operator graphs — the numerical oracle.
 //!
-//! Every operator is implemented naively in f32. The end-to-end compiler's
-//! output is validated against this executor, which is the reproduction's
-//! stand-in for "PyTorch eager mode produced the same logits".
+//! Every operator is implemented naively in f32, except that `Linear` and
+//! non-transposed `BatchMatMul` run the simulator's one host GEMM kernel
+//! ([`mcfuser_sim::gemm()`]), which the interpreter's fused kernels run too.
+//! For that inner loop the kernel's own property test is the oracle, and
+//! `ChainSpec::reference` keeps an independent loop for fused chains. The
+//! end-to-end compiler's output is validated against this executor, which
+//! is the reproduction's stand-in for "PyTorch eager mode produced the
+//! same logits".
 
 use rustc_hash::FxHashMap;
 
@@ -241,18 +246,7 @@ fn eval_linear(
         });
     }
     let mut out = vec![0.0f32; m * n];
-    for i in 0..m {
-        for kk in 0..k {
-            let av = x.data[i * k + kk];
-            if av == 0.0 {
-                continue;
-            }
-            let wrow = &w.data[kk * n..(kk + 1) * n];
-            for (o, &wv) in out[i * n..(i + 1) * n].iter_mut().zip(wrow) {
-                *o += av * wv;
-            }
-        }
-    }
+    mcfuser_sim::gemm(&x.data, &w.data, &mut out, m, n, k, n);
     if node.inputs.len() > 2 {
         let b = value(values, node.inputs[2]);
         for i in 0..m {
@@ -294,24 +288,19 @@ fn eval_bmm(
     }
     let mut out = vec![0.0f32; batch * m * n];
     for bb in 0..batch {
-        let ab = bb * m * k;
-        let bbase = bb * k * n; // same element count either layout
-        let ob = bb * m * n;
+        let ap = &a.data[bb * m * k..(bb + 1) * m * k];
+        let bp = &b.data[bb * k * n..(bb + 1) * k * n]; // same element count either layout
+        let op = &mut out[bb * m * n..(bb + 1) * m * n];
+        if !transpose_b {
+            mcfuser_sim::gemm(ap, bp, op, m, n, k, n);
+            continue;
+        }
+        // Sequential-k dot products: the interpreter's transposed order.
         for i in 0..m {
-            let arow = &a.data[ab + i * k..ab + (i + 1) * k];
+            let arow = &ap[i * k..(i + 1) * k];
             for j in 0..n {
-                // Both layouts keep the interpreter's sequential-k order.
-                let s = if transpose_b {
-                    let brow = &b.data[bbase + j * k..bbase + (j + 1) * k];
-                    arow.iter().zip(brow).fold(0.0f32, |s, (x, y)| s + x * y)
-                } else {
-                    let mut s = 0.0f32;
-                    for (kk, &av) in arow.iter().enumerate() {
-                        s += av * b.data[bbase + kk * n + j];
-                    }
-                    s
-                };
-                out[ob + i * n + j] = s;
+                let brow = &bp[j * k..(j + 1) * k];
+                op[i * n + j] = arow.iter().zip(brow).fold(0.0f32, |s, (x, y)| s + x * y);
             }
         }
     }
@@ -358,6 +347,122 @@ mod tests {
         let vals = evaluate(&g, &input_map(vec![(q, qs), (k, ks)]), 0).unwrap();
         // scores[0,0] = (1,2,3)·(1,0,1) = 4; [0,1] = (1,2,3)·(0,1,0) = 2
         assert_eq!(vals[s.0].data, vec![4., 2., 10., 5.]);
+    }
+
+    /// The `Linear` loop this lane ran before it called
+    /// `mcfuser_sim::gemm`, bias included.
+    fn former_linear(x: &[f32], w: &[f32], bias: &[f32], m: usize, n: usize) -> Vec<f32> {
+        let k = x.len() / m;
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            for kk in 0..k {
+                let av = x[i * k + kk];
+                if av == 0.0 {
+                    continue;
+                }
+                let wrow = &w[kk * n..(kk + 1) * n];
+                for (o, &wv) in out[i * n..(i + 1) * n].iter_mut().zip(wrow) {
+                    *o += av * wv;
+                }
+            }
+        }
+        for i in 0..m {
+            for (o, &bv) in out[i * n..(i + 1) * n].iter_mut().zip(bias) {
+                *o += bv;
+            }
+        }
+        out
+    }
+
+    /// The non-transposed `BatchMatMul` loop this lane ran before it
+    /// called `mcfuser_sim::gemm`: every term, zero or not, j outside k.
+    fn former_bmm(a: &[f32], b: &[f32], batch: usize, m: usize, n: usize) -> Vec<f32> {
+        let k = a.len() / (batch * m);
+        let mut out = vec![0.0f32; batch * m * n];
+        for bb in 0..batch {
+            let (ab, bbase, ob) = (bb * m * k, bb * k * n, bb * m * n);
+            for i in 0..m {
+                let arow = &a[ab + i * k..ab + (i + 1) * k];
+                for j in 0..n {
+                    let mut s = 0.0f32;
+                    for (kk, &av) in arow.iter().enumerate() {
+                        s += av * b[bbase + kk * n + j];
+                    }
+                    out[ob + i * n + j] = s;
+                }
+            }
+        }
+        out
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// On finite inputs, zeros and −0.0 included, `Linear` and
+    /// non-transposed `BatchMatMul` give the bits of the loops they
+    /// replaced.
+    #[test]
+    fn linear_and_bmm_match_their_former_loops_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(27);
+        let mut draw = |len: usize| -> Vec<f32> {
+            (0..len)
+                .map(|_| match rng.gen_range(0..8) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.gen_range(-2.0f32..2.0),
+                })
+                .collect()
+        };
+        for (batch, m, n, k) in [(1, 1, 1, 1), (2, 3, 17, 5), (4, 33, 1, 1), (3, 5, 70, 9)] {
+            let (m, n, k) = (m as u64, n as u64, k as u64);
+            let mut gb = GraphBuilder::new("t", DType::F32);
+            let x = gb.input("x", vec![m, k]);
+            let w = gb.input("w", vec![k, n]);
+            let bias = gb.input("bias", vec![n]);
+            let a = gb.input("a", vec![batch, m, k]);
+            let b = gb.input("b", vec![batch, k, n]);
+            let fc = gb.linear_shared("fc", x, w, Some(bias));
+            let mm = gb.batch_matmul("mm", a, b, false);
+            let g = gb.finish(vec![fc, mm]);
+            let values: Vec<(NodeId, HostTensor)> = [x, w, bias, a, b]
+                .into_iter()
+                .map(|id| {
+                    let shape = g.node(id).shape.clone();
+                    let len = shape.iter().product::<u64>() as usize;
+                    (id, HostTensor::from_vec(&shape, draw(len)))
+                })
+                .collect();
+            let data = |id: NodeId| &values.iter().find(|(v, _)| *v == id).unwrap().1.data;
+            let (m, n, batch) = (m as usize, n as usize, batch as usize);
+            let want_fc = former_linear(data(x), data(w), data(bias), m, n);
+            let want_mm = former_bmm(data(a), data(b), batch, m, n);
+            let vals = evaluate(&g, &input_map(values.clone()), 0).unwrap();
+            assert_eq!(bits(&vals[fc.0].data), bits(&want_fc), "Linear {m}x{n}");
+            assert_eq!(
+                bits(&vals[mm.0].data),
+                bits(&want_mm),
+                "BatchMatMul {m}x{n}"
+            );
+        }
+    }
+
+    /// A one-hot KV scatter writes only its own row: zero `a` terms
+    /// (either sign) are skipped, so an infinite `b` never turns the
+    /// other rows into NaN.
+    #[test]
+    fn bmm_zero_a_times_infinite_b_adds_nothing() {
+        let mut gb = GraphBuilder::new("t", DType::F32);
+        let onehot = gb.input("onehot", vec![1, 3, 1]);
+        let row = gb.input("row", vec![1, 1, 2]);
+        let s = gb.batch_matmul("scatter", onehot, row, false);
+        let g = gb.finish(vec![s]);
+        let a = HostTensor::from_vec(&[1, 3, 1], vec![0.0, 1.0, -0.0]);
+        let b = HostTensor::from_vec(&[1, 1, 2], vec![f32::INFINITY, 2.0]);
+        let vals = evaluate(&g, &input_map(vec![(onehot, a), (row, b)]), 0).unwrap();
+        let want = [0.0, 0.0, f32::INFINITY, 2.0, 0.0, 0.0];
+        assert_eq!(bits(&vals[s.0].data), bits(&want));
     }
 
     #[test]

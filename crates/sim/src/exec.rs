@@ -91,11 +91,27 @@ impl HostTensor {
     pub fn transpose_last2(&self) -> HostTensor {
         let rank = self.shape.len();
         assert!(rank >= 2, "need at least a matrix");
-        let (r, c) = (self.shape[rank - 2] as usize, self.shape[rank - 1] as usize);
-        let batch: usize = self.shape[..rank - 2].iter().product::<u64>() as usize;
         let mut shape = self.shape.clone();
         shape.swap(rank - 2, rank - 1);
         let mut data = vec![0.0f32; self.data.len()];
+        self.transpose_last2_into(&mut data);
+        HostTensor { shape, data }
+    }
+
+    /// Write [`transpose_last2`](Self::transpose_last2)'s data into
+    /// `dst`, which must hold exactly as many elements as `self`: a
+    /// kernel buffer is staged transposed without a temporary tensor.
+    pub fn transpose_last2_into(&self, dst: &mut [f32]) {
+        let rank = self.shape.len();
+        assert!(rank >= 2, "need at least a matrix");
+        let (r, c) = (self.shape[rank - 2] as usize, self.shape[rank - 1] as usize);
+        let batch: usize = self.shape[..rank - 2].iter().product::<u64>() as usize;
+        assert_eq!(
+            dst.len(),
+            self.data.len(),
+            "transposing {:?} into a buffer of another size",
+            self.shape
+        );
         for b in 0..batch {
             let base = b * r * c;
             // Walk each source row as one contiguous slice and scatter it
@@ -103,7 +119,7 @@ impl HostTensor {
             // one bounds check per row instead of per element (the
             // index-arithmetic version dominated oracle-path wall time).
             let src = &self.data[base..base + r * c];
-            let dst = &mut data[base..base + r * c];
+            let dst = &mut dst[base..base + r * c];
             for i in 0..r {
                 let row = &src[i * c..(i + 1) * c];
                 // The pointer moves with `wrapping_add`, which has no
@@ -121,7 +137,6 @@ impl HostTensor {
                 }
             }
         }
-        HostTensor { shape, data }
     }
 
     /// Relative L2 error against a reference tensor.
@@ -197,27 +212,31 @@ impl TensorStorage {
         }
     }
 
-    /// Stage `data` into buffer `buf` starting at element `offset` — the
-    /// batched-serving staging primitive. A widened launch packs each
+    /// The `len` elements of buffer `buf` from element `offset` on — the
+    /// batched-serving staging slot. A widened launch packs each
     /// request's tensor into its batch-slot range of the same input
-    /// buffer, so staging is a straight `memcpy` into the arena-backed
-    /// allocation at the slot offset (no intermediate per-request
-    /// tensor). Errors if the slice does not fit the buffer.
-    pub fn stage_at(&mut self, buf: usize, offset: usize, data: &[f32]) -> Result<(), ExecError> {
+    /// buffer, so staging writes straight into the arena-backed
+    /// allocation at the slot offset, copied or transposed, with no
+    /// intermediate per-request tensor. Errors if the range does not fit
+    /// the buffer.
+    pub fn slot_mut(
+        &mut self,
+        buf: usize,
+        offset: usize,
+        len: usize,
+    ) -> Result<&mut [f32], ExecError> {
         let t = self
             .tensors
             .get_mut(buf)
             .ok_or_else(|| ExecError::StorageMismatch(format!("no buffer #{buf} to stage into")))?;
-        let end = offset.saturating_add(data.len());
+        let end = offset.saturating_add(len);
         if end > t.data.len() {
             return Err(ExecError::StorageMismatch(format!(
-                "staging {} elements at offset {offset} overflows buffer #{buf} of {}",
-                data.len(),
+                "staging {len} elements at offset {offset} overflows buffer #{buf} of {}",
                 t.data.len()
             )));
         }
-        t.data[offset..end].copy_from_slice(data);
-        Ok(())
+        Ok(&mut t.data[offset..end])
     }
 
     /// Zero every output/temp buffer (so a storage can be re-used across
@@ -978,6 +997,9 @@ fn store_tile(src: &[f32], rows: u64, cols: u64, dt: DType, dst: &mut HostTensor
 
 /// `acc += a × b` on dense tiles (f32 accumulate, mirroring tensor cores).
 /// `acc_col` offsets the written columns inside `acc` (chunked panels).
+/// Validation rejects a GEMM whose accumulator is one of its operands
+/// ([`ProgramError::GemmAliased`](crate::ProgramError::GemmAliased)), so
+/// the accumulator can be taken out while the operands are read.
 fn gemm_tiles(
     smem: &mut Smem,
     a: SmemId,
@@ -995,93 +1017,26 @@ fn gemm_tiles(
     let stride = smem.cols[acc.0] as usize;
     debug_assert_eq!(smem.rows[acc.0] as usize, m);
     debug_assert!(acc_col + n <= stride);
-    // Lowering never aliases an operand with the accumulator; clone if
-    // it ever does, to keep the interpreter total.
-    if a.0 == acc.0 || b.0 == acc.0 {
-        let av = smem.bufs[a.0].clone();
-        let bv = smem.bufs[b.0].clone();
-        let accv = &mut smem.bufs[acc.0];
-        gemm_inner(&av, &bv, accv, m, n, k, b_transposed, stride, acc_col);
-        return;
-    }
     let mut accv = std::mem::take(&mut smem.bufs[acc.0]);
-    gemm_inner(
-        &smem.bufs[a.0],
-        &smem.bufs[b.0],
-        &mut accv,
-        m,
-        n,
-        k,
-        b_transposed,
-        stride,
-        acc_col,
-    );
-    smem.bufs[acc.0] = accv;
-}
-
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn gemm_inner(
-    a: &[f32],
-    b: &[f32],
-    acc: &mut [f32],
-    m: usize,
-    n: usize,
-    k: usize,
-    b_transposed: bool,
-    stride: usize,
-    acc_col: usize,
-) {
+    let (av, bv, out) = (&smem.bufs[a.0], &smem.bufs[b.0], &mut accv[acc_col..]);
     if b_transposed {
-        // b is n×k.
+        // b is n×k: each element sums its dot product in k order, then
+        // adds it once.
         for i in 0..m {
+            let arow = &av[i * k..(i + 1) * k];
             for j in 0..n {
                 let mut s = 0.0f32;
-                let arow = &a[i * k..(i + 1) * k];
-                let brow = &b[j * k..(j + 1) * k];
+                let brow = &bv[j * k..(j + 1) * k];
                 for kk in 0..k {
                     s += arow[kk] * brow[kk];
                 }
-                acc[i * stride + acc_col + j] += s;
+                out[i * stride + j] += s;
             }
         }
     } else {
-        // b is k×n; loop order i-k-j for cache friendliness. Zero `a`
-        // values are skipped, so each accumulator element adds its
-        // non-zero terms in k order. Taking them four at a time keeps
-        // the element in a register across four updates without
-        // changing that order.
-        let brow = |kk: usize| &b[kk * n..(kk + 1) * n];
-        for i in 0..m {
-            let arow = &a[i * k..(i + 1) * k];
-            let crow = &mut acc[i * stride + acc_col..i * stride + acc_col + n];
-            let mut terms = arow.iter().enumerate().filter(|(_, &v)| v != 0.0);
-            loop {
-                match (terms.next(), terms.next(), terms.next(), terms.next()) {
-                    (Some((k0, &a0)), Some((k1, &a1)), Some((k2, &a2)), Some((k3, &a3))) => {
-                        let (b0, b1) = (&brow(k0)[..n], &brow(k1)[..n]);
-                        let (b2, b3) = (&brow(k2)[..n], &brow(k3)[..n]);
-                        for j in 0..n {
-                            let mut c = crow[j];
-                            c += a0 * b0[j];
-                            c += a1 * b1[j];
-                            c += a2 * b2[j];
-                            c += a3 * b3[j];
-                            crow[j] = c;
-                        }
-                    }
-                    (t0, t1, t2, _) => {
-                        for (kk, &aval) in [t0, t1, t2].into_iter().flatten() {
-                            for (c, &bv) in crow.iter_mut().zip(brow(kk)) {
-                                *c += aval * bv;
-                            }
-                        }
-                        break;
-                    }
-                }
-            }
-        }
+        crate::gemm(av, bv, out, m, n, k, stride);
     }
+    smem.bufs[acc.0] = accv;
 }
 
 /// Streaming (FlashAttention-style) softmax update over the first
@@ -1173,7 +1128,18 @@ mod tests {
                 .iter()
                 .zip(&x.data)
                 .all(|(a, b)| a.to_bits() == b.to_bits()));
+            // Staging into a used buffer overwrites every element with
+            // the same data.
+            let mut staged = vec![f32::NAN; x.data.len()];
+            x.transpose_last2_into(&mut staged);
+            assert!(staged
+                .iter()
+                .zip(&t.data)
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
         }
+        let x = HostTensor::from_vec(&[2, 3], vec![0.0; 6]);
+        let short = std::panic::catch_unwind(|| x.transpose_last2_into(&mut [0.0; 5]));
+        assert!(short.is_err(), "a buffer of another size is refused");
     }
 
     /// Naive reference matmul for oracle checks.
@@ -1312,41 +1278,6 @@ mod tests {
         execute(&p, &mut st).unwrap();
         // C[0,0] = quantized(A[0,0]) * 1.0 = 1.0 exactly.
         assert_eq!(st.tensors[2].data[0], 1.0);
-    }
-
-    /// The non-transposed GEMM takes a row's non-zero `a` terms four at
-    /// a time; each accumulator element must still see exactly the
-    /// plain i-k-j loop's additions, in the same order.
-    #[test]
-    fn blocked_gemm_matches_plain_loop_bit_for_bit() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
-        let mut draw = |zeros: f64| {
-            if rng.gen_bool(zeros) {
-                0.0
-            } else {
-                rng.gen_range(-1.0f32..1.0)
-            }
-        };
-        for (m, n, k) in [(1, 5, 1), (3, 7, 6), (4, 64, 13), (16, 16, 32)] {
-            let (stride, acc_col) = (n + 3, 2);
-            let a: Vec<f32> = (0..m * k).map(|_| draw(0.3)).collect();
-            let b: Vec<f32> = (0..k * n).map(|_| draw(0.0)).collect();
-            let mut want: Vec<f32> = (0..m * stride).map(|_| draw(0.0)).collect();
-            let mut got = want.clone();
-            for i in 0..m {
-                for kk in 0..k {
-                    let av = a[i * k + kk];
-                    if av != 0.0 {
-                        for j in 0..n {
-                            want[i * stride + acc_col + j] += av * b[kk * n + j];
-                        }
-                    }
-                }
-            }
-            gemm_inner(&a, &b, &mut got, m, n, k, false, stride, acc_col);
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&got), bits(&want), "{m}x{n}x{k}");
-        }
     }
 
     #[test]

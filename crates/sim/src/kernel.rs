@@ -377,6 +377,13 @@ pub enum ProgramError {
         b: SmemId,
         acc: SmemId,
     },
+    /// A GEMM's accumulator is also one of its operands: the kernel
+    /// would read the tile it is writing.
+    GemmAliased {
+        a: SmemId,
+        b: SmemId,
+        acc: SmemId,
+    },
     /// A loop handle is reused in overlapping scopes.
     DuplicateLoop(LoopHandle),
     /// `VarRef::Grid(i)` with `i` out of range of the grid rank.
@@ -402,6 +409,12 @@ impl std::fmt::Display for ProgramError {
             ),
             ProgramError::GemmShapeMismatch { a, b, acc } => {
                 write!(f, "gemm shape mismatch a={:?} b={:?} acc={:?}", a, b, acc)
+            }
+            ProgramError::GemmAliased { a, b, acc } => {
+                write!(
+                    f,
+                    "gemm accumulator aliases an operand a={a:?} b={b:?} acc={acc:?}"
+                )
             }
             ProgramError::DuplicateLoop(l) => write!(f, "loop {:?} redefined in scope", l),
             ProgramError::UnknownGridDim(i) => write!(f, "grid dim {} out of range", i),
@@ -525,6 +538,13 @@ impl TileProgram {
                     b_transposed,
                     acc_col,
                 } => {
+                    if acc == a || acc == b {
+                        return Err(ProgramError::GemmAliased {
+                            a: *a,
+                            b: *b,
+                            acc: *acc,
+                        });
+                    }
                     let (da, db, dacc) = (
                         self.smem_decl(*a)?,
                         self.smem_decl(*b)?,
@@ -931,6 +951,38 @@ mod tests {
             p.validate(),
             Err(ProgramError::GemmShapeMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn gemm_accumulating_into_an_operand_is_rejected() {
+        // Square tiles, so every operand/accumulator pairing composes and
+        // only the aliasing is wrong.
+        let mut p = tiny_program();
+        p.smem[0].cols = 64;
+        p.smem[1].rows = 64;
+        let gemm = |a, b, acc| BlockStmt::Gemm {
+            a: SmemId(a),
+            b: SmemId(b),
+            acc: SmemId(acc),
+            b_transposed: false,
+            acc_col: 0,
+        };
+        let at = p
+            .body
+            .iter()
+            .position(|s| matches!(s, BlockStmt::Gemm { .. }));
+        let at = at.expect("tiny_program has a GEMM");
+        for (a, b) in [(2, 1), (0, 2), (2, 2)] {
+            p.body[at] = gemm(a, b, 2);
+            let err = ProgramError::GemmAliased {
+                a: SmemId(a),
+                b: SmemId(b),
+                acc: SmemId(2),
+            };
+            assert_eq!(p.validate(), Err(err), "a={a} b={b}");
+        }
+        p.body[at] = gemm(0, 1, 2);
+        p.validate().unwrap();
     }
 
     #[test]

@@ -12,6 +12,9 @@
 //!   lowering (the analogue of Triton-generated PTX);
 //! * [`exec`] — the functional interpreter that runs kernels for value,
 //!   checked against CPU references and used by the serving runtime;
+//! * [`gemm()`] — the host's one non-transposed GEMM kernel, shared by the
+//!   interpreter and the reference lane and run on the CPU's widest
+//!   vectors;
 //! * [`timing`] — a wave/roofline timing model that "measures" kernels,
 //!   including the second-order effects (L2, tensor-core fill, double
 //!   buffering, wave quantization) the paper's coarse analytical model
@@ -46,6 +49,7 @@ pub mod clock;
 pub mod device;
 pub mod dtype;
 pub mod exec;
+pub mod gemm;
 pub mod kernel;
 pub mod noise;
 pub mod report;
@@ -60,6 +64,7 @@ pub use exec::{
     execute, execute_with_arena, gelu, BufferArena, ExecBackend, ExecError, HostTensor,
     Interpreter, TensorStorage,
 };
+pub use gemm::gemm;
 pub use kernel::{
     ceil_div, visit_accesses, visit_accesses_mut, BlockStmt, BufId, BufferDecl, BufferRole,
     ClipMark, LoopHandle, ProgramBuilder, ProgramError, SmemDecl, SmemId, TileAccess, TileIndex,
