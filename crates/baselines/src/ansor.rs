@@ -60,7 +60,9 @@ fn features(batch: u64, m: u64, n: u64, k: u64, t: (u64, u64, u64), dev: &Device
 }
 
 /// Tune one batched-matmul task with `trials` measurements, or one per
-/// distinct tile configuration when the task has fewer.
+/// distinct tile configuration when the task has fewer. No tile is
+/// proposed twice, so every round of up to 64 measurements is new and
+/// the model refits at most once per round.
 #[allow(clippy::too_many_arguments)]
 pub fn tune_matmul_task(
     batch: u64,
@@ -74,51 +76,55 @@ pub fn tune_matmul_task(
 ) -> TunedMatmul {
     let cost = CostProfile::ansor();
     let mut rng = StdRng::seed_from_u64(seed);
-    let dm = tile_options(m);
-    let dn = tile_options(n);
     let dk: Vec<u64> = tile_options(k).into_iter().filter(|&t| t <= 128).collect();
-    let sample = |rng: &mut StdRng| -> (u64, u64, u64) {
-        (
-            dm[rng.gen_range(0..dm.len())],
-            dn[rng.gen_range(0..dn.len())],
-            dk[rng.gen_range(0..dk.len())],
-        )
-    };
+    let mut unmeasured: Vec<(u64, u64, u64)> = Vec::new();
+    for &tm in &tile_options(m) {
+        for &tn in &tile_options(n) {
+            unmeasured.extend(dk.iter().map(|&tk| (tm, tn, tk)));
+        }
+    }
 
-    // Each tile is measured at most once, so a budget past the task's
-    // distinct tiles could never be spent.
-    let trials = trials.min(dm.len() * dn.len() * dk.len());
-    let mut measured: FxHashMap<(u64, u64, u64), f64> = FxHashMap::default();
+    let trials = trials.min(unmeasured.len());
     let mut xs: Vec<Vec<f64>> = Vec::new();
     let mut ys: Vec<f64> = Vec::new();
     let mut model: Option<GbtModel> = None;
     let mut tuning = 0.0f64;
     let mut best: Option<((u64, u64, u64), f64)> = None;
 
-    while measured.len() < trials {
-        let round = 64.min(trials - measured.len());
+    for done in (0..trials).step_by(64) {
+        let round = 64.min(trials - done);
         // Candidate proposal: model-ranked exploitation + ε exploration.
-        let mut cands: Vec<(u64, u64, u64)> = Vec::new();
-        if let Some(mdl) = &model {
-            let mut pool: Vec<(u64, u64, u64)> = (0..512).map(|_| sample(&mut rng)).collect();
-            pool.sort_by(|a, b| {
-                let fa = mdl.predict(&features(batch, m, n, k, *a, dev));
-                let fb = mdl.predict(&features(batch, m, n, k, *b, dev));
-                fa.total_cmp(&fb)
-            });
-            cands.extend(pool.into_iter().take(round.saturating_sub(8)));
-            cands.extend((0..8).map(|_| sample(&mut rng)));
-        } else {
-            cands.extend((0..round).map(|_| sample(&mut rng)));
-        }
-        for t in cands {
-            if measured.contains_key(&t) || measured.len() >= trials {
-                continue;
+        // The model ranks a pool of up to 512 unmeasured tiles, drawn
+        // without replacement into the front of `unmeasured` by a partial
+        // Fisher–Yates shuffle and priced once each.
+        let exploit = match &model {
+            Some(mdl) => {
+                let pool = 512.min(unmeasured.len());
+                for i in 0..pool {
+                    let j = rng.gen_range(i..unmeasured.len());
+                    unmeasured.swap(i, j);
+                }
+                let mut ranked: Vec<(f64, (u64, u64, u64))> = unmeasured[..pool]
+                    .iter()
+                    .map(|&t| (mdl.predict(&features(batch, m, n, k, t, dev)), t))
+                    .collect();
+                ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
+                for (slot, (_, t)) in unmeasured.iter_mut().zip(ranked) {
+                    *slot = t;
+                }
+                round.saturating_sub(8)
             }
+            None => 0,
+        };
+        let mut cands: Vec<(u64, u64, u64)> = unmeasured.drain(..exploit).collect();
+        while cands.len() < round {
+            cands.push(unmeasured.swap_remove(rng.gen_range(0..unmeasured.len())));
+        }
+        for (i, t) in cands.into_iter().enumerate() {
             let p = matmul_program("task", batch, m, n, k, t, dtype, Epilogue::None);
             let smem_fits = p.smem_bytes() <= dev.smem_per_block;
             let time = if smem_fits {
-                measure_noisy(&p, dev, seed ^ measured.len() as u64).time
+                measure_noisy(&p, dev, seed ^ (done + i) as u64).time
             } else {
                 f64::INFINITY
             };
@@ -129,7 +135,6 @@ pub fn tune_matmul_task(
                 } else {
                     0.0
                 };
-            measured.insert(t, time);
             if time.is_finite() {
                 xs.push(features(batch, m, n, k, t, dev));
                 ys.push(time.ln());
@@ -149,7 +154,7 @@ pub fn tune_matmul_task(
         tiles,
         time,
         tuning_seconds: tuning,
-        trials: measured.len(),
+        trials,
     }
 }
 
@@ -454,6 +459,21 @@ mod tests {
             .expect("tuning a 64-tile task with 1000 trials must return");
         assert_eq!(tuned.trials, 64);
         assert!(tuned.time.is_finite());
+    }
+
+    #[test]
+    fn refits_at_most_once_per_round_of_64() {
+        // 32 × 32 × 4 = 4,096 distinct tiles, so all 1000 trials run. The
+        // charge is compile + overhead per trial, 100 repeats of each
+        // measured time (under one refit's worth in total) and one
+        // training charge per refit.
+        let dev = DeviceSpec::a100();
+        let tuned = tune_matmul_task(1, 512, 512, 64, DType::F16, &dev, 1000, 0xA502);
+        assert_eq!(tuned.trials, 1000);
+        let cost = CostProfile::ansor();
+        let per_trial = cost.compile_seconds + cost.measure_overhead_seconds;
+        let refits = ((tuned.tuning_seconds - 1000.0 * per_trial) / cost.train_seconds).floor();
+        assert!(refits <= 16.0, "{refits} refits for 1000 trials");
     }
 
     #[test]

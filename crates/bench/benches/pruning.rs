@@ -1,5 +1,6 @@
-//! Criterion bench: the Rule 1–4 pruning cascade (§III-C) on the paper's
-//! running example (1.09e8 candidates in, ~1e3 out), plus the lazy
+//! Criterion bench: building the pruned space — `SearchSpace::generate`
+//! and the Rule 1–4 cascade (§III-C) — on the paper's running example
+//! (1.09e8 candidates in, ~1e3 out), plus the lazy
 //! [`CandidateSpace`] paths that replaced the eager materialization —
 //! the Rule-4 survivor-index build (filter on), the `-rule4` ablation
 //! (filter off: O(rows), no Eq. 1 call), and indexed candidate decoding.
@@ -7,7 +8,7 @@
 //! [`CandidateSpace`]: mcfuser_core::CandidateSpace
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mcfuser_core::{build_candidate_space, prune, SearchSpace, SpacePolicy};
+use mcfuser_core::{build_candidate_space, SpacePolicy};
 use mcfuser_ir::{ChainSpec, Epilogue};
 use mcfuser_sim::DeviceSpec;
 use std::hint::black_box;
@@ -16,15 +17,14 @@ fn bench(c: &mut Criterion) {
     let dev = DeviceSpec::a100();
     let big = ChainSpec::gemm_chain("big", 1, 1024, 1024, 512, 512);
     let attn = ChainSpec::attention("attn", 12, 512, 512, 64, 64);
-    let big_space = SearchSpace::generate(&big);
-    let attn_space = SearchSpace::generate(&attn);
+    let full = SpacePolicy::default();
     let mut g = c.benchmark_group("pruning");
     g.sample_size(20);
     g.bench_function("gemm_chain_1e8_candidates", |b| {
-        b.iter(|| prune(black_box(&big), &dev, &big_space))
+        b.iter(|| build_candidate_space(black_box(&big), &dev, &full))
     });
     g.bench_function("attention_s2", |b| {
-        b.iter(|| prune(black_box(&attn), &dev, &attn_space))
+        b.iter(|| build_candidate_space(black_box(&attn), &dev, &full))
     });
     // The -rule4 ablation path: the same lazy space with the filter
     // disabled — every row keeps all of axis 0, so the index costs
@@ -47,12 +47,11 @@ fn bench(c: &mut Criterion) {
         vec![1536, 768, 1536, 768],
         vec![Epilogue::None; 3],
     );
-    let full = SpacePolicy::default();
     g.bench_function("rule4_index_2_4e6_grid", |b| {
         b.iter(|| build_candidate_space(black_box(&wide), &dev, &full))
     });
     // Indexed decoding: the hot operation of sampling-based search.
-    let pruned = prune(&big, &dev, &big_space);
+    let pruned = build_candidate_space(&big, &dev, &full);
     let stride = (pruned.len() / 251).max(1);
     g.bench_function("candidate_indexing", |b| {
         b.iter(|| {

@@ -21,10 +21,8 @@
 //!
 //! Reports fused-kernel quality (vs. full MCFuser) and virtual tuning
 //! time per variant, averaged over a workload mix.
-//!
-//! Usage: `ablation [--fast]`
 
-use mcfuser_bench::{fast_mode, fmt_time, geomean, write_json, TextTable};
+use mcfuser_bench::{fmt_time, geomean, write_json, TextTable};
 use mcfuser_core::{CachePolicy, FusionEngine, ModelOptions, SearchParams, SpacePolicy};
 use mcfuser_ir::ChainSpec;
 use mcfuser_sim::DeviceSpec;
@@ -121,11 +119,7 @@ fn engine_for(v: &Variant, dev: &DeviceSpec) -> FusionEngine {
 
 fn main() {
     let dev = DeviceSpec::a100();
-    let names: Vec<&str> = if fast_mode() {
-        vec!["G1", "G4", "S2"]
-    } else {
-        vec!["G1", "G3", "G4", "G7", "G10", "S1", "S2", "S4", "S7"]
-    };
+    let names = ["G1", "G3", "G4", "G7", "G10", "S1", "S2", "S4", "S7"];
     let chains: Vec<ChainSpec> = names
         .iter()
         .map(|n| {

@@ -14,8 +14,8 @@
 
 use rand::prelude::*;
 
-use mcfuser_bench::{fast_mode, write_json, TextTable};
-use mcfuser_core::{prune, SearchSpace};
+use mcfuser_bench::{write_json, TextTable};
+use mcfuser_core::{build_candidate_space, SpacePolicy};
 use mcfuser_sim::DeviceSpec;
 use mcfuser_tile::{estimate_shmem_bytes, lower, LoweringOptions};
 use mcfuser_workloads::{attention_workload, gemm_chain_workload};
@@ -23,7 +23,7 @@ use mcfuser_workloads::{attention_workload, gemm_chain_workload};
 fn main() {
     let dev = DeviceSpec::a100();
     let shm_max = dev.smem_per_block as f64;
-    let per_workload = if fast_mode() { 120 } else { 400 };
+    let per_workload = 400;
     let mut rng = StdRng::seed_from_u64(0x000F_1610);
 
     let workloads: Vec<_> = ["G1", "G2", "G3", "G4"]
@@ -35,10 +35,9 @@ fn main() {
     let (mut q1, mut q2, mut q3, mut q4) = (0u32, 0u32, 0u32, 0u32);
     let mut points = Vec::new();
     for chain in &workloads {
-        let space = SearchSpace::generate(chain);
         // Rules 1–3 applied; Rule 4 deliberately NOT, so the sample spans
         // the pruning boundary.
-        let pruned = prune(chain, &dev, &space);
+        let pruned = build_candidate_space(chain, &dev, &SpacePolicy::default());
         for _ in 0..per_workload {
             let cand = pruned.sample_rule3(&mut rng);
             let est = estimate_shmem_bytes(chain, &cand) as f64;

@@ -4,15 +4,15 @@
 
 use rand::prelude::*;
 
-use mcfuser_bench::{fast_mode, pearson, write_json, TextTable};
-use mcfuser_core::{estimate, prune, SearchSpace};
+use mcfuser_bench::{pearson, write_json, TextTable};
+use mcfuser_core::{build_candidate_space, estimate, SpacePolicy};
 use mcfuser_sim::{measure_noisy, DeviceSpec};
 use mcfuser_tile::{lower, LoweringOptions};
 use mcfuser_workloads::gemm_chain_workload;
 
 fn main() {
     let dev = DeviceSpec::a100();
-    let samples = if fast_mode() { 60 } else { 200 };
+    let samples = 200;
     let mut rng = StdRng::seed_from_u64(0x000F_1611);
 
     let mut t = TextTable::new(&["workload", "#candidates", "corr(est, meas)", "top-8 hit"]);
@@ -20,8 +20,7 @@ fn main() {
 
     for name in ["G1", "G2", "G3", "G4"] {
         let chain = gemm_chain_workload(name).unwrap();
-        let space = SearchSpace::generate(&chain);
-        let pruned = prune(&chain, &dev, &space);
+        let pruned = build_candidate_space(&chain, &dev, &SpacePolicy::default());
         let mut ests = Vec::new();
         let mut meas = Vec::new();
         let mut tried = 0;

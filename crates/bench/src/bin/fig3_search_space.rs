@@ -1,7 +1,6 @@
 //! Fig. 3 — the search-space census for the 2-GEMM chain (24 deep + 2
 //! flat tiling expressions), plus the Fig. 4/5 pseudo-code listings that
-//! illustrate the DAG-based memory-access optimization
-//! (pass `--show-dag`).
+//! illustrate the DAG-based memory-access optimization.
 
 use mcfuser_bench::{write_json, TextTable};
 use mcfuser_core::SearchSpace;
@@ -49,29 +48,25 @@ fn main() {
     ]);
     println!("{}", t.render());
 
-    if std::env::args().any(|a| a == "--show-dag") {
-        // Fig. 4(a): the full mhnk expression with optimized placement.
-        let cand = Candidate::new(
-            TilingExpr::parse("mhnk", &chain).unwrap(),
-            vec![128, 64, 64, 128],
-        );
-        let p = place_into(&chain, &cand, &cand.expr).unwrap();
-        println!("Fig. 4(a) — optimized tiling expression mhnk:");
-        println!("{}", render_tree(&p.tree, &chain));
+    // Fig. 4(a): the full mhnk expression with optimized placement.
+    let cand = Candidate::new(
+        TilingExpr::parse("mhnk", &chain).unwrap(),
+        vec![128, 64, 64, 128],
+    );
+    let p = place_into(&chain, &cand, &cand.expr).unwrap();
+    println!("Fig. 4(a) — optimized tiling expression mhnk:");
+    println!("{}", render_tree(&p.tree, &chain));
 
-        // Fig. 4(b)/5(b): k covered by a single tile → dead-loop
-        // elimination hoists LA outward.
-        let cand1 = Candidate::new(
-            TilingExpr::parse("mhnk", &chain).unwrap(),
-            vec![128, 512, 64, 128],
-        );
-        let live = cand1.live_block_expr(&chain);
-        let p1 = place_into(&chain, &cand1, &live).unwrap();
-        println!("Fig. 4(b) — per-block program after k = 1 elimination (Rule-1 bound):");
-        println!("{}", render_tree(&p1.tree, &chain));
-    } else {
-        println!("(pass --show-dag for the Fig. 4/5 pseudo-code listings)");
-    }
+    // Fig. 4(b)/5(b): k covered by a single tile → dead-loop
+    // elimination hoists LA outward.
+    let cand1 = Candidate::new(
+        TilingExpr::parse("mhnk", &chain).unwrap(),
+        vec![128, 512, 64, 128],
+    );
+    let live = cand1.live_block_expr(&chain);
+    let p1 = place_into(&chain, &cand1, &live).unwrap();
+    println!("Fig. 4(b) — per-block program after k = 1 elimination (Rule-1 bound):");
+    println!("{}", render_tree(&p1.tree, &chain));
 
     // Fig. 6: shared-memory behaviour of the two per-block sub-tiling
     // expressions — "nk" reuses a single C-tile buffer; "kn" must cache

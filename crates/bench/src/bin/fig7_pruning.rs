@@ -7,15 +7,14 @@
 //! is preserved.
 
 use mcfuser_bench::{write_json, TextTable};
-use mcfuser_core::{prune, SearchSpace};
+use mcfuser_core::{build_candidate_space, SpacePolicy};
 use mcfuser_ir::ChainSpec;
 use mcfuser_sim::DeviceSpec;
 
 fn main() {
     let chain = ChainSpec::gemm_chain("fig7", 1, 1024, 1024, 512, 512);
     let dev = DeviceSpec::a100();
-    let space = SearchSpace::generate(&chain);
-    let pruned = prune(&chain, &dev, &space);
+    let pruned = build_candidate_space(&chain, &dev, &SpacePolicy::default());
     let s = &pruned.stats;
 
     let pct = |num: u128, den: u128| -> String {

@@ -1,34 +1,16 @@
 //! Fig. 8 — sub-graph performance of batch GEMM chains (Table II) and
 //! self-attention modules (Table III) across all backends, normalized to
 //! PyTorch, on the simulated A100 and RTX 3080.
-//!
-//! Usage: `fig8_subgraph [--suite gemm|attention|all] [--device a100|rtx3080|all] [--fast]`
 
 use mcfuser_baselines::{Ansor, Backend, Bolt, Chimera, FlashAttention, McFuserBackend, PyTorch};
-use mcfuser_bench::{device_by_name, fast_mode, fmt_time, geomean, write_json, TextTable};
+use mcfuser_bench::{fmt_time, geomean, write_json, TextTable};
 use mcfuser_ir::ChainSpec;
 use mcfuser_sim::DeviceSpec;
 use mcfuser_workloads::{attention_suite, gemm_chain_suite};
 
-fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn run_suite(
-    suite_name: &str,
-    chains: &[ChainSpec],
-    dev: &DeviceSpec,
-    fast: bool,
-) -> serde_json::Value {
+fn run_suite(suite_name: &str, chains: &[ChainSpec], dev: &DeviceSpec) -> serde_json::Value {
     let pytorch = PyTorch;
-    let ansor = if fast {
-        Ansor::with_trials(60)
-    } else {
-        Ansor::new()
-    };
+    let ansor = Ansor::new();
     let bolt = Bolt::new();
     let flash = FlashAttention;
     let chimera = Chimera;
@@ -140,38 +122,15 @@ fn run_suite(
 }
 
 fn main() {
-    let fast = fast_mode();
-    let suite = arg_value("--suite").unwrap_or_else(|| "all".into());
-    let device = arg_value("--device").unwrap_or_else(|| "all".into());
-
-    let devices: Vec<DeviceSpec> = match device.as_str() {
-        "all" => vec![DeviceSpec::a100(), DeviceSpec::rtx3080()],
-        d => vec![device_by_name(d).expect("unknown device")],
-    };
-    let mut suites: Vec<(&str, Vec<ChainSpec>)> = Vec::new();
-    if suite == "gemm" || suite == "all" {
-        let mut v = gemm_chain_suite();
-        if fast {
-            v.truncate(4);
-        }
-        suites.push(("gemm", v));
-    }
-    if suite == "attention" || suite == "all" {
-        let mut v = attention_suite();
-        if fast {
-            v.truncate(3);
-        }
-        suites.push(("attention", v));
-    }
-
+    let suites = [
+        ("gemm", gemm_chain_suite()),
+        ("attention", attention_suite()),
+    ];
     let mut all = Vec::new();
-    for dev in &devices {
+    for dev in [DeviceSpec::a100(), DeviceSpec::rtx3080()] {
         for (name, chains) in &suites {
-            all.push(run_suite(name, chains, dev, fast));
+            all.push(run_suite(name, chains, &dev));
         }
     }
-    write_json(
-        "fig8_subgraph",
-        &serde_json::json!({ "fast": fast, "panels": all }),
-    );
+    write_json("fig8_subgraph", &serde_json::json!({ "panels": all }));
 }

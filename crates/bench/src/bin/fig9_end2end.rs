@@ -6,26 +6,17 @@
 //!
 //! Each MCFuser configuration is a fresh `FusionEngine` session (fresh
 //! tuning cache), so tuning costs are comparable across bars.
-//!
-//! Usage: `fig9_end2end [--fast]` (fast trims models and Ansor trials).
 
 use mcfuser_baselines::{Ansor, Bolt, Relay};
-use mcfuser_bench::{fast_mode, fmt_time, unfused_graph_cost, write_json, TextTable};
+use mcfuser_bench::{fmt_time, unfused_graph_cost, write_json, TextTable};
 use mcfuser_core::FusionEngine;
-use mcfuser_ir::Graph;
 use mcfuser_sim::DeviceSpec;
 use mcfuser_workloads::{bert_base, bert_large, bert_small};
 
 fn main() {
-    let fast = fast_mode();
     let dev = DeviceSpec::a100();
     let seq = 512;
-    let models: Vec<Graph> = if fast {
-        vec![bert_small(seq)]
-    } else {
-        vec![bert_small(seq), bert_base(seq), bert_large(seq)]
-    };
-    let ansor_trials = if fast { 60 } else { 1000 };
+    let models = [bert_small(seq), bert_base(seq), bert_large(seq)];
 
     let mut table = TextTable::new(&[
         "model",
@@ -55,7 +46,7 @@ fn main() {
         // Each configuration gets fresh backends (fresh tuning caches).
         let relay = Relay::new();
         let bolt = Bolt::new();
-        let ansor = Ansor::with_trials(ansor_trials);
+        let ansor = Ansor::new();
         let (t_relay, tune_relay) = unfused_graph_cost(graph, &dev, &relay);
         let (t_bolt, tune_bolt) = unfused_graph_cost(graph, &dev, &bolt);
         let (t_ansor, tune_ansor) = unfused_graph_cost(graph, &dev, &ansor);
@@ -66,7 +57,7 @@ fn main() {
             .compile(graph)
             .expect("compiles");
         let mcf_ansor = FusionEngine::builder(dev.clone())
-            .fallback(Ansor::with_trials(ansor_trials))
+            .fallback(Ansor::new())
             .build()
             .compile(graph)
             .expect("compiles");
@@ -198,8 +189,5 @@ fn main() {
     );
     println!("\nPrologue/epilogue stitching (stitched vs unstitched plan):\n");
     println!("{}", stitch_table.render());
-    write_json(
-        "fig9_end2end",
-        &serde_json::json!({ "fast": fast, "rows": json_rows }),
-    );
+    write_json("fig9_end2end", &serde_json::json!({ "rows": json_rows }));
 }

@@ -5,13 +5,10 @@
 //! MCFuser-Chimera and MCFuser over the Table II / Table III suites.
 //! End-to-end half: Relay, BOLT, MCFuser+Relay, Ansor, MCFuser+Ansor on
 //! the three BERT models.
-//!
-//! Usage: `table4_tuning_time [--fast]`
 
 use mcfuser_baselines::{Ansor, Backend, Bolt, Chimera, McFuserBackend, Relay};
-use mcfuser_bench::{fast_mode, fmt_time, unfused_graph_cost, write_json, TextTable};
+use mcfuser_bench::{fmt_time, unfused_graph_cost, write_json, TextTable};
 use mcfuser_core::FusionEngine;
-use mcfuser_ir::ChainSpec;
 use mcfuser_sim::DeviceSpec;
 use mcfuser_workloads::{attention_suite, bert_base, bert_large, bert_small, gemm_chain_suite};
 
@@ -23,25 +20,15 @@ fn mean(v: &[f64]) -> f64 {
     }
 }
 
-fn subgraph_half(dev: &DeviceSpec, fast: bool) -> serde_json::Value {
-    let ansor = if fast {
-        Ansor::with_trials(60)
-    } else {
-        Ansor::new()
-    };
+fn subgraph_half(dev: &DeviceSpec) -> serde_json::Value {
     let bolt = Bolt::new();
     let chimera = Chimera;
     let mcfuser = McFuserBackend::new();
 
-    let mut suites: Vec<(&str, Vec<ChainSpec>)> = vec![
+    let suites = [
         ("GEMM Chain", gemm_chain_suite()),
         ("Self Attention", attention_suite()),
     ];
-    if fast {
-        for (_, v) in suites.iter_mut() {
-            v.truncate(3);
-        }
-    }
 
     let mut t = TextTable::new(&[
         "Sub Graph",
@@ -61,11 +48,7 @@ fn subgraph_half(dev: &DeviceSpec, fast: bool) -> serde_json::Value {
         ];
         for chain in chains {
             // Fresh caches per chain: tuning each sub-graph independently.
-            let ansor_fresh = if fast {
-                Ansor::with_trials(60)
-            } else {
-                Ansor::new()
-            };
+            let ansor_fresh = Ansor::new();
             if let Ok(r) = bolt.run_chain(chain, dev) {
                 per[0].1.push(r.tuning_seconds);
             }
@@ -78,7 +61,6 @@ fn subgraph_half(dev: &DeviceSpec, fast: bool) -> serde_json::Value {
             if let Ok(r) = mcfuser.run_chain(chain, dev) {
                 per[3].1.push(r.tuning_seconds);
             }
-            let _ = ansor;
         }
         let bolt_m = mean(&per[0].1);
         let ansor_m = mean(&per[1].1);
@@ -120,13 +102,8 @@ fn subgraph_half(dev: &DeviceSpec, fast: bool) -> serde_json::Value {
     serde_json::json!(json)
 }
 
-fn end2end_half(dev: &DeviceSpec, fast: bool) -> serde_json::Value {
-    let models = if fast {
-        vec![bert_small(512)]
-    } else {
-        vec![bert_small(512), bert_base(512), bert_large(512)]
-    };
-    let trials = if fast { 60 } else { 1000 };
+fn end2end_half(dev: &DeviceSpec) -> serde_json::Value {
+    let models = [bert_small(512), bert_base(512), bert_large(512)];
     let mut t = TextTable::new(&[
         "model",
         "Relay",
@@ -139,7 +116,7 @@ fn end2end_half(dev: &DeviceSpec, fast: bool) -> serde_json::Value {
     for graph in &models {
         let (_, tune_relay) = unfused_graph_cost(graph, dev, &Relay::new());
         let (_, tune_bolt) = unfused_graph_cost(graph, dev, &Bolt::new());
-        let (_, tune_ansor) = unfused_graph_cost(graph, dev, &Ansor::with_trials(trials));
+        let (_, tune_ansor) = unfused_graph_cost(graph, dev, &Ansor::new());
         // Fresh engine sessions per configuration: fresh tuning caches,
         // comparable costs.
         let mcf_relay = FusionEngine::builder(dev.clone())
@@ -148,7 +125,7 @@ fn end2end_half(dev: &DeviceSpec, fast: bool) -> serde_json::Value {
             .compile(graph)
             .unwrap();
         let mcf_ansor = FusionEngine::builder(dev.clone())
-            .fallback(Ansor::with_trials(trials))
+            .fallback(Ansor::new())
             .build()
             .compile(graph)
             .unwrap();
@@ -185,12 +162,11 @@ fn end2end_half(dev: &DeviceSpec, fast: bool) -> serde_json::Value {
 }
 
 fn main() {
-    let fast = fast_mode();
     let dev = DeviceSpec::a100();
-    let sub = subgraph_half(&dev, fast);
-    let e2e = end2end_half(&dev, fast);
+    let sub = subgraph_half(&dev);
+    let e2e = end2end_half(&dev);
     write_json(
         "table4_tuning_time",
-        &serde_json::json!({ "fast": fast, "subgraph": sub, "end_to_end": e2e }),
+        &serde_json::json!({ "subgraph": sub, "end_to_end": e2e }),
     );
 }

@@ -175,11 +175,6 @@ pub fn unfused_graph_cost(
     (time, tuning)
 }
 
-/// `--fast` flag: trimmed budgets for CI-speed runs.
-pub fn fast_mode() -> bool {
-    std::env::args().any(|a| a == "--fast")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -97,7 +97,7 @@ pub use plan::{
     BufferPlan, ExecError, ExecutablePlan, InputBinding, InputSet, Outputs, RunOptions, Step,
     StepBreakdown, WeightStore,
 };
-pub use prune::{prune, rule2_ok, rule3_tiles, PruneStats};
+pub use prune::{rule2_ok, rule3_tiles, PruneStats};
 pub use runtime::{ModelRuntime, PlanStats, RuntimeStats, ShutdownError, WEIGHT_CACHE_CAPACITY};
 pub use scheduler::BatchPolicy;
 pub use search::{heuristic_search, MeasuredSet, SearchOutcome, SearchParams};

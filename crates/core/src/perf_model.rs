@@ -546,8 +546,7 @@ mod tests {
             stitched_ffn(),
         ];
         for chain in &chains {
-            let space =
-                crate::prune::prune(chain, &dev, &crate::space::SearchSpace::generate(chain));
+            let space = crate::tuner::build_candidate_space(chain, &dev, &Default::default());
             let mut memo = PlacementMemo::new(chain, &space.exprs);
             let mut estimated = 0usize;
             for (i, cand) in space.iter().enumerate() {

@@ -20,12 +20,13 @@
 //! lower to identical per-block programs.
 //!
 //! Rules 1–3 shrink the *factors* of the space (expressions and per-axis
-//! tile domains); Rule 4 becomes the survivor index of the returned
-//! [`CandidateSpace`]. No candidate `Vec` is ever materialized and there
-//! is no cap: `PruneStats::after_rule4` is the exact count of candidates
-//! reachable by index, and Algorithm 1 samples, mutates, ranks and
-//! lowers only those: a mutation step that Rule 4 rejects keeps the
-//! parent.
+//! tile domains); Rule 4 becomes the survivor index of the
+//! [`CandidateSpace`](crate::CandidateSpace) that
+//! [`build_candidate_space`](crate::build_candidate_space) returns. No
+//! candidate `Vec` is ever materialized and there is no cap:
+//! `PruneStats::after_rule4` is the exact count of candidates reachable
+//! by index, and Algorithm 1 samples, mutates, ranks and lowers only
+//! those: a mutation step that Rule 4 rejects keeps the parent.
 //!
 //! Eq. 1 never decreases along axis 0 (`m` enters it only through
 //! non-negative products), so for each fixed setting of the other axes
@@ -37,10 +38,9 @@
 use rustc_hash::FxHashMap;
 
 use mcfuser_ir::ChainSpec;
-use mcfuser_sim::DeviceSpec;
 use mcfuser_tile::{accumulator_instances, Candidate, TilingExpr};
 
-use crate::space::{CandidateSpace, SearchSpace};
+use crate::space::SearchSpace;
 
 /// Candidate counts after each pruning rule (the Fig. 7 waterfall).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -168,17 +168,11 @@ pub(crate) fn rules123(
     (reps, tile_domains, stats)
 }
 
-/// Run the full pruning cascade. Rule 4 becomes the lazy survivor index
-/// of the returned [`CandidateSpace`] — exact and uncapped, built on the
-/// calling thread.
-pub fn prune(chain: &ChainSpec, dev: &DeviceSpec, space: &SearchSpace) -> CandidateSpace {
-    let (reps, tile_domains, stats) = rules123(chain, space);
-    CandidateSpace::build(chain, reps, tile_domains, Some(dev.smem_per_block), stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tuner::{build_candidate_space, SpacePolicy};
+    use mcfuser_sim::DeviceSpec;
     use mcfuser_tile::rule4_fits;
 
     fn paper_chain() -> ChainSpec {
@@ -208,8 +202,7 @@ mod tests {
     fn waterfall_shape_matches_paper() {
         let chain = paper_chain();
         let dev = DeviceSpec::a100();
-        let space = SearchSpace::generate(&chain);
-        let pruned = prune(&chain, &dev, &space);
+        let pruned = build_candidate_space(&chain, &dev, &SpacePolicy::default());
         let s = &pruned.stats;
         assert_eq!(s.original, 109_051_904);
         // Rule 1 must remove ≥ 75 % of expressions (paper: 26 → 5).
@@ -273,8 +266,7 @@ mod tests {
     fn candidates_all_pass_rule4() {
         let chain = paper_chain();
         let dev = DeviceSpec::a100();
-        let space = SearchSpace::generate(&chain);
-        let pruned = prune(&chain, &dev, &space);
+        let pruned = build_candidate_space(&chain, &dev, &SpacePolicy::default());
         assert!(!pruned.is_empty());
         for c in pruned.iter() {
             assert!(rule4_fits(&chain, &c, dev.smem_per_block));
@@ -284,17 +276,16 @@ mod tests {
     #[test]
     fn smaller_device_prunes_more() {
         let chain = paper_chain();
-        let space = SearchSpace::generate(&chain);
-        let a = prune(&chain, &DeviceSpec::a100(), &space);
-        let r = prune(&chain, &DeviceSpec::rtx3080(), &space);
+        let policy = SpacePolicy::default();
+        let a = build_candidate_space(&chain, &DeviceSpec::a100(), &policy);
+        let r = build_candidate_space(&chain, &DeviceSpec::rtx3080(), &policy);
         assert!(r.stats.after_rule4 <= a.stats.after_rule4);
     }
 
     #[test]
     fn attention_space_survives_pruning() {
         let chain = ChainSpec::attention("s", 12, 512, 512, 64, 64);
-        let space = SearchSpace::generate(&chain);
-        let pruned = prune(&chain, &DeviceSpec::a100(), &space);
+        let pruned = build_candidate_space(&chain, &DeviceSpec::a100(), &SpacePolicy::default());
         assert!(!pruned.is_empty());
     }
 
@@ -303,8 +294,7 @@ mod tests {
         // The old materialization silently clipped at a cap; the lazy
         // space must address its full extent.
         let chain = paper_chain();
-        let space = SearchSpace::generate(&chain);
-        let pruned = prune(&chain, &DeviceSpec::a100(), &space);
+        let pruned = build_candidate_space(&chain, &DeviceSpec::a100(), &SpacePolicy::default());
         assert_eq!(pruned.len() as u128, pruned.stats.after_rule4);
         let last = pruned.candidate(pruned.len() - 1);
         assert!(rule4_fits(&chain, &last, DeviceSpec::a100().smem_per_block));

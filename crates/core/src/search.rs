@@ -550,12 +550,10 @@ fn mutate(parent: &Member, space: &CandidateSpace, rng: &mut StdRng) -> Member {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prune::prune;
-    use crate::space::SearchSpace;
+    use crate::tuner::{build_candidate_space, SpacePolicy};
 
     fn pruned_space(chain: &ChainSpec, dev: &DeviceSpec) -> CandidateSpace {
-        let space = SearchSpace::generate(chain);
-        prune(chain, dev, &space)
+        build_candidate_space(chain, dev, &SpacePolicy::default())
     }
 
     fn search_chain(chain: &ChainSpec, dev: &DeviceSpec) -> SearchOutcome {

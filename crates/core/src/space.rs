@@ -457,7 +457,7 @@ impl SpaceCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prune::prune;
+    use crate::tuner::{build_candidate_space, SpacePolicy};
     use rand::rngs::StdRng;
 
     #[test]
@@ -507,8 +507,7 @@ mod tests {
     }
 
     fn pruned(chain: &ChainSpec) -> CandidateSpace {
-        let space = SearchSpace::generate(chain);
-        prune(chain, &DeviceSpec::a100(), &space)
+        build_candidate_space(chain, &DeviceSpec::a100(), &SpacePolicy::default())
     }
 
     #[test]

@@ -9,7 +9,12 @@
 # here until it updates the pin, and the move shows as a diff of that
 # file. To re-pin one binary after an intended change:
 #
-#     target/release/<bin> <args> > results/paper/<bin>.txt
+#     target/release/<bin> > results/paper/<bin>.txt
+#
+# Every binary runs the paper's full size and takes no arguments. On a
+# 2-vCPU host the ten took about 23 s as shipped and 96 s at opt-level
+# 0, nearly all of it fig8, fig9 and table4 (the simulated Ansor's 1000
+# trials); the whole guard, with incremental builds, took 133 s.
 #
 # Usage, from the root of a checkout:
 #
@@ -26,13 +31,13 @@ BINS=(
     fig2_roofline
     fig3_search_space
     fig7_pruning
-    "fig8_subgraph --fast"
-    "fig9_end2end --fast"
-    "fig10_shmem --fast"
-    "fig11_perf_model --fast"
+    fig8_subgraph
+    fig9_end2end
+    fig10_shmem
+    fig11_perf_model
     table1_comparison
-    "table4_tuning_time --fast"
-    "ablation --fast"
+    table4_tuning_time
+    ablation
 )
 
 cargo build --release --offline -p mcfuser-bench --bins
@@ -43,19 +48,16 @@ out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
 export MCFUSER_RESULTS_DIR="$out/results"
 status=0
-for entry in "${BINS[@]}"; do
-    read -r bin args <<< "$entry"
-    # shellcheck disable=SC2086 # `args` is a word list on purpose
-    "$SHIPPED/release/$bin" $args > "$out/$bin.shipped"
-    # shellcheck disable=SC2086
-    "$O0/release/$bin" $args > "$out/$bin.o0"
+for bin in "${BINS[@]}"; do
+    "$SHIPPED/release/$bin" > "$out/$bin.shipped"
+    "$O0/release/$bin" > "$out/$bin.o0"
     if diff -u "$out/$bin.o0" "$out/$bin.shipped"; then
-        echo "same output at opt-level 0 and as shipped: $bin $args"
+        echo "same output at opt-level 0 and as shipped: $bin"
     else
         status=1
     fi
     if diff -u "$PINNED/$bin.txt" "$out/$bin.shipped"; then
-        echo "same output as pinned in $PINNED/$bin.txt: $bin $args"
+        echo "same output as pinned in $PINNED/$bin.txt: $bin"
     else
         status=1
     fi

@@ -5,8 +5,7 @@
 use proptest::prelude::*;
 
 use mcfuser::core::{
-    build_candidate_space, heuristic_search, prune, CandidateSpace, SearchParams, SearchSpace,
-    SpacePolicy,
+    build_candidate_space, heuristic_search, CandidateSpace, SearchParams, SpacePolicy,
 };
 use mcfuser::ir::{EpilogueStitch, PrologueSpec, ResidualSource};
 use mcfuser::prelude::*;
@@ -168,8 +167,7 @@ proptest! {
         chain in small_chain_strategy(),
         dev in device_strategy(),
     ) {
-        let space = SearchSpace::generate(&chain);
-        let pruned = prune(&chain, &dev, &space);
+        let pruned = build_candidate_space(&chain, &dev, &SpacePolicy::default());
         assert_matches_oracle(&pruned, Some(dev.smem_per_block));
     }
 
@@ -362,8 +360,7 @@ fn large_grid_index_matches_a_dense_walk() {
 fn candidates_beyond_the_old_cap_are_reachable_and_searched() {
     let chain = big_3gemm();
     let dev = DeviceSpec::a100();
-    let space = SearchSpace::generate(&chain);
-    let pruned = prune(&chain, &dev, &space);
+    let pruned = build_candidate_space(&chain, &dev, &SpacePolicy::default());
 
     // The space genuinely exceeds the deleted cap and stays exact.
     assert!(

@@ -2,7 +2,7 @@
 //! must hold on the reproduction (not the absolute numbers — the
 //! substrate is a simulator — but who wins, what grows, what shrinks).
 
-use mcfuser::core::{estimate, prune, SearchSpace};
+use mcfuser::core::{build_candidate_space, estimate, SearchSpace, SpacePolicy};
 use mcfuser::prelude::*;
 use mcfuser::sim::{measure, measure_noisy};
 use mcfuser::tile::{estimate_shmem_bytes, lower, LoweringOptions};
@@ -35,8 +35,7 @@ fn fig3_search_space_census() {
 #[test]
 fn fig7_pruning_waterfall_shape() {
     let chain = ChainSpec::gemm_chain("wf", 1, 1024, 1024, 512, 512);
-    let space = SearchSpace::generate(&chain);
-    let stats = prune(&chain, &DeviceSpec::a100(), &space).stats;
+    let stats = build_candidate_space(&chain, &DeviceSpec::a100(), &SpacePolicy::default()).stats;
     // Each rule strictly shrinks (or keeps) the space; total ≥ 4 orders.
     assert!(stats.after_rule1 < stats.original);
     assert!(stats.after_rule2 <= stats.after_rule1);
@@ -74,8 +73,7 @@ fn fig10_shmem_estimate_accuracy() {
     use rand::prelude::*;
     let dev = DeviceSpec::a100();
     let chain = gemm_chain_workload("G4").unwrap();
-    let space = SearchSpace::generate(&chain);
-    let pruned = prune(&chain, &dev, &space);
+    let pruned = build_candidate_space(&chain, &dev, &SpacePolicy::default());
     let mut rng = StdRng::seed_from_u64(99);
     let (mut agree, mut total) = (0, 0);
     for _ in 0..150 {
@@ -101,8 +99,7 @@ fn fig11_model_correlates_with_measurement() {
     use rand::prelude::*;
     let dev = DeviceSpec::a100();
     let chain = gemm_chain_workload("G2").unwrap();
-    let space = SearchSpace::generate(&chain);
-    let pruned = prune(&chain, &dev, &space);
+    let pruned = build_candidate_space(&chain, &dev, &SpacePolicy::default());
     let mut rng = StdRng::seed_from_u64(7);
     let (mut ests, mut meas) = (Vec::new(), Vec::new());
     while ests.len() < 60 {
