@@ -15,7 +15,7 @@
 
 use parking_lot::Mutex;
 use rand::prelude::*;
-use rustc_hash::FxHashMap;
+use rustc_hash::{FxHashMap, FxHashSet};
 
 use mcfuser_core::OpCostModel;
 use mcfuser_ir::{ChainSpec, Epilogue, Graph, NodeId, Op};
@@ -166,14 +166,15 @@ pub struct Ansor {
     pub trials_per_subgraph: usize,
     /// Tuned-task cache: (batch,m,n,k,dev) → result.
     cache: Mutex<FxHashMap<String, TunedMatmul>>,
+    /// Matmul tasks whose tuning [`OpCostModel::tuning_seconds`] has
+    /// charged, keyed like `cache`. Kept apart from the cache because
+    /// `op_time` tunes (and caches) a task before any charge is asked.
+    charged: Mutex<FxHashSet<String>>,
 }
 
 impl Default for Ansor {
     fn default() -> Self {
-        Ansor {
-            trials_per_subgraph: 1000,
-            cache: Mutex::new(FxHashMap::default()),
-        }
+        Ansor::with_trials(1000)
     }
 }
 
@@ -188,6 +189,7 @@ impl Ansor {
         Ansor {
             trials_per_subgraph: trials,
             cache: Mutex::new(FxHashMap::default()),
+            charged: Mutex::new(FxHashSet::default()),
         }
     }
 
@@ -365,11 +367,12 @@ impl OpCostModel for Ansor {
     }
 
     fn tuning_seconds(&self, graph: &Graph, nodes: &[NodeId], dev: &DeviceSpec) -> f64 {
-        // Tune every distinct compute task (cache makes repeats free),
-        // plus a per-memory-task measurement budget.
+        // Charge every distinct compute task once per instance, the first
+        // time it is asked for, however `op_time` tuned it before; plus a
+        // per-memory-task measurement budget on every call.
         let cost = CostProfile::ansor();
         let mut total = 0.0;
-        let mut seen: FxHashMap<String, ()> = FxHashMap::default();
+        let mut seen: FxHashSet<String> = FxHashSet::default();
         for &id in nodes {
             let n = graph.node(id);
             match &n.op {
@@ -378,12 +381,8 @@ impl OpCostModel for Ansor {
                     let k = *x.shape.last().unwrap();
                     let out_cols = *n.shape.last().unwrap();
                     let rows: u64 = n.shape.iter().product::<u64>() / out_cols;
-                    let key = format!("{rows}x{out_cols}x{k}:{}", dev.name);
-                    if seen.insert(key.clone(), ()).is_none() {
-                        let before = self.cache.lock().contains_key(&format!(
-                            "1x{rows}x{out_cols}x{k}:{}:{}",
-                            graph.dtype, dev.name
-                        ));
+                    let key = format!("1x{rows}x{out_cols}x{k}:{}:{}", graph.dtype, dev.name);
+                    if self.charged.lock().insert(key) {
                         let tuned = self.tuned(
                             1,
                             rows,
@@ -393,9 +392,7 @@ impl OpCostModel for Ansor {
                             dev,
                             self.trials_per_subgraph,
                         );
-                        if !before {
-                            total += tuned.tuning_seconds;
-                        }
+                        total += tuned.tuning_seconds;
                     }
                 }
                 Op::Softmax { .. } | Op::LayerNorm => {
@@ -404,7 +401,7 @@ impl OpCostModel for Ansor {
                         n.name.split('.').next_back().unwrap_or(""),
                         n.shape
                     );
-                    if seen.insert(key, ()).is_none() {
+                    if seen.insert(key) {
                         let t = self.op_time(graph, id, dev);
                         total += (self.trials_per_subgraph / 4) as f64
                             * (cost.compile_seconds
@@ -474,6 +471,34 @@ mod tests {
         let per_trial = cost.compile_seconds + cost.measure_overhead_seconds;
         let refits = ((tuned.tuning_seconds - 1000.0 * per_trial) / cost.train_seconds).floor();
         assert!(refits <= 16.0, "{refits} refits for 1000 trials");
+    }
+
+    #[test]
+    fn tuning_charges_every_matmul_task_op_time_tuned_first() {
+        // Pricing a graph calls `op_time` on every node before asking
+        // for the tuning charge, and `op_time` tunes and caches each
+        // matmul task. The charge must still include every distinct
+        // task once, and only once per instance.
+        let mut b = mcfuser_ir::GraphBuilder::new("mlp", DType::F16);
+        let x = b.input("x", vec![128, 64]);
+        let h = b.linear("fc1", x, 128, false);
+        let y = b.linear("fc2", h, 64, false);
+        let z = b.linear("fc3", y, 128, false);
+        let g = b.finish(vec![z]);
+        let nodes: Vec<NodeId> = (0..g.nodes.len())
+            .map(NodeId)
+            .filter(|&n| matches!(g.node(n).op, Op::Linear))
+            .collect();
+        let dev = DeviceSpec::a100();
+        let ansor = Ansor::with_trials(40);
+        for &n in &nodes {
+            ansor.op_time(&g, n, &dev);
+        }
+        // fc1 and fc3 are the same 128 × 128 × 64 task; fc2 is 128 × 64 × 128.
+        let expect = tune_matmul_task(1, 128, 128, 64, DType::F16, &dev, 40, 0xA502).tuning_seconds
+            + tune_matmul_task(1, 128, 64, 128, DType::F16, &dev, 40, 0xA502).tuning_seconds;
+        assert_eq!(ansor.tuning_seconds(&g, &nodes, &dev), expect);
+        assert_eq!(ansor.tuning_seconds(&g, &nodes, &dev), 0.0);
     }
 
     #[test]

@@ -11,6 +11,9 @@
 //! * `-alpha` — no parallelism slowdown factor (drop Eq. 5);
 //! * `-model` — random ranking instead of the analytical model
 //!   (measures what the model itself contributes);
+//! * `paper-rule4` — the paper's Rule 4: Eq. 1 at 1.2 × Shm_max instead
+//!   of lowering's footprint, so candidates Eq. 1 under-prices reach
+//!   lowering and are refused after a charged compile;
 //! * `-rule4` — no shared-memory pruning (Rule 4 off) — shows the
 //!   tuning-cost impact of measuring unlaunchable candidates.
 //!
@@ -23,7 +26,9 @@
 //! time per variant, averaged over a workload mix.
 
 use mcfuser_bench::{fmt_time, geomean, write_json, TextTable};
-use mcfuser_core::{CachePolicy, FusionEngine, ModelOptions, SearchParams, SpacePolicy};
+use mcfuser_core::{
+    CachePolicy, FusionEngine, ModelOptions, SearchParams, SharedMemoryPruning, SpacePolicy,
+};
 use mcfuser_ir::ChainSpec;
 use mcfuser_sim::DeviceSpec;
 use mcfuser_workloads::{attention_workload, gemm_chain_workload};
@@ -97,9 +102,17 @@ fn variants() -> Vec<Variant> {
             },
         },
         Variant {
+            name: "paper-rule4",
+            policy: SpacePolicy {
+                shared_memory_pruning: SharedMemoryPruning::PaperEq1,
+                ..full_space
+            },
+            params: base.clone(),
+        },
+        Variant {
             name: "-rule4",
             policy: SpacePolicy {
-                shared_memory_pruning: false,
+                shared_memory_pruning: SharedMemoryPruning::Off,
                 ..full_space
             },
             params: base,
@@ -173,6 +186,7 @@ fn main() {
             "-compute" => "Chimera objective",
             "-alpha" => "Eq. 5 off",
             "-model" => "degenerate ranking",
+            "paper-rule4" => "Eq. 1 at 1.2x, refusals compiled",
             "-rule4" => "measures unlaunchable candidates",
             _ => "",
         };

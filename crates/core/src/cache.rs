@@ -102,7 +102,7 @@ impl CacheKey {
             transposed_inputs,
             device: device_fingerprint(dev),
             config: format!(
-                "pop{}top{}eps{}maxr{}minr{}seed{}model{:?}{:?}{:?}dle{}rr{}deep{}r4{}",
+                "pop{}top{}eps{}maxr{}minr{}seed{}model{:?}{:?}{:?}dle{}rr{}deep{}r4{:?}",
                 params.population,
                 params.topk,
                 params.epsilon,

@@ -11,7 +11,9 @@
 //!   Rule 4 becomes the space's survivor index — one count per tile-grid
 //!   row, since each row's survivors are a prefix of axis 0 — so
 //!   [`PruneStats::after_rule4`](prune::PruneStats::after_rule4) is
-//!   exact at any scale;
+//!   exact at any scale. By default it prunes with the shared memory
+//!   lowering allocates, so every candidate in the space launches
+//!   ([`SharedMemoryPruning`]);
 //! * [`perf_model`] — the analytical performance model, Eqs. 2–5 (§IV-A);
 //! * [`search`] — the heuristic evolutionary search with automatic
 //!   convergence, Algorithm 1 (§IV-B);
@@ -104,5 +106,6 @@ pub use search::{heuristic_search, MeasuredSet, SearchOutcome, SearchParams};
 pub use session::{DecodeError, DecodeServing, DecodeSession, DecodeSpec};
 pub use space::{space_fingerprint, CandidateSpace, SearchSpace, SpaceCache};
 pub use tuner::{
-    build_candidate_space, McFuser, Rule4Rejection, SpacePolicy, TuneError, TunedKernel,
+    build_candidate_space, McFuser, Rule4Rejection, SharedMemoryPruning, SpacePolicy, TuneError,
+    TunedKernel,
 };

@@ -8,9 +8,17 @@
 //!   those cache one partial tile per spatial iteration (Fig. 6(b)) and
 //!   overwhelm shared memory.
 //! * **Rule 3 (padding)**: for power-of-two dimensions only divisor tiles
-//!   are kept; otherwise per-axis padding must stay below 5 %.
-//! * **Rule 4 (shared-memory limit)**: Eq. 1 estimate must fit
-//!   `1.2 × Shm_max`.
+//!   are kept; otherwise per-axis padding must stay below 5 %. A chain
+//!   with a tail LayerNorm keeps only `t = d_L` on its last axis, the one
+//!   tile lowering accepts (the LayerNorm needs whole rows).
+//! * **Rule 4 (shared-memory limit)**: the paper prunes with the Eq. 1
+//!   estimate at `1.2 × Shm_max` and leaves what Eq. 1 mis-prices to be
+//!   "eliminated during PTX code lowering" (Fig. 10). By default this
+//!   reproduction prunes with the shared memory lowering actually
+//!   allocates ([`SmemFootprint`](mcfuser_tile::SmemFootprint)) at
+//!   `Shm_max`, so every candidate left launches;
+//!   [`SharedMemoryPruning`](crate::SharedMemoryPruning) selects the
+//!   paper's rule or none for the ablations.
 //!
 //! The paper reports the cascade `1.09×10⁸ → −80 % → −40 % → −99 % →
 //! −40 % → ≈10⁴` for the running example; [`PruneStats`] records the same
@@ -28,12 +36,12 @@
 //! by index, and Algorithm 1 samples, mutates, ranks and lowers only
 //! those: a mutation step that Rule 4 rejects keeps the parent.
 //!
-//! Eq. 1 never decreases along axis 0 (`m` enters it only through
-//! non-negative products), so for each fixed setting of the other axes
-//! the Rule-4 survivors form a *prefix* of axis 0's ascending domain,
-//! and one binary search per grid row finds it. No other axis is
-//! monotone: a tail LayerNorm's streamed weight panel makes the estimate
-//! fall along the last axis.
+//! Neither measure decreases along axis 0 (`m` enters both only through
+//! non-negative products; the footprint is `α·t_m + β` over a grid row),
+//! so for each fixed setting of the other axes the Rule-4 survivors form
+//! a *prefix* of axis 0's ascending domain, found once per grid row. No
+//! other axis is monotone in Eq. 1: a tail LayerNorm's streamed weight
+//! panel makes the estimate fall along the last axis.
 
 use rustc_hash::FxHashMap;
 
@@ -51,10 +59,11 @@ pub struct PruneStats {
     pub after_rule1: u128,
     /// After Rule 2 (partial-tile classes dropped).
     pub after_rule2: u128,
-    /// After Rule 3 (padding filter on tile sizes).
+    /// After Rule 3 (padding filter on tile sizes, and a tail
+    /// LayerNorm's full-row pin).
     pub after_rule3: u128,
-    /// After Rule 4 (shared-memory estimate filter). Exactly the number
-    /// of candidates the pruned space can address by index.
+    /// After Rule 4 (shared-memory filter). Exactly the number of
+    /// candidates the pruned space can address by index.
     pub after_rule4: u128,
     /// Expression counts along the way.
     pub exprs_original: usize,
@@ -124,7 +133,9 @@ pub fn rule2_ok(chain: &ChainSpec, expr: &TilingExpr) -> bool {
 
 /// Apply Rules 1–3 (the factor-shrinking rules): representative
 /// expressions per equivalence class and the filtered per-axis tile
-/// domains, plus the waterfall up to `after_rule3`.
+/// domains, plus the waterfall up to `after_rule3`. A tail LayerNorm
+/// pins the last axis to `{d_L}` — empty when Rule 3 drops `d_L`, so the
+/// space is empty and the stitched chain demotes to its twin.
 pub(crate) fn rules123(
     chain: &ChainSpec,
     space: &SearchSpace,
@@ -156,12 +167,18 @@ pub(crate) fn rules123(
     stats.after_rule2 = reps.len() as u128 * tile_combos_full;
 
     // ---- Rule 3: padding filter per axis ---------------------------------
-    let tile_domains: Vec<Vec<u64>> = space
+    let mut tile_domains: Vec<Vec<u64>> = space
         .tile_domains
         .iter()
         .enumerate()
         .map(|(a, opts)| rule3_tiles(chain.axis_extent(a), opts))
         .collect();
+    if chain.stitch_epilogue.is_some_and(|t| t.layer_norm) {
+        let d_l = *chain.dims.last().expect("chain has dims");
+        if let Some(last) = tile_domains.last_mut() {
+            last.retain(|&t| t == d_l);
+        }
+    }
     let combos_r3: u128 = tile_domains.iter().map(|d| d.len() as u128).product();
     stats.after_rule3 = reps.len() as u128 * combos_r3;
 
@@ -173,7 +190,13 @@ mod tests {
     use super::*;
     use crate::tuner::{build_candidate_space, SpacePolicy};
     use mcfuser_sim::DeviceSpec;
-    use mcfuser_tile::rule4_fits;
+    use mcfuser_tile::{smem_footprint, LoweringOptions};
+
+    /// Whether lowering's footprint of `c` fits the device: the default
+    /// Rule 4.
+    fn fits(chain: &ChainSpec, c: &Candidate, dev: &DeviceSpec) -> bool {
+        smem_footprint(chain, &c.tiles, &LoweringOptions::default()) <= dev.smem_per_block
+    }
 
     fn paper_chain() -> ChainSpec {
         ChainSpec::gemm_chain("g", 1, 1024, 1024, 512, 512)
@@ -269,7 +292,7 @@ mod tests {
         let pruned = build_candidate_space(&chain, &dev, &SpacePolicy::default());
         assert!(!pruned.is_empty());
         for c in pruned.iter() {
-            assert!(rule4_fits(&chain, &c, dev.smem_per_block));
+            assert!(fits(&chain, &c, &dev));
         }
     }
 
@@ -297,6 +320,6 @@ mod tests {
         let pruned = build_candidate_space(&chain, &DeviceSpec::a100(), &SpacePolicy::default());
         assert_eq!(pruned.len() as u128, pruned.stats.after_rule4);
         let last = pruned.candidate(pruned.len() - 1);
-        assert!(rule4_fits(&chain, &last, DeviceSpec::a100().smem_per_block));
+        assert!(fits(&chain, &last, &DeviceSpec::a100()));
     }
 }

@@ -16,9 +16,9 @@
 //!   dense index `0..len()` that decodes arithmetically to
 //!   `(expression, tile vector)`. Rule 4 is indexed by one survivor
 //!   count per row of the Rule-3 tile grid (each row's survivors are a
-//!   prefix of axis 0), built by one binary search per row on the
-//!   calling thread — every surviving candidate is reachable by index,
-//!   with no materialization cap and no truncation bias.
+//!   prefix of axis 0), found with one footprint evaluation per row on
+//!   the calling thread — every surviving candidate is reachable by
+//!   index, with no materialization cap and no truncation bias.
 //!
 //! Each fresh tuning task builds its own space; the engine merges
 //! same-content chains into one task before it tunes, so N same-shaped
@@ -33,11 +33,12 @@ use rustc_hash::FxHashMap;
 use mcfuser_ir::ChainSpec;
 use mcfuser_sim::DeviceSpec;
 use mcfuser_tile::{
-    enumerate_all, estimate_shmem_bytes_for_tiles, tile_option_count, tile_options, Candidate,
-    TilingExpr, RULE4_MARGIN,
+    enumerate_all, estimate_shmem_bytes_for_tiles, rule4_fits, tile_option_count, tile_options,
+    Candidate, LoweringOptions, SmemFootprint, TilingExpr,
 };
 
 use crate::prune::PruneStats;
+use crate::tuner::SharedMemoryPruning;
 
 /// The (un-pruned) search space of a chain.
 #[derive(Debug, Clone)]
@@ -100,9 +101,10 @@ impl SearchSpace {
 /// index 0.
 ///
 /// A grid row is the `|axis₀|` consecutive combinations that share the
-/// tiles of axes `1..`. Eq. 1 never decreases along axis 0 and the
-/// Rule-3 domains ascend, so each row's Rule-4 survivors are a prefix of
-/// axis 0: the index stores, per row, how many survivors precede it.
+/// tiles of axes `1..`. Both Rule-4 measures — lowering's footprint and
+/// Eq. 1 — never decrease along axis 0 and the Rule-3 domains ascend, so
+/// each row's Rule-4 survivors are a prefix of axis 0: the index stores,
+/// per row, how many survivors precede it.
 #[derive(Debug, Clone)]
 pub struct CandidateSpace {
     /// The chain.
@@ -115,11 +117,11 @@ pub struct CandidateSpace {
     pub stats: PruneStats,
     /// Total Rule-3 tile combinations (the grid Rule 4 filters).
     grid: u64,
-    /// Shared-memory budget behind Rule 4; `None` when the filter is
-    /// disabled ([`SpacePolicy::shared_memory_pruning`] = false).
-    ///
-    /// [`SpacePolicy::shared_memory_pruning`]: crate::SpacePolicy::shared_memory_pruning
-    smem_limit: Option<u64>,
+    /// The measure Rule 4 pruned with, or none.
+    pruning: SharedMemoryPruning,
+    /// Lowering's footprint of the chain's kernels on the device, the
+    /// default measure.
+    footprint: SmemFootprint,
     /// The Rule-4 survivor index: `row_offsets[r]` is the number of
     /// survivors in grid rows `0..r`, so row `r` keeps the first
     /// `row_offsets[r + 1] - row_offsets[r]` tiles of axis 0. One entry
@@ -128,16 +130,18 @@ pub struct CandidateSpace {
 }
 
 impl CandidateSpace {
-    /// Build the lazy space from the Rule-1–3 survivors. `smem_limit`
-    /// enables Rule 4 (`Some(Shm_max)`) or disables it (`None`, the
-    /// `-rule4` ablation: every row's prefix is the whole row). `stats`
-    /// carries the waterfall up to `after_rule3`; `after_rule4` is
-    /// finalized here from the exact survivor count.
+    /// Build the lazy space from the Rule-1–3 survivors, pruning with
+    /// `pruning` against `dev`'s shared memory per block (`Shm_max`);
+    /// with [`SharedMemoryPruning::Off`] (the `-rule4` ablation) every
+    /// row's prefix is the whole row. `stats` carries the waterfall up to
+    /// `after_rule3`; `after_rule4` is finalized here from the exact
+    /// survivor count.
     pub(crate) fn build(
         chain: &ChainSpec,
         exprs: Vec<TilingExpr>,
         tile_domains: Vec<Vec<u64>>,
-        smem_limit: Option<u64>,
+        pruning: SharedMemoryPruning,
+        dev: &DeviceSpec,
         mut stats: PruneStats,
     ) -> CandidateSpace {
         let grid_wide: u128 = tile_domains.iter().map(|d| d.len() as u128).product();
@@ -148,11 +152,27 @@ impl CandidateSpace {
         let grid = grid_wide as u64;
         let row_len = tile_domains[0].len() as u64;
         let rows = if grid == 0 { 0 } else { grid / row_len };
+        // The options every search lowers with, so the footprint is what
+        // the searched kernels take.
+        let footprint = SmemFootprint::new(chain, &LoweringOptions::for_device(dev));
         // With Rule 4 off (or nothing to filter) every row keeps all of
-        // axis 0.
-        let row_offsets = match smem_limit {
-            Some(limit) if rows > 0 => rule4_row_offsets(chain, &tile_domains, rows, limit),
-            _ => (0..=rows).map(|r| r * row_len).collect(),
+        // axis 0; otherwise each row's survivor count, prefix-summed.
+        let row_offsets = if pruning == SharedMemoryPruning::Off || rows == 0 {
+            (0..=rows).map(|r| r * row_len).collect()
+        } else {
+            let mut offsets = vec![0u64; rows as usize + 1];
+            count_row_survivors(
+                chain,
+                &tile_domains,
+                pruning,
+                &footprint,
+                dev.smem_per_block,
+                &mut offsets[1..],
+            );
+            for r in 1..offsets.len() {
+                offsets[r] += offsets[r - 1];
+            }
+            offsets
         };
         stats.after_rule4 = exprs.len() as u128 * row_offsets[rows as usize] as u128;
         CandidateSpace {
@@ -161,9 +181,15 @@ impl CandidateSpace {
             tile_domains,
             stats,
             grid,
-            smem_limit,
+            pruning,
+            footprint,
             row_offsets,
         }
+    }
+
+    /// The measure Rule 4 pruned this space with.
+    pub fn shared_memory_pruning(&self) -> SharedMemoryPruning {
+        self.pruning
     }
 
     /// Number of candidates reachable by index (= `stats.after_rule4`).
@@ -186,15 +212,26 @@ impl CandidateSpace {
         self.grid
     }
 
-    /// Smallest Eq. 1 shared-memory estimate across the Rule-3 grid.
-    /// `Some` only when Rule 4 is enabled and the grid is non-empty; this
-    /// is the diagnostic surfaced when the filter rejects every
-    /// combination. It estimates every combination, so only that error
-    /// path calls it.
+    /// Smallest shared memory across the Rule-3 grid under the measure
+    /// Rule 4 pruned with: lowering's footprint, or Eq. 1 for the paper's
+    /// rule. `Some` only when Rule 4 is enabled and the grid is
+    /// non-empty; this is the diagnostic surfaced when the filter rejects
+    /// every combination. It prices every combination, so only that
+    /// error path calls it.
     pub fn min_estimated_smem(&self) -> Option<u64> {
-        self.smem_limit?;
+        if self.pruning == SharedMemoryPruning::Off {
+            return None;
+        }
         (0..self.grid)
-            .map(|combo| estimate_shmem_bytes_for_tiles(&self.chain, &self.tiles_of(combo)))
+            .map(|combo| {
+                let tiles = self.tiles_of(combo);
+                match self.pruning {
+                    SharedMemoryPruning::PaperEq1 => {
+                        estimate_shmem_bytes_for_tiles(&self.chain, &tiles)
+                    }
+                    _ => self.footprint.bytes(&tiles),
+                }
+            })
             .min()
     }
 
@@ -344,48 +381,41 @@ impl CandidateSpace {
     }
 }
 
-/// Rule-4 test for a decoded tile vector (Eq. 1 is
-/// expression-independent, so no `Candidate` is built).
-fn combo_fits(chain: &ChainSpec, tiles: &[u64], limit: u64) -> bool {
-    estimate_shmem_bytes_for_tiles(chain, tiles) as f64 <= RULE4_MARGIN * limit as f64
-}
-
-/// The Rule-4 survivor index over a grid of `rows` rows: each row's
-/// survivor count, prefix-summed into `rows + 1` offsets.
-fn rule4_row_offsets(
-    chain: &ChainSpec,
-    tile_domains: &[Vec<u64>],
-    rows: u64,
-    limit: u64,
-) -> Vec<u64> {
-    let mut offsets = vec![0u64; rows as usize + 1];
-    count_row_survivors(chain, tile_domains, limit, &mut offsets[1..]);
-    for r in 1..offsets.len() {
-        offsets[r] += offsets[r - 1];
-    }
-    offsets
-}
-
-/// Fill `counts[r]` with the Rule-4 survivors of grid row `r`. Eq. 1
-/// never decreases along axis 0 and its Rule-3 domain ascends, so a
-/// row's survivors are a prefix of axis 0, found by one binary search.
-/// (Only axis 0 is monotone: a tail LayerNorm's streamed panel makes the
-/// estimate fall along the last axis.)
+/// Fill `counts[r]` with the Rule-4 survivors of grid row `r`. Both
+/// measures never decrease along axis 0 and its Rule-3 domain ascends,
+/// so a row's survivors are a prefix of axis 0.
+///
+/// * Lowering's footprint is `α·t + β` over a row
+///   ([`SmemFootprint::row`]): each row is priced once, and its prefix
+///   is the axis-0 tiles with `α·t + β ≤ limit`.
+/// * The paper's rule ([`rule4_fits`]: Eq. 1 within 1.2 × `limit`) is
+///   found by one binary search per row.
+///
+/// (Only axis 0 is monotone: a tail LayerNorm's streamed panel makes
+/// Eq. 1 fall along the last axis.)
 fn count_row_survivors(
     chain: &ChainSpec,
     tile_domains: &[Vec<u64>],
+    pruning: SharedMemoryPruning,
+    footprint: &SmemFootprint,
     limit: u64,
     counts: &mut [u64],
 ) {
     let (d0, rest) = tile_domains.split_first().expect("a chain has axes");
-    // Row odometer over axes 1..; `tiles[0]` is the binary-searched slot.
+    // Row odometer over axes 1..; `tiles[0]` is the axis-0 slot.
     let mut digits = vec![0usize; rest.len()];
     let mut tiles: Vec<u64> = tile_domains.iter().map(|d| d[0]).collect();
     for count in counts {
-        *count = d0.partition_point(|&t| {
-            tiles[0] = t;
-            combo_fits(chain, &tiles, limit)
-        }) as u64;
+        *count = match pruning {
+            SharedMemoryPruning::PaperEq1 => d0.partition_point(|&t| {
+                tiles[0] = t;
+                rule4_fits(chain, &tiles, limit)
+            }),
+            _ => {
+                let (slope, base) = footprint.row(&tiles);
+                d0.partition_point(|&t| slope * t + base <= limit)
+            }
+        } as u64;
         for (a, d) in rest.iter().enumerate() {
             digits[a] += 1;
             if digits[a] < d.len() {
@@ -401,18 +431,17 @@ fn count_row_survivors(
 /// Content identity of a built [`CandidateSpace`]: everything space
 /// construction reads *except the chain's name* — batch/m/dims (the
 /// tile domains), epilogues and biases (expression enumeration and
-/// Rules 1–2), dtype, prologue and stitched epilogue (the Eq. 1
-/// estimate), the expression policy, and the Rule-4 budget. Two chains
-/// sharing this fingerprint build bit-identical spaces. Only
-/// [`SpaceCache`]'s callers key on it.
+/// Rules 1–2), dtype, prologue and stitched epilogue (the Rule-4
+/// measures and the full-row pin), the expression policy, and Rule 4's
+/// measure and budget. Two chains sharing this fingerprint build
+/// bit-identical spaces. Only [`SpaceCache`]'s callers key on it.
 pub fn space_fingerprint(
     chain: &ChainSpec,
     dev: &DeviceSpec,
     policy: &crate::tuner::SpacePolicy,
 ) -> String {
-    let smem_limit = policy.shared_memory_pruning.then_some(dev.smem_per_block);
     format!(
-        "b{}|m{}|d{:?}|e{:?}|bi{:?}|t{:?}|st{:?}{:?}|deep{}|smem{:?}",
+        "b{}|m{}|d{:?}|e{:?}|bi{:?}|t{:?}|st{:?}{:?}|deep{}|r4{:?}|smem{}",
         chain.batch,
         chain.m,
         chain.dims,
@@ -422,7 +451,8 @@ pub fn space_fingerprint(
         chain.prologue,
         chain.stitch_epilogue,
         policy.deep_tiling_only,
-        smem_limit,
+        policy.shared_memory_pruning,
+        dev.smem_per_block,
     )
 }
 
@@ -510,6 +540,13 @@ mod tests {
         build_candidate_space(chain, &DeviceSpec::a100(), &SpacePolicy::default())
     }
 
+    /// Whether lowering's footprint of `c` fits the device: the default
+    /// Rule 4.
+    fn fits(chain: &ChainSpec, c: &Candidate, dev: &DeviceSpec) -> bool {
+        mcfuser_tile::smem_footprint(chain, &c.tiles, &LoweringOptions::default())
+            <= dev.smem_per_block
+    }
+
     #[test]
     fn indexing_matches_streaming() {
         let chain = ChainSpec::gemm_chain("g", 1, 512, 256, 64, 128);
@@ -537,7 +574,7 @@ mod tests {
         let mut idx = 0;
         while idx < space.len() {
             let c = space.candidate(idx);
-            assert!(mcfuser_tile::rule4_fits(&chain, &c, dev.smem_per_block));
+            assert!(fits(&chain, &c, &dev));
             idx += step;
         }
     }
@@ -549,7 +586,8 @@ mod tests {
         let passall = {
             let space = SearchSpace::generate(&chain);
             let (reps, domains, stats) = crate::prune::rules123(&chain, &space);
-            CandidateSpace::build(&chain, reps, domains, None, stats)
+            let dev = DeviceSpec::a100();
+            CandidateSpace::build(&chain, reps, domains, SharedMemoryPruning::Off, &dev, stats)
         };
         assert!(filtered.surviving_combos() < passall.surviving_combos());
         for space in [&filtered, &passall] {
@@ -579,7 +617,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let rejected = std::iter::repeat_with(|| space.sample_rule3(&mut rng))
             .take(400)
-            .find(|c| !mcfuser_tile::rule4_fits(&chain, c, dev.smem_per_block))
+            .find(|c| !fits(&chain, c, &dev))
             .expect("some candidate is rejected by Rule 4");
         assert_eq!(space.index_of(&rejected), None);
         // A wrong-arity tile vector.
@@ -623,10 +661,23 @@ mod tests {
         let chain = ChainSpec::gemm_chain("g", 1, 512, 256, 64, 64);
         let space = pruned(&chain);
         let min = space.min_estimated_smem().unwrap();
-        // The smallest-tile combination bounds the minimum from above.
+        // The smallest-tile combination bounds the minimum from above,
+        // under the footprint the default policy prunes with and under
+        // Eq. 1 for the paper's rule.
         let smallest: Vec<u64> = space.tile_domains.iter().map(|d| d[0]).collect();
-        let est = estimate_shmem_bytes_for_tiles(&chain, &smallest);
-        assert!(min <= est);
+        let opts = LoweringOptions::default();
+        assert!(min <= mcfuser_tile::smem_footprint(&chain, &smallest, &opts));
+        assert!(min > 0);
+        let paper = build_candidate_space(
+            &chain,
+            &DeviceSpec::a100(),
+            &SpacePolicy {
+                shared_memory_pruning: SharedMemoryPruning::PaperEq1,
+                ..SpacePolicy::default()
+            },
+        );
+        let min = paper.min_estimated_smem().unwrap();
+        assert!(min <= estimate_shmem_bytes_for_tiles(&chain, &smallest));
         assert!(min > 0);
     }
 
@@ -639,7 +690,7 @@ mod tests {
         let (mut kept, mut cut) = (0, 0);
         for _ in 0..400 {
             let c = space.sample_rule3(&mut rng);
-            if mcfuser_tile::rule4_fits(&chain, &c, dev.smem_per_block) {
+            if fits(&chain, &c, &dev) {
                 kept += 1;
             } else {
                 cut += 1;

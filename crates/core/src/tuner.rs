@@ -15,15 +15,17 @@ use crate::search::{heuristic_search, SearchOutcome, SearchParams};
 use crate::space::{CandidateSpace, SearchSpace};
 
 /// Why Rule 4 emptied a search space: even the smallest tile
-/// combination's Eq. 1 estimate exceeds the device's budget (with the
-/// 1.2× margin). Carried by [`TuneError::EmptySearchSpace`] so the
+/// combination exceeds the device's budget under the measure the policy
+/// prunes with. Carried by [`TuneError::EmptySearchSpace`] so the
 /// failure names the responsible rule and the numbers behind it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Rule4Rejection {
-    /// Smallest Eq. 1 shared-memory estimate across the Rule-3 grid.
+    /// Smallest shared memory across the Rule-3 grid, under `measure`.
     pub min_estimated_smem: u64,
-    /// The device budget (`Shm_max`) the estimate must fit 1.2× of.
+    /// The device budget (`Shm_max`).
     pub smem_per_block: u64,
+    /// The measure Rule 4 pruned with.
+    pub measure: SharedMemoryPruning,
 }
 
 /// Tuning failure, carrying enough context to identify which task of a
@@ -119,10 +121,14 @@ impl std::fmt::Display for TuneError {
                     write!(f, " (axis {a} has no admissible tile sizes)")?;
                 }
                 if let Some(r) = rule4 {
+                    let (what, margin) = match r.measure {
+                        SharedMemoryPruning::PaperEq1 => ("Eq. 1 estimate", "1.2 x "),
+                        _ => ("lowered shared memory", ""),
+                    };
                     write!(
                         f,
-                        " (Rule 4 rejected every tile combination: smallest estimated \
-                         shared memory {} B exceeds 1.2 x the device's {} B per block)",
+                        " (Rule 4 rejected every tile combination: smallest {what} {} B \
+                         exceeds {margin}the device's {} B per block)",
                         r.min_estimated_smem, r.smem_per_block
                     )?;
                 }
@@ -153,33 +159,41 @@ impl std::fmt::Display for TuneError {
 
 impl std::error::Error for TuneError {}
 
+/// Which shared-memory measure Rule 4 prunes with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SharedMemoryPruning {
+    /// Lowering's own single-copy footprint
+    /// ([`SmemFootprint`](mcfuser_tile::SmemFootprint)) must fit the
+    /// device's shared memory per block, with no margin, so every
+    /// candidate in the space launches. This extends the paper, whose
+    /// Rule 4 leaves what Eq. 1 mis-prices to lowering.
+    #[default]
+    Footprint,
+    /// The paper's Rule 4: Eq. 1 within `1.2 × Shm_max`. Candidates Eq. 1
+    /// under-prices reach lowering, which refuses them after a charged
+    /// compile (the "paper Rule 4" ablation).
+    PaperEq1,
+    /// No shared-memory pruning: every Rule-3 tile combination reaches
+    /// the search (the `-rule4` ablation).
+    Off,
+}
+
 /// How the tuner constructs the space it searches. The default is the
 /// full MCFuser pipeline; the alternatives reproduce the restricted
 /// configurations of the paper's ablation (§VI-E) and the
 /// MCFuser-Chimera comparator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SpacePolicy {
     /// Restrict to deep tilings only (Chimera's space restriction).
     pub deep_tiling_only: bool,
-    /// Apply Rule 4 (shared-memory estimate filter). Disabling admits
-    /// every Rule-3 tile combination, so unlaunchable candidates reach
-    /// measurement — the `-rule4` ablation.
-    pub shared_memory_pruning: bool,
-}
-
-impl Default for SpacePolicy {
-    fn default() -> Self {
-        SpacePolicy {
-            deep_tiling_only: false,
-            shared_memory_pruning: true,
-        }
-    }
+    /// The measure Rule 4 prunes with, or none.
+    pub shared_memory_pruning: SharedMemoryPruning,
 }
 
 /// Build the lazy pruned space a policy admits for a chain on a device.
-/// With `shared_memory_pruning` disabled (the `-rule4` ablation) the
-/// same space is built with the Rule-4 filter off: every Rule-3 tile
-/// combination is addressable — no re-materialization and no cap.
+/// Every policy builds the same lazy space; only the Rule-4 filter over
+/// its tile grid differs (with it off, every Rule-3 tile combination is
+/// addressable — no re-materialization and no cap).
 pub fn build_candidate_space(
     chain: &ChainSpec,
     dev: &DeviceSpec,
@@ -190,8 +204,14 @@ pub fn build_candidate_space(
         space.exprs = mcfuser_tile::enumerate_deep(chain);
     }
     let (reps, tile_domains, stats) = crate::prune::rules123(chain, &space);
-    let smem_limit = policy.shared_memory_pruning.then_some(dev.smem_per_block);
-    CandidateSpace::build(chain, reps, tile_domains, smem_limit, stats)
+    CandidateSpace::build(
+        chain,
+        reps,
+        tile_domains,
+        policy.shared_memory_pruning,
+        dev,
+        stats,
+    )
 }
 
 /// Locate the first axis whose Rule-3 tile domain came back empty and
@@ -206,9 +226,9 @@ pub(crate) fn empty_axis_context(chain: &ChainSpec, tile_domains: &[Vec<u64>]) -
 }
 
 /// Diagnose why Rule 4 emptied a space whose Rule-3 grid was non-empty:
-/// report the smallest Eq. 1 estimate against the device budget. `None`
-/// when Rule 4 is not the culprit (empty grid, filter disabled, or
-/// survivors exist).
+/// report the smallest shared memory under the space's measure against
+/// the device budget. `None` when Rule 4 is not the culprit (empty grid,
+/// filter disabled, or survivors exist).
 pub(crate) fn rule4_rejection_context(
     space: &CandidateSpace,
     dev: &DeviceSpec,
@@ -221,6 +241,7 @@ pub(crate) fn rule4_rejection_context(
         .map(|min_estimated_smem| Rule4Rejection {
             min_estimated_smem,
             smem_per_block: dev.smem_per_block,
+            measure: space.shared_memory_pruning(),
         })
 }
 
@@ -392,7 +413,8 @@ mod tests {
         assert!(axis.is_none(), "no axis is empty here");
         let r = rule4.expect("rule 4 context present");
         assert_eq!(r.smem_per_block, 256);
-        assert!(r.min_estimated_smem as f64 > 1.2 * 256.0);
+        assert_eq!(r.measure, SharedMemoryPruning::Footprint);
+        assert!(r.min_estimated_smem > 256);
         let msg = err.to_string();
         assert!(msg.contains("Rule 4"), "{msg}");
         assert!(msg.contains("256"), "{msg}");
@@ -417,7 +439,7 @@ mod tests {
             &chain,
             &dev,
             &SpacePolicy {
-                shared_memory_pruning: false,
+                shared_memory_pruning: SharedMemoryPruning::Off,
                 ..Default::default()
             },
         );
@@ -429,7 +451,10 @@ mod tests {
         let over = (0..off.len())
             .step_by((off.len() / 509).max(1) as usize)
             .map(|i| off.candidate(i))
-            .any(|c| !mcfuser_tile::rule4_fits(&chain, &c, dev.smem_per_block));
+            .any(|c| {
+                let opts = mcfuser_tile::LoweringOptions::default();
+                mcfuser_tile::smem_footprint(&chain, &c.tiles, &opts) > dev.smem_per_block
+            });
         assert!(over, "expected some over-budget candidates with -rule4");
     }
 

@@ -14,7 +14,7 @@
 //! * [`dag`] — the schedule DAG (scope / order edges), dead-loop
 //!   elimination, rightmost-related-loop statement placement and
 //!   accumulator-instance analysis (§III-B, Figs. 4–6);
-//! * [`shmem`] — Eq. 1 shared-memory estimation (Rule 4);
+//! * [`shmem`] — Eq. 1 shared-memory estimation (the paper's Rule 4);
 //! * [`lower`](mod@lower) — lowering to [`mcfuser_sim::TileProgram`]
 //!   with the intra-tile policies the real system delegates to Triton.
 
@@ -40,6 +40,7 @@ pub use loops::{
 };
 pub use lower::{
     lower, lower_within, smem_footprint, Launch, LoweredKernel, LoweringError, LoweringOptions,
+    SmemFootprint,
 };
 pub use shmem::{
     chain_tensors, estimate_shmem_bytes, estimate_shmem_bytes_for_tiles, rule4_fits, RULE4_MARGIN,

@@ -26,11 +26,13 @@
 //! * consumers may not sit inside their producer's reduction loop
 //!   (partial-tile consumption — the Fig. 6(b) shapes Rule 2 removes).
 //!
-//! [`smem_footprint`] is the shared memory emission will allocate, one
-//! copy of every tile, computed from the tile sizes alone. Emission uses
-//! it as the base of its double-buffering decision, and
-//! [`lower_within`] uses it to refuse a kernel that cannot launch
-//! without emitting it.
+//! [`SmemFootprint`] is the shared memory emission will allocate, one
+//! copy of every tile, compiled once per chain into product terms and
+//! evaluated from the tile sizes alone. Rule 4 prunes the search space
+//! with it (`mcfuser-core`'s default policy), emission uses it as the
+//! base of its double-buffering decision, and [`lower_within`] uses it
+//! to refuse a kernel that cannot launch without emitting it — which
+//! only happens to a candidate from a space pruned some other way.
 
 use mcfuser_ir::{AuxInput, ChainSpec, Epilogue, ResidualSource};
 use mcfuser_sim::{
@@ -198,7 +200,7 @@ pub fn lower_within(
     smem_limit: u64,
 ) -> Result<Launch, LoweringError> {
     let placement = legal_placement(chain, cand, opts)?;
-    let footprint = smem_footprint(chain, cand, opts);
+    let footprint = smem_footprint(chain, &cand.tiles, opts);
     if footprint > smem_limit {
         return Ok(Launch::Refused {
             smem_bytes: footprint,
@@ -319,79 +321,193 @@ fn tail_chunk(chain: &ChainSpec) -> Option<(u64, u64)> {
 
 /// Bank-conflict padding of a tile row of `cols` chain-precision
 /// elements: 8 extra columns when the row stride is a multiple of
-/// [`LoweringOptions::bank_conflict_stride`].
-fn bank_pad(opts: &LoweringOptions, esz: DType, cols: u64) -> u64 {
-    if opts.bank_conflict_stride > 0
-        && (cols * esz.size_bytes()).is_multiple_of(opts.bank_conflict_stride)
-    {
+/// [`LoweringOptions::bank_conflict_stride`], which is when `cols` is a
+/// multiple of `period` ([`pad_period`]; 0 never pads).
+fn bank_pad(period: u64, cols: u64) -> u64 {
+    let pads = match period {
+        0 => false,
+        // The usual strides and element sizes give a power-of-two
+        // period, tested without a division.
+        p if p.is_power_of_two() => cols & (p - 1) == 0,
+        p => cols.is_multiple_of(p),
+    };
+    if pads {
         8
     } else {
         0
     }
 }
 
-/// The shared memory lowering allocates for a legal candidate, one copy
-/// of every tile: bank-padded load tiles (streamed panels take none),
-/// f32 accumulators, softmax row statistics, bias strips and mask tiles,
-/// and the stitch tiles. This is the `smem_bytes` of the kernel [`lower`]
-/// emits without double buffering, computed without placing or emitting
-/// anything and without allocating.
-pub fn smem_footprint(chain: &ChainSpec, cand: &Candidate, opts: &LoweringOptions) -> u64 {
-    let num_ops = chain.num_ops();
-    let esz = chain.dtype;
-    let (eb, fb) = (esz.size_bytes(), DType::F32.size_bytes());
-    let tm = cand.tile(LoopId(0));
-    let tk = cand.tile(LoopId(1));
-    let tn = cand.tile(LoopId(chain.num_axes() - 1));
-    let tail_streamed = tail_chunk(chain).is_some();
-    let mut bytes = 0;
-    // Load tiles. Panels behind `A` stream when `m == 1`, and so does a
-    // chunked tail panel; a stitched prologue stages A raw in f32.
-    for i in 0..=num_ops {
-        if (i > 0 && chain.m == 1) || (i == num_ops && tail_streamed) {
-            continue;
-        }
-        let [r, c] = tensor_axes(chain, TensorRef::Input(i));
-        let (r, c) = (cand.tile(r), cand.tile(c));
-        let dt = if i == 0 && chain.prologue.is_some() {
-            fb
-        } else {
-            eb
+/// The period of [`bank_pad`]: `cols × esz` bytes is a multiple of
+/// `stride` exactly when `cols` is a multiple of
+/// `stride / gcd(stride, esz)`. 0 when padding is off (`stride == 0`).
+fn pad_period(stride: u64, esz: DType) -> u64 {
+    let (mut x, mut y) = (stride, esz.size_bytes());
+    while y != 0 {
+        (x, y) = (y, x % y);
+    }
+    if stride == 0 {
+        0
+    } else {
+        stride / x
+    }
+}
+
+/// One tile factor of a [`SmemFootprint`] term.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Factor {
+    /// 1: the term has a single tile factor.
+    One,
+    /// The tile of an axis.
+    Tile(usize),
+    /// The tile of an axis plus its bank-conflict padding (a load
+    /// tile's row).
+    Padded(usize),
+}
+
+/// One product term of a [`SmemFootprint`]: `bytes × a × b`.
+#[derive(Debug, Clone, Copy)]
+struct Term {
+    bytes: u64,
+    /// `factors[0]` is `Tile(0)` whenever axis 0 enters the term.
+    factors: [Factor; 2],
+}
+
+/// The shared memory lowering allocates for a chain's candidates, one
+/// copy of every tile, compiled once per chain into product terms:
+/// bank-padded load tiles (streamed panels take none), f32
+/// accumulators, softmax row statistics, bias strips and mask tiles,
+/// and the prologue and stitch tiles. For every tile vector it equals
+/// the `smem_bytes` of the kernel [`lower`] emits without double
+/// buffering; it depends on the tile sizes alone, not on the
+/// expression.
+///
+/// Axis 0's tile `t_0` enters each term at most once, unpadded, with a
+/// non-negative coefficient, so over one row of a tile grid (the tiles
+/// of axes `1..` fixed) the footprint is `α·t_0 + β`
+/// ([`SmemFootprint::row`]) and never decreases along axis 0.
+#[derive(Debug, Clone)]
+pub struct SmemFootprint {
+    terms: Vec<Term>,
+    /// The [`bank_pad`] period of the chain's precision.
+    pad_period: u64,
+}
+
+impl SmemFootprint {
+    /// Compile the footprint of `chain`'s kernels under `opts` (only the
+    /// bank-conflict stride matters).
+    pub fn new(chain: &ChainSpec, opts: &LoweringOptions) -> SmemFootprint {
+        let num_ops = chain.num_ops();
+        let esz = chain.dtype;
+        let (eb, fb) = (esz.size_bytes(), DType::F32.size_bytes());
+        let tm = Factor::Tile(0);
+        let tk = Factor::Tile(1);
+        let tn = Factor::Tile(chain.num_axes() - 1);
+        let tail_streamed = tail_chunk(chain).is_some();
+        let mut terms = Vec::with_capacity(4 * num_ops + 6);
+        let mut term = |bytes: u64, a: Factor, b: Factor| {
+            terms.push(Term {
+                bytes,
+                factors: [a, b],
+            })
         };
-        bytes += r * (c + bank_pad(opts, esz, c)) * dt;
-    }
-    for op in 0..num_ops {
-        let [r, c] = tensor_axes(chain, crate::stmt::compute_output(chain, op));
-        bytes += cand.tile(r) * cand.tile(c) * fb;
-    }
-    if chain.epilogues.iter().any(Epilogue::is_rowwise) {
-        bytes += 2 * tm * fb; // row max and row sum
-    }
-    for stage in 0..num_ops {
-        let cols = cand.tile(LoopId(stage + 2));
-        if chain.biases.get(stage).copied().unwrap_or(false) {
-            bytes += cols * eb;
+        // Load tiles. Panels behind `A` stream when `m == 1`, and so does
+        // a chunked tail panel; a stitched prologue stages A raw in f32.
+        for i in 0..=num_ops {
+            if (i > 0 && chain.m == 1) || (i == num_ops && tail_streamed) {
+                continue;
+            }
+            let [r, c] = tensor_axes(chain, TensorRef::Input(i));
+            let dt = if i == 0 && chain.prologue.is_some() {
+                fb
+            } else {
+                eb
+            };
+            term(dt, Factor::Tile(r.0), Factor::Padded(c.0));
         }
-        if chain.epilogues[stage].needs_mask() {
-            bytes += tm * cols * eb;
+        for op in 0..num_ops {
+            let [r, c] = tensor_axes(chain, crate::stmt::compute_output(chain, op));
+            term(fb, Factor::Tile(r.0), Factor::Tile(c.0));
+        }
+        if chain.epilogues.iter().any(Epilogue::is_rowwise) {
+            term(2 * fb, tm, Factor::One); // row max and row sum
+        }
+        for stage in 0..num_ops {
+            let cols = Factor::Tile(stage + 2);
+            if chain.biases.get(stage).copied().unwrap_or(false) {
+                term(eb, cols, Factor::One);
+            }
+            if chain.epilogues[stage].needs_mask() {
+                term(eb, tm, cols);
+            }
+        }
+        if let Some(p) = chain.prologue {
+            if p.residual {
+                term(fb, tm, Factor::Padded(1));
+            }
+            // Row mean and rstd, gamma and beta strips.
+            term(2 * fb, tm, Factor::One);
+            term(2 * fb, tk, Factor::One);
+        }
+        if let Some(t) = chain.stitch_epilogue {
+            if t.residual == ResidualSource::PrologueOut {
+                term(2 * fb, tn, Factor::One); // recompute gamma and beta strips
+            }
+            if t.layer_norm && t.affine {
+                term(2 * fb, tn, Factor::One);
+            }
+        }
+        // Axis 0 is never a load tile's (padded) column and never a
+        // second factor: the row form below relies on it.
+        debug_assert!(terms
+            .iter()
+            .all(|t| t.factors[1] != tm && !t.factors.contains(&Factor::Padded(0))));
+        SmemFootprint {
+            terms,
+            pad_period: pad_period(opts.bank_conflict_stride, esz),
         }
     }
-    if let Some(p) = chain.prologue {
-        if p.residual {
-            bytes += tm * (tk + bank_pad(opts, esz, tk)) * fb;
-        }
-        // Row mean and rstd, gamma and beta strips.
-        bytes += 2 * tm * fb + 2 * tk * fb;
-    }
-    if let Some(t) = chain.stitch_epilogue {
-        if t.residual == ResidualSource::PrologueOut {
-            bytes += 2 * tn * fb; // recompute gamma and beta strips
-        }
-        if t.layer_norm && t.affine {
-            bytes += 2 * tn * fb;
+
+    fn factor(&self, f: Factor, tiles: &[u64]) -> u64 {
+        match f {
+            Factor::One => 1,
+            Factor::Tile(a) => tiles[a],
+            Factor::Padded(a) => tiles[a] + bank_pad(self.pad_period, tiles[a]),
         }
     }
-    bytes
+
+    /// The footprint of one tile vector, in bytes.
+    pub fn bytes(&self, tiles: &[u64]) -> u64 {
+        self.terms
+            .iter()
+            .map(|t| t.bytes * self.factor(t.factors[0], tiles) * self.factor(t.factors[1], tiles))
+            .sum()
+    }
+
+    /// The footprint of the grid row through `tiles` as `(α, β)`: for
+    /// every axis-0 tile `t`, the tile vector with `tiles[0] = t` takes
+    /// exactly `α·t + β` bytes. `tiles[0]` itself is not read.
+    pub fn row(&self, tiles: &[u64]) -> (u64, u64) {
+        let (mut slope, mut base) = (0, 0);
+        for t in &self.terms {
+            let rest = t.bytes * self.factor(t.factors[1], tiles);
+            if t.factors[0] == Factor::Tile(0) {
+                slope += rest;
+            } else {
+                base += rest * self.factor(t.factors[0], tiles);
+            }
+        }
+        (slope, base)
+    }
+}
+
+/// The shared memory lowering allocates for a candidate with these
+/// tiles, one copy of every tile: [`SmemFootprint::bytes`] of a
+/// footprint compiled for this one call. This is the `smem_bytes` of the
+/// kernel [`lower`] emits without double buffering, computed without
+/// placing or emitting anything.
+pub fn smem_footprint(chain: &ChainSpec, tiles: &[u64], opts: &LoweringOptions) -> u64 {
+    SmemFootprint::new(chain, opts).bytes(tiles)
 }
 
 /// Emit the tile program of a candidate that passed
@@ -497,7 +613,8 @@ fn emit(
     };
 
     // Shared tiles. Load tiles at chain precision; accumulators in f32.
-    let pad = |cols: u64| bank_pad(opts, esz, cols);
+    let period = pad_period(opts.bank_conflict_stride, esz);
+    let pad = |cols: u64| bank_pad(period, cols);
     let mut load_tiles = Vec::with_capacity(num_ops + 1);
     for (i, &buf) in input_bufs.iter().enumerate() {
         let t = if i == 0 {
@@ -755,7 +872,7 @@ fn emit(
         targets.retain(|id| !program.smem[id.0].streamed);
         targets.sort_unstable_by_key(|id| id.0);
         targets.dedup();
-        let base = smem_footprint(chain, cand, opts);
+        let base = smem_footprint(chain, &cand.tiles, opts);
         debug_assert_eq!(
             base,
             program.smem_bytes(),
@@ -1713,7 +1830,7 @@ mod tests {
     fn smem_footprint_equals_single_copy_smem_bytes() {
         for chain in footprint_families() {
             let mut legal = 0;
-            for stride in [0, 128] {
+            for stride in [0, 96, 128] {
                 let opts = LoweringOptions {
                     double_buffer_budget: None,
                     bank_conflict_stride: stride,
@@ -1726,7 +1843,7 @@ mod tests {
                     legal += 1;
                     assert!(!k.double_buffered);
                     assert_eq!(
-                        smem_footprint(&chain, &cand, &opts),
+                        smem_footprint(&chain, &cand.tiles, &opts),
                         k.smem_bytes,
                         "{} stride {stride}",
                         cand.describe(&chain)
@@ -1734,6 +1851,45 @@ mod tests {
                 }
             }
             assert!(legal > 0, "{}: no legal candidate sampled", chain.name);
+        }
+    }
+
+    #[test]
+    fn footprint_rows_are_exact_in_the_axis_0_tile() {
+        // Over every row of every family's full tile grid (plain,
+        // biased and 3-GEMM chains, attention with and without a mask,
+        // m = 1, stitched prologues and tails, tail LayerNorms), the row
+        // form `α·t + β` is the footprint at every axis-0 tile.
+        for chain in footprint_families() {
+            let domains: Vec<Vec<u64>> = (0..chain.num_axes())
+                .map(|a| crate::loops::tile_options(chain.axis_extent(a)))
+                .collect();
+            let rows: usize = domains[1..].iter().map(Vec::len).product();
+            for stride in [0, 96, 128] {
+                let opts = LoweringOptions {
+                    bank_conflict_stride: stride,
+                    ..Default::default()
+                };
+                let fp = SmemFootprint::new(&chain, &opts);
+                for row in 0..rows {
+                    let mut digits = row;
+                    let mut tiles = vec![0u64; domains.len()];
+                    for (t, d) in tiles[1..].iter_mut().zip(&domains[1..]) {
+                        *t = d[digits % d.len()];
+                        digits /= d.len();
+                    }
+                    let (slope, base) = fp.row(&tiles);
+                    for &t in &domains[0] {
+                        tiles[0] = t;
+                        assert_eq!(
+                            slope * t + base,
+                            smem_footprint(&chain, &tiles, &opts),
+                            "{} {tiles:?} stride {stride}",
+                            chain.name
+                        );
+                    }
+                }
+            }
         }
     }
 

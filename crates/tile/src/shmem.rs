@@ -7,9 +7,12 @@
 //! why the paper validates it against measured usage (Fig. 10) and prunes
 //! with a 1.2× error margin (Rule 4).
 //!
-//! Rule 4 evaluates the estimate once per binary-search probe along
-//! axis 0 of every Rule-3 tile-grid row, so a call allocates nothing: the
-//! tensor census is an iterator and each tensor's axes are a fixed pair.
+//! The paper's Rule 4 evaluates the estimate once per binary-search probe
+//! along axis 0 of every Rule-3 tile-grid row, so a call allocates
+//! nothing: the tensor census is an iterator and each tensor's axes are a
+//! fixed pair. (This reproduction's default Rule 4 prunes with the shared
+//! memory lowering allocates instead, `SmemFootprint` in the lowering
+//! module.)
 //!
 //! The estimate never decreases along axis 0 (`m`): that axis enters it
 //! only through non-negative products, and the one subtracted term (a
@@ -105,10 +108,10 @@ pub fn estimate_shmem_bytes(chain: &ChainSpec, cand: &Candidate) -> u64 {
     estimate_shmem_bytes_for_tiles(chain, &cand.tiles)
 }
 
-/// The paper's Rule-4 test: prune candidates whose *estimate* exceeds
-/// [`RULE4_MARGIN`]` × Shm_max`.
-pub fn rule4_fits(chain: &ChainSpec, cand: &Candidate, shm_max: u64) -> bool {
-    estimate_shmem_bytes(chain, cand) as f64 <= RULE4_MARGIN * shm_max as f64
+/// The paper's Rule-4 test on a bare tile vector: keep it while its
+/// Eq. 1 *estimate* stays within [`RULE4_MARGIN`]` × Shm_max`.
+pub fn rule4_fits(chain: &ChainSpec, tiles: &[u64], shm_max: u64) -> bool {
+    estimate_shmem_bytes_for_tiles(chain, tiles) as f64 <= RULE4_MARGIN * shm_max as f64
 }
 
 #[cfg(test)]
@@ -325,9 +328,9 @@ mod tests {
     fn rule4_prunes_giant_tiles() {
         let c = chain();
         let shm_max = 164 * 1024;
-        assert!(rule4_fits(&c, &cand(vec![64, 32, 64, 16]), shm_max));
+        assert!(rule4_fits(&c, &[64, 32, 64, 16], shm_max));
         // 512×512 C tile alone is 512 KiB in f16 — way over.
-        assert!(!rule4_fits(&c, &cand(vec![512, 32, 512, 16]), shm_max));
+        assert!(!rule4_fits(&c, &[512, 32, 512, 16], shm_max));
     }
 
     #[test]
@@ -337,7 +340,7 @@ mod tests {
         let est = estimate_shmem_bytes(&c, &cd);
         // A budget exactly est/1.2 still admits the candidate.
         let budget = (est as f64 / 1.2).ceil() as u64;
-        assert!(rule4_fits(&c, &cd, budget));
-        assert!(!rule4_fits(&c, &cd, budget / 2));
+        assert!(rule4_fits(&c, &cd.tiles, budget));
+        assert!(!rule4_fits(&c, &cd.tiles, budget / 2));
     }
 }

@@ -11,13 +11,16 @@
 //! * [`decoder`] — autoregressive decoder graphs: KV-cache attention
 //!   (prefill + single-token decode, optional grouped-query heads) and
 //!   the GEMV-shaped chains where the memory-bound gate flips hard
-//!   toward fusion.
+//!   toward fusion;
+//! * [`families`] — the model chain families the static-verifier sweep
+//!   and the launch census draw from.
 
 #![warn(missing_docs)]
 
 pub mod attention;
 pub mod bert;
 pub mod decoder;
+pub mod families;
 pub mod gemm_chains;
 
 pub use attention::{
@@ -29,4 +32,5 @@ pub use decoder::{
     decode_attention_chain, decode_ffn_chain, decoder_forward_graph, decoder_step_graph,
     DecoderConfig,
 };
+pub use families::model_chain_families;
 pub use gemm_chains::{gemm_chain_suite, gemm_chain_workload, mlp4_chain, mlp4_graph, TABLE_II};

@@ -1,16 +1,53 @@
 //! The lazy [`CandidateSpace`] contract: index-for-index equivalent to
 //! the eager materialization it replaced, with no caps — candidates the
-//! old `Vec` silently clipped are reachable and searched.
+//! old `Vec` silently clipped are reachable and searched — and, under
+//! the default policy, holding only candidates that launch.
 
 use proptest::prelude::*;
 
 use mcfuser::core::{
-    build_candidate_space, heuristic_search, CandidateSpace, SearchParams, SpacePolicy,
+    build_candidate_space, heuristic_search, CandidateSpace, SearchParams, SharedMemoryPruning,
+    SpacePolicy,
 };
 use mcfuser::ir::{EpilogueStitch, PrologueSpec, ResidualSource};
 use mcfuser::prelude::*;
 use mcfuser::sim::TuningClock;
-use mcfuser::tile::{estimate_shmem_bytes_for_tiles, rule4_fits, Candidate, RULE4_MARGIN};
+use mcfuser::tile::{
+    estimate_shmem_bytes_for_tiles, lower, rule4_fits, smem_footprint, Candidate, LoweringOptions,
+};
+use mcfuser::workloads::{attention_suite, gemm_chain_suite};
+
+/// The Rule-4 policies with a filter: lowering's footprint (the
+/// default) and the paper's Eq. 1 at 1.2 × Shm_max.
+const PRUNING: [SharedMemoryPruning; 2] = [
+    SharedMemoryPruning::Footprint,
+    SharedMemoryPruning::PaperEq1,
+];
+
+fn policy(pruning: SharedMemoryPruning) -> SpacePolicy {
+    SpacePolicy {
+        shared_memory_pruning: pruning,
+        ..SpacePolicy::default()
+    }
+}
+
+/// The shared memory Rule 4 prices `tiles` at under `pruning`.
+fn measure(chain: &ChainSpec, tiles: &[u64], pruning: SharedMemoryPruning) -> u64 {
+    match pruning {
+        SharedMemoryPruning::PaperEq1 => estimate_shmem_bytes_for_tiles(chain, tiles),
+        _ => smem_footprint(chain, tiles, &LoweringOptions::default()),
+    }
+}
+
+/// Whether Rule 4 keeps `tiles` under `pruning` on a device with
+/// `limit` bytes of shared memory per block.
+fn keeps(chain: &ChainSpec, tiles: &[u64], pruning: SharedMemoryPruning, limit: u64) -> bool {
+    match pruning {
+        SharedMemoryPruning::Footprint => measure(chain, tiles, pruning) <= limit,
+        SharedMemoryPruning::PaperEq1 => rule4_fits(chain, tiles, limit),
+        SharedMemoryPruning::Off => true,
+    }
+}
 
 /// The old eager materialization, reproduced as the reference oracle.
 struct Eager {
@@ -18,17 +55,19 @@ struct Eager {
     candidates: Vec<Candidate>,
     /// The tile combinations Rule 4 rejected.
     rejected: Vec<Vec<u64>>,
-    /// The smallest Eq. 1 estimate over the whole grid.
+    /// The smallest shared memory over the whole grid, under the
+    /// policy's measure.
     min_estimate: Option<u64>,
 }
 
 /// An axis-0-fastest odometer over the Rule-3 tile domains that
-/// evaluates Rule 4 on every combination in grid order (an
-/// expression-independent pre-filter), then expression-major candidate
-/// construction. (The shipped version additionally clipped the result at
-/// 200 000 candidates and 10⁷ odometer steps — the bug under test — so
-/// the oracle is only run on small spaces.)
-fn eager_materialize(space: &CandidateSpace, smem_limit: Option<u64>) -> Eager {
+/// evaluates Rule 4 (`pruning` against `limit`) on every combination in
+/// grid order (an expression-independent pre-filter), then
+/// expression-major candidate construction. (The shipped version
+/// additionally clipped the result at 200 000 candidates and 10⁷
+/// odometer steps — the bug under test — so the oracle is only run on
+/// small spaces.)
+fn eager_materialize(space: &CandidateSpace, pruning: SharedMemoryPruning, limit: u64) -> Eager {
     let chain = &space.chain;
     let mut combos: Vec<Vec<u64>> = Vec::new();
     let mut rejected = Vec::new();
@@ -41,16 +80,11 @@ fn eager_materialize(space: &CandidateSpace, smem_limit: Option<u64>) -> Eager {
                 .enumerate()
                 .map(|(a, &i)| space.tile_domains[a][i])
                 .collect();
-            let est = estimate_shmem_bytes_for_tiles(chain, &tiles);
-            min_estimate = Some(min_estimate.map_or(est, |m| m.min(est)));
-            let keep = match smem_limit {
-                Some(limit) => rule4_fits(
-                    chain,
-                    &Candidate::new(TilingExpr::Unit, tiles.clone()),
-                    limit,
-                ),
-                None => true,
-            };
+            if pruning != SharedMemoryPruning::Off {
+                let est = measure(chain, &tiles, pruning);
+                min_estimate = Some(min_estimate.map_or(est, |m| m.min(est)));
+            }
+            let keep = keeps(chain, &tiles, pruning, limit);
             if keep {
                 combos.push(tiles);
             } else {
@@ -88,9 +122,10 @@ fn eager_materialize(space: &CandidateSpace, smem_limit: Option<u64>) -> Eager {
 /// expression position and tiles, and `expr_of`/`index_in` on them), the
 /// `index_of` round trip, `index_of` on every rejected combination, and
 /// the diagnostic minimum.
-fn assert_matches_oracle(space: &CandidateSpace, smem_limit: Option<u64>) {
+fn assert_matches_oracle(space: &CandidateSpace, pruning: SharedMemoryPruning, limit: u64) {
     let name = &space.chain.name;
-    let eager = eager_materialize(space, smem_limit);
+    assert_eq!(space.shared_memory_pruning(), pruning, "{name}: measure");
+    let eager = eager_materialize(space, pruning, limit);
     assert_eq!(space.len() as usize, eager.candidates.len(), "{name}: len");
     assert_eq!(
         space.stats.after_rule4,
@@ -137,8 +172,11 @@ fn assert_matches_oracle(space: &CandidateSpace, smem_limit: Option<u64>) {
             assert_eq!(space.index_of(&cand), None, "{name}: rejected {tiles:?}");
         }
     }
-    let expected_min = smem_limit.and(eager.min_estimate);
-    assert_eq!(space.min_estimated_smem(), expected_min, "{name}: minimum");
+    assert_eq!(
+        space.min_estimated_smem(),
+        eager.min_estimate,
+        "{name}: minimum"
+    );
 }
 
 fn small_chain_strategy() -> impl Strategy<Value = ChainSpec> {
@@ -161,14 +199,17 @@ proptest! {
 
     /// Lazy enumeration — streaming, indexing and `index_of` — is
     /// index-for-index identical to the eager materialization, and
-    /// `PruneStats::after_rule4` is exactly the reachable count.
+    /// `PruneStats::after_rule4` is exactly the reachable count, under
+    /// lowering's footprint and under the paper's Eq. 1.
     #[test]
     fn lazy_space_equals_eager_materialization(
         chain in small_chain_strategy(),
         dev in device_strategy(),
     ) {
-        let pruned = build_candidate_space(&chain, &dev, &SpacePolicy::default());
-        assert_matches_oracle(&pruned, Some(dev.smem_per_block));
+        for pruning in PRUNING {
+            let pruned = build_candidate_space(&chain, &dev, &policy(pruning));
+            assert_matches_oracle(&pruned, pruning, dev.smem_per_block);
+        }
     }
 
     /// The `-rule4` ablation admits the whole Rule-3 grid through the
@@ -178,17 +219,16 @@ proptest! {
         chain in small_chain_strategy(),
         dev in device_strategy(),
     ) {
-        let policy = SpacePolicy { shared_memory_pruning: false, ..Default::default() };
-        let pruned = build_candidate_space(&chain, &dev, &policy);
+        let off = SharedMemoryPruning::Off;
+        let pruned = build_candidate_space(&chain, &dev, &policy(off));
         prop_assert_eq!(pruned.surviving_combos(), pruned.grid_combos());
-        assert_matches_oracle(&pruned, None);
+        assert_matches_oracle(&pruned, off, dev.smem_per_block);
     }
 }
 
 /// A stitched FFN with a residual LayerNorm prologue and a tail
-/// LayerNorm over d_L = 512 > 128: its last weight panel streams, so
-/// Eq. 1 falls along the last axis and Rule 4 flips from reject to
-/// accept there.
+/// LayerNorm over d_L = 512 > 128: its last weight panel streams, and
+/// Rule 3 pins its last axis to the full row.
 fn stitched_tail_layer_norm() -> ChainSpec {
     let mut chain = ChainSpec::gemm_chain("ffn-tail-ln", 1, 512, 2048, 512, 512);
     chain.prologue = Some(PrologueSpec {
@@ -232,40 +272,28 @@ fn chain_families() -> [ChainSpec; 6] {
     ]
 }
 
-/// The frontier scan that builds the index — one binary search per grid
-/// row for the end of the row's axis-0 prefix of Rule-4 survivors —
-/// equals the dense scan that estimates every combination, on every
-/// chain family and both devices. That includes the stitched
-/// tail-LayerNorm chain, whose estimate is monotone along axis 0 only.
+/// The scan that builds the index — one survivor count per grid row,
+/// the end of the row's axis-0 prefix of Rule-4 survivors — equals the
+/// dense scan that prices every combination, on every chain family and
+/// both devices, under lowering's footprint and under the paper's
+/// Eq. 1. The stitched chain's last axis is pinned to its full row, the
+/// one tile lowering accepts, under both.
 #[test]
 fn frontier_scan_equals_dense_scan() {
     for dev in [DeviceSpec::a100(), DeviceSpec::rtx3080()] {
-        for chain in &chain_families() {
-            let space = build_candidate_space(chain, &dev, &SpacePolicy::default());
-            assert!(!space.is_empty(), "{} on {}", chain.name, dev.name);
-            assert_matches_oracle(&space, Some(dev.smem_per_block));
+        for pruning in PRUNING {
+            for chain in &chain_families() {
+                let space = build_candidate_space(chain, &dev, &policy(pruning));
+                let what = format!("{} on {} under {pruning:?}", chain.name, dev.name);
+                assert!(!space.is_empty(), "{what}");
+                assert_matches_oracle(&space, pruning, dev.smem_per_block);
+                if chain.stitch_epilogue.is_some() {
+                    let d_l = *chain.dims.last().unwrap();
+                    assert_eq!(space.tile_domains.last(), Some(&vec![d_l]), "{what}");
+                }
+            }
         }
     }
-
-    // The stitched chain really exercises the caveat: on the A100 some
-    // row is rejected at a partial last tile and accepted at the full
-    // row, so an index that assumed monotonicity along the last axis
-    // would drop survivors.
-    let chain = stitched_tail_layer_norm();
-    let dev = DeviceSpec::a100();
-    let space = build_candidate_space(&chain, &dev, &SpacePolicy::default());
-    let last = space.tile_domains.len() - 1;
-    let d_l = *chain.dims.last().unwrap();
-    let flips = space
-        .iter()
-        .filter(|c| c.tiles[last] == d_l)
-        .filter(|c| {
-            let mut partial = c.clone();
-            partial.tiles[last] = d_l / 2;
-            space.index_of(&partial).is_none()
-        })
-        .count();
-    assert!(flips > 0, "no reject-to-accept flip along the last axis");
 }
 
 /// With Rule 4 off every row's frontier is the whole of axis 0: the
@@ -273,13 +301,10 @@ fn frontier_scan_equals_dense_scan() {
 /// on every chain family and both devices.
 #[test]
 fn frontier_scan_equals_dense_scan_without_rule4() {
-    let policy = SpacePolicy {
-        shared_memory_pruning: false,
-        ..Default::default()
-    };
+    let off = SharedMemoryPruning::Off;
     for dev in [DeviceSpec::a100(), DeviceSpec::rtx3080()] {
         for chain in &chain_families() {
-            let space = build_candidate_space(chain, &dev, &policy);
+            let space = build_candidate_space(chain, &dev, &policy(off));
             assert!(!space.is_empty(), "{} on {}", chain.name, dev.name);
             assert_eq!(
                 space.surviving_combos(),
@@ -287,14 +312,13 @@ fn frontier_scan_equals_dense_scan_without_rule4() {
                 "{}",
                 chain.name
             );
-            assert_matches_oracle(&space, None);
+            assert_matches_oracle(&space, off, dev.smem_per_block);
         }
     }
 }
 
-/// A 3-GEMM chain whose pruned space exceeds the old 200 000-candidate
-/// materialization cap (non-power-of-two 1536/768 extents keep 14–23
-/// Rule-3 options per axis across 5 axes → 273 885 survivors on A100).
+/// A 3-GEMM chain with a 2.4M-combination Rule-3 grid (non-power-of-two
+/// 1536/768 extents keep 14–23 options per axis across 5 axes).
 fn big_3gemm() -> ChainSpec {
     ChainSpec::chain(
         "mlp3-1536",
@@ -306,7 +330,7 @@ fn big_3gemm() -> ChainSpec {
 }
 
 /// On a 2.4M-combination grid, too large for the candidate oracle, a
-/// dense walk that estimates every combination in grid order finds the
+/// dense walk that prices every combination in grid order finds the
 /// same survivor at every sampled rank, and `index_of` agrees on both
 /// sides of the Rule-4 boundary.
 #[test]
@@ -315,15 +339,18 @@ fn large_grid_index_matches_a_dense_walk() {
     let dev = DeviceSpec::a100();
     let space = build_candidate_space(&chain, &dev, &SpacePolicy::default());
     assert!(space.grid_combos() > 2_000_000, "{}", space.grid_combos());
-    let budget = RULE4_MARGIN * dev.smem_per_block as f64;
     let domains = &space.tile_domains;
     let expr = &space.exprs[0];
     let mut idx = vec![0usize; domains.len()];
     let mut tiles: Vec<u64> = domains.iter().map(|d| d[0]).collect();
     let (mut rank, mut rejected) = (0u64, 0u64);
     for _ in 0..space.grid_combos() {
-        let fits = estimate_shmem_bytes_for_tiles(&chain, &tiles) as f64 <= budget;
-        if fits {
+        if keeps(
+            &chain,
+            &tiles,
+            SharedMemoryPruning::Footprint,
+            dev.smem_per_block,
+        ) {
             if rank % 997 == 0 {
                 let cand = space.candidate(rank);
                 assert_eq!(cand.tiles, tiles, "rank {rank}");
@@ -356,9 +383,16 @@ fn large_grid_index_matches_a_dense_walk() {
     assert_eq!(space.index_of(&space.candidate(last)), Some(last));
 }
 
+/// A 4-GEMM chain whose pruned space exceeds the old 200 000-candidate
+/// materialization cap: 541 260 survivors on the A100 under lowering's
+/// footprint (the 3-GEMM `big_3gemm` keeps 119 735).
+fn big_4gemm() -> ChainSpec {
+    ChainSpec::chain("mlp4-768", 1, 1536, vec![768; 5], vec![Epilogue::None; 4])
+}
+
 #[test]
 fn candidates_beyond_the_old_cap_are_reachable_and_searched() {
-    let chain = big_3gemm();
+    let chain = big_4gemm();
     let dev = DeviceSpec::a100();
     let pruned = build_candidate_space(&chain, &dev, &SpacePolicy::default());
 
@@ -372,10 +406,14 @@ fn candidates_beyond_the_old_cap_are_reachable_and_searched() {
 
     // Every index is reachable — including the ones the old eager
     // materialization silently clipped — and decodes to a candidate
-    // that passes Rule 4.
+    // whose kernel fits the device.
+    let opts = LoweringOptions::default();
     for idx in [200_000, pruned.len() / 2, pruned.len() - 1] {
         let c = pruned.candidate(idx);
-        assert!(rule4_fits(&chain, &c, dev.smem_per_block), "index {idx}");
+        assert!(
+            smem_footprint(&chain, &c.tiles, &opts) <= dev.smem_per_block,
+            "index {idx}"
+        );
     }
 
     // The search actually draws from beyond the cap: uniform sampling
@@ -404,4 +442,51 @@ fn candidates_beyond_the_old_cap_are_reachable_and_searched() {
         .expect("search over the uncapped space finds a kernel");
     assert!(out.profile.time.is_finite());
     assert!(out.kernel.smem_bytes <= dev.smem_per_block);
+    assert_eq!((out.refused, out.illegal), (0, 0));
+}
+
+/// Strided samples of the spaces the default policy and MCFuser-Chimera's
+/// (deep tilings only, no dead-loop elimination) prune — over the
+/// model chain families the verifier sweep draws from and both fig8
+/// suites, on the A100 and the RTX 3080 — all lower, and every kernel
+/// fits the device's shared memory as emitted, double buffers included.
+#[test]
+fn every_candidate_in_the_pruned_space_launches() {
+    /// Candidates sampled per space.
+    const PER_SPACE: u64 = 24;
+    for dev in [DeviceSpec::a100(), DeviceSpec::rtx3080()] {
+        let mut chains: Vec<ChainSpec> = mcfuser::workloads::model_chain_families(&dev)
+            .into_iter()
+            .flat_map(|(_, chains)| chains)
+            .collect();
+        chains.extend(gemm_chain_suite());
+        chains.extend(attention_suite());
+        let configs = [
+            (SpacePolicy::default(), LoweringOptions::for_device(&dev)),
+            (
+                SpacePolicy {
+                    deep_tiling_only: true,
+                    ..SpacePolicy::default()
+                },
+                LoweringOptions::for_device(&dev).without_dead_loop_elimination(),
+            ),
+        ];
+        let mut lowered = 0;
+        for chain in &chains {
+            for (space_policy, opts) in &configs {
+                let space = build_candidate_space(chain, &dev, space_policy);
+                assert!(!space.is_empty(), "{} on {}", chain.name, dev.name);
+                let step = (space.len() / PER_SPACE).max(1);
+                for idx in (0..space.len()).step_by(step as usize) {
+                    let cand = space.candidate(idx);
+                    let what = format!("{} on {}", cand.describe(chain), dev.name);
+                    let kernel =
+                        lower(chain, &cand, opts).unwrap_or_else(|e| panic!("{what}: {e}"));
+                    assert!(kernel.smem_bytes <= dev.smem_per_block, "{what}");
+                    lowered += 1;
+                }
+            }
+        }
+        assert!(lowered > 1000, "{}: only {lowered} lowered", dev.name);
+    }
 }
