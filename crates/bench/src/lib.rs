@@ -14,9 +14,10 @@
 //! | `fig11_perf_model` | Fig. 11 — analytical-model correlation |
 //! | `table1_comparison` | Table I — capability matrix |
 //! | `table4_tuning_time` | Table IV — tuning times |
+//! | `search_seeds` | The search-driven rows of Fig. 8, Table IV and the benchmark's `compile` graphs, over six search seeds |
 //!
-//! Every binary prints a human-readable table and writes machine-readable
-//! JSON under `results/`.
+//! Each figure and table binary prints a human-readable table and writes
+//! machine-readable JSON under `results/`; `search_seeds` only prints.
 
 #![warn(missing_docs)]
 

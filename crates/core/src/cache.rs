@@ -102,12 +102,11 @@ impl CacheKey {
             transposed_inputs,
             device: device_fingerprint(dev),
             config: format!(
-                "pop{}top{}eps{}maxr{}minr{}seed{}model{:?}{:?}{:?}dle{}rr{}deep{}r4{:?}",
+                "pop{}top{}eps{}maxr{}seed{}model{:?}{:?}{:?}dle{}rr{}deep{}r4{:?}",
                 params.population,
                 params.topk,
                 params.epsilon,
                 params.max_rounds,
-                params.min_rounds,
                 params.seed,
                 params.model.dead_loop_elimination,
                 params.model.include_compute,

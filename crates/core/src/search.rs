@@ -15,6 +15,12 @@
 //! top-n on the (simulated) device, then breed the next population by
 //! mutation with selection probability ∝ 1/estimated-time.
 //!
+//! One extension to the paper: only the members the device has measured
+//! breed. Every fresh measurement after the first round is then one
+//! mutation step from a candidate that ran, so the convergence test asks
+//! whether any neighbour of what ran beats the incumbent, and it alone
+//! ends the search (no minimum round count overrides it).
+//!
 //! The search lives inside the pruned space: a population member is a
 //! Rule-4 survivor's [`CandidateSpace`] index plus its tile vector, and
 //! mutation returns the parent whenever its step would leave the
@@ -61,11 +67,6 @@ pub struct SearchParams {
     /// Safety bound on rounds (the convergence criterion normally fires
     /// much earlier).
     pub max_rounds: usize,
-    /// Minimum rounds before the convergence test may fire (gives the
-    /// mutation phase a chance to explore neighbors of the model's
-    /// top-ranked candidates, which matters when the coarse model
-    /// misranks the true optimum just outside the top-n window).
-    pub min_rounds: usize,
     /// RNG seed.
     pub seed: u64,
     /// Analytical-model variant guiding the search.
@@ -85,7 +86,6 @@ impl Default for SearchParams {
             topk: 8,
             epsilon: 0.01,
             max_rounds: 12,
-            min_rounds: 3,
             seed: 0x5EED,
             model: crate::perf_model::ModelOptions::default(),
             dead_loop_elimination: true,
@@ -469,12 +469,11 @@ pub fn heuristic_search(
         // measured candidates only (re-reading the cache is not evidence
         // of convergence). A round with nothing fresh to measure has
         // exhausted its neighborhood and also counts as converged.
-        let converged = round + 1 >= params.min_rounds
-            && match (&best, fresh_best) {
-                (Some((_, best_t, _, _)), Some(fb)) => fb >= best_t * (1.0 - params.epsilon),
-                (Some(_), None) => true,
-                _ => false,
-            };
+        let converged = match (&best, fresh_best) {
+            (Some((_, best_t, _, _)), Some(fb)) => fb >= best_t * (1.0 - params.epsilon),
+            (Some(_), None) => true,
+            _ => false,
+        };
 
         // Lines 13-16: update incumbent.
         let improved = best
@@ -489,13 +488,17 @@ pub fn heuristic_search(
             break;
         }
 
-        // Line 17: next population by estimate-weighted mutation.
-        let weights = breeding_weights(&estimates);
-        if weights.iter().sum::<f64>() <= 0.0 {
-            population = (0..params.population)
-                .map(|_| sample_idx(&mut rng))
-                .collect();
-            continue;
+        // Line 17: next population by estimate-weighted mutation, bred
+        // only from the members the device has measured. Every fresh
+        // measurement of the next round is then one mutation step from
+        // a candidate that ran, so the test above asks whether any
+        // neighbour of what ran beats the incumbent. The round's best
+        // ran, so the pool is never empty.
+        let mut weights = breeding_weights(&estimates);
+        for (w, m) in weights.iter_mut().zip(&population) {
+            if !measured_cache.get(&m.idx).is_some_and(Result::is_ok) {
+                *w = 0.0;
+            }
         }
         match breed_population(&population, &weights, space, &mut rng, params.population) {
             Some(next) => population = next,
@@ -794,15 +797,7 @@ mod tests {
                 assert!(child.idx < space.len());
                 assert_eq!(space.tiles_at(child.idx), child.tiles, "seed {seed}");
                 assert_eq!(space.expr_of(child.idx), space.expr_of(parent.idx));
-                let steps: Vec<usize> = (0..child.tiles.len())
-                    .filter(|&a| child.tiles[a] != parent.tiles[a])
-                    .map(|a| {
-                        let d = &space.tile_domains[a];
-                        let pos = |t| d.iter().position(|&x| x == t).unwrap();
-                        pos(child.tiles[a]).abs_diff(pos(parent.tiles[a]))
-                    })
-                    .collect();
-                match steps[..] {
+                match domain_steps(&space, &child.tiles, &parent.tiles)[..] {
                     [] => {
                         assert_eq!(child, parent);
                         stayed += 1;
@@ -812,6 +807,107 @@ mod tests {
                 }
             }
             assert!(moved > 0 && stayed > 0, "{}: {moved}/{stayed}", chain.name);
+        }
+    }
+
+    /// Per axis on which tile vectors `a` and `b` differ, how many
+    /// positions apart the two tiles sit in that axis's Rule-3 domain.
+    fn domain_steps(space: &CandidateSpace, a: &[u64], b: &[u64]) -> Vec<usize> {
+        (0..a.len())
+            .filter(|&x| a[x] != b[x])
+            .map(|x| {
+                let d = &space.tile_domains[x];
+                let pos = |t| d.iter().position(|&y| y == t).unwrap();
+                pos(a[x]).abs_diff(pos(b[x]))
+            })
+            .collect()
+    }
+
+    /// Search seeds the stop-rule and breeding-pool tests run: the default
+    /// and five more.
+    const SEEDS: [u64; 6] = [0x5EED, 1, 2, 3, 4, 5];
+
+    /// The golden chains and Fig. 8's G1 and S1, each with its pruned
+    /// space, on the A100 and the RTX 3080.
+    fn searched_cases() -> Vec<(ChainSpec, DeviceSpec, CandidateSpace)> {
+        let mut cases = Vec::new();
+        for dev in [DeviceSpec::a100(), DeviceSpec::rtx3080()] {
+            for chain in [
+                stitched_ffn(),
+                mlp3(),
+                ChainSpec::gemm_chain("G1", 1, 512, 256, 64, 64),
+                ChainSpec::attention("S1", 8, 512, 512, 64, 64),
+            ] {
+                let space = pruned_space(&chain, &dev);
+                cases.push((chain, dev.clone(), space));
+            }
+        }
+        cases
+    }
+
+    #[test]
+    fn the_search_stops_at_its_first_round_without_an_epsilon_gain() {
+        // Lines 10-12 of Algorithm 1 alone end a search: every round but
+        // the last beats the incumbent by more than ε, and a search that
+        // ends before `max_rounds` ends at the first round that does not.
+        for (chain, dev, space) in searched_cases() {
+            for seed in SEEDS {
+                let params = SearchParams {
+                    seed,
+                    ..SearchParams::default()
+                };
+                let out = heuristic_search(&chain, &dev, &space, &params, &TuningClock::new())
+                    .expect("a winner");
+                let h = &out.history;
+                let what = format!("{} on {} seed {seed:#x}: {h:?}", chain.name, dev.name);
+                assert_eq!(h.len(), out.rounds, "{what}");
+                let gains = |r: usize| h[r] < h[r - 1] * (1.0 - params.epsilon);
+                assert!((1..h.len() - 1).all(gains), "{what}");
+                if out.rounds < params.max_rounds {
+                    assert!(h.len() >= 2 && !gains(h.len() - 1), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_next_round_breeds_only_from_candidates_that_ran() {
+        // Cut a search after one round and after two at the same seed:
+        // the first round's path is the same in both, and every candidate
+        // the second round measures is one mutation step (one axis, one
+        // Rule-3-domain position, the same expression) from one the
+        // first round measured.
+        for (chain, dev, space) in searched_cases() {
+            for seed in SEEDS {
+                let measured = |max_rounds| {
+                    let params = SearchParams {
+                        seed,
+                        max_rounds,
+                        ..SearchParams::default()
+                    };
+                    heuristic_search(&chain, &dev, &space, &params, &TuningClock::new())
+                        .expect("a winner")
+                        .measured_set
+                        .indexed
+                };
+                let (first, second) = (measured(1), measured(2));
+                let what = format!("{} on {} seed {seed:#x}", chain.name, dev.name);
+                assert!(
+                    first.iter().all(|i| second.binary_search(i).is_ok()),
+                    "{what}"
+                );
+                let one_step = |i: u64, j: u64| {
+                    space.expr_of(i) == space.expr_of(j)
+                        && domain_steps(&space, &space.tiles_at(i), &space.tiles_at(j)) == [1]
+                };
+                for &i in second.iter().filter(|i| first.binary_search(i).is_err()) {
+                    assert!(
+                        first.iter().any(|&j| one_step(i, j)),
+                        "{what}: {:?} is no step from what round 1 ran",
+                        space.tiles_at(i)
+                    );
+                }
+            }
         }
     }
 
@@ -935,34 +1031,35 @@ mod tests {
             (
                 stitched_ffn(),
                 SearchParams::default(),
-                "mnkh[m=16,k=32,n=512,h=256] t=3ee69153ca2115ce rounds=3 measured=24 refused=0 \
-                 illegal=0 indexed=24/3d0e890cd95f36ca detached=0 \
-                 history=[3ee69153ca2115ce,3ee69153ca2115ce,3ee69153ca2115ce] \
-                 compiles=24 measurements=24 estimates=451 vs=404637e491d8a01d",
+                "mnkh[m=16,k=32,n=512,h=256] t=3ee69153ca2115ce rounds=2 measured=16 refused=0 \
+                 illegal=0 indexed=16/423d9ad49af1468b detached=0 \
+                 history=[3ee69153ca2115ce,3ee69153ca2115ce] \
+                 compiles=16 measurements=16 estimates=323 vs=403d9fdf61408866",
             ),
             (
                 stitched_ffn(),
                 random.clone(),
-                "mnkh[m=16,k=32,n=512,h=256] t=3ee69153ca2115ce rounds=3 measured=21 refused=0 \
-                 illegal=0 indexed=21/13a4318f99e98ca0 detached=0 \
-                 history=[3ee69153ca2115ce,3ee69153ca2115ce,3ee69153ca2115ce] \
-                 compiles=21 measurements=21 estimates=451 vs=40437478211d8969",
+                "mnkh[m=16,k=32,n=512,h=256] t=3ee69153ca2115ce rounds=2 measured=16 refused=0 \
+                 illegal=0 indexed=16/36d635cc8eca5a43 detached=0 \
+                 history=[3ee69153ca2115ce,3ee69153ca2115ce] \
+                 compiles=16 measurements=16 estimates=323 vs=403da4d35401b07e",
             ),
             (
                 mlp3(),
                 SearchParams::default(),
-                "mhnkp[m=16,k=128,n=32,h=256,p=80] t=3f1a68e245b66c56 rounds=4 measured=32 \
-                 refused=0 illegal=0 indexed=32/7742181848eb12e8 detached=0 \
-                 history=[3f1fb07e5a973b7f,3f1fb07e5a973b7f,3f1a68e245b66c56,3f1a68e245b66c56] \
-                 compiles=32 measurements=32 estimates=512 vs=404dd3c23f1655ea",
+                "mhnkp[m=16,k=112,n=64,h=256,p=128] t=3f1b5a404c765e16 rounds=5 measured=40 \
+                 refused=0 illegal=0 indexed=40/6dda3b30a2e7dc7 detached=0 \
+                 history=[3f1fb07e5a973b7f,3f1c94eabcb48d70,3f1bc3cca9eb80ad,3f1b5a404c765e16,\
+                 3f1b5a404c765e16] \
+                 compiles=40 measurements=40 estimates=640 vs=4052a053655a563d",
             ),
             (
                 mlp3(),
                 random,
-                "mhnkp[m=32,k=384,n=64,h=112,p=96] t=3f307f3f650bce1b rounds=3 measured=16 \
+                "mhnkp[m=32,k=384,n=64,h=112,p=96] t=3f307f3f650bce1b rounds=2 measured=16 \
                  refused=0 illegal=0 indexed=16/301e30f9c118c115 detached=0 \
-                 history=[3f307f3f650bce1b,3f307f3f650bce1b,3f307f3f650bce1b] \
-                 compiles=16 measurements=16 estimates=384 vs=403e7d513b962bc7",
+                 history=[3f307f3f650bce1b,3f307f3f650bce1b] \
+                 compiles=16 measurements=16 estimates=256 vs=403e7d513b962bc7",
             ),
         ];
         let moved: Vec<String> = pins

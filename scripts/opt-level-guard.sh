@@ -12,9 +12,10 @@
 #     target/release/<bin> > results/paper/<bin>.txt
 #
 # Every binary runs the paper's full size and takes no arguments. On a
-# 2-vCPU host the ten took about 23 s as shipped and 96 s at opt-level
-# 0, nearly all of it fig8, fig9 and table4 (the simulated Ansor's 1000
-# trials); the whole guard, with incremental builds, took 133 s.
+# 2-vCPU host the ten figure and table binaries took about 23 s as
+# shipped and 96 s at opt-level 0, nearly all of it fig8, fig9 and
+# table4 (the simulated Ansor's 1000 trials), and search_seeds 0.5 s and
+# 2.6 s; the whole guard, with incremental builds, took 131 s.
 #
 # Usage, from the root of a checkout:
 #
@@ -38,6 +39,7 @@ BINS=(
     table1_comparison
     table4_tuning_time
     ablation
+    search_seeds
 )
 
 cargo build --release --offline -p mcfuser-bench --bins

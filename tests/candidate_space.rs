@@ -434,7 +434,6 @@ fn candidates_beyond_the_old_cap_are_reachable_and_searched() {
         population: 32,
         topk: 4,
         max_rounds: 2,
-        min_rounds: 1,
         ..Default::default()
     };
     let clock = TuningClock::new();
