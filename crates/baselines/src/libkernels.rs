@@ -113,7 +113,6 @@ pub fn matmul_program(
                     a: sa,
                     b: sb,
                     acc: sc,
-                    b_transposed: false,
                     acc_col: 0,
                 },
             ],

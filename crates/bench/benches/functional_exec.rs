@@ -36,11 +36,23 @@ fn bench(c: &mut Criterion) {
     });
     g.finish();
 
-    // (m, k, n): the tiles of serve's FFN and Mixer kernels, a 16-column
-    // tile, and decode's m = 1 projection GEMV. One call is m·k·n MACs.
+    // (m, k, n): serve's FFN, Mixer and attention tiles, decode's m = 1
+    // and m = 2 projection GEMVs, one head of the KV scatter, and a
+    // 64-row block. One call is m·k·n MACs.
     let mut g = c.benchmark_group("host_gemm");
     g.sample_size(200);
-    for (m, k, n) in [(16, 128, 64), (16, 64, 128), (16, 64, 16), (1, 128, 384)] {
+    for (m, k, n) in [
+        (16, 128, 64),
+        (16, 64, 128),
+        (16, 64, 16),
+        (16, 32, 16),
+        (16, 64, 32),
+        (32, 1, 32),
+        (1, 128, 128),
+        (1, 128, 384),
+        (2, 128, 512),
+        (64, 128, 128),
+    ] {
         let fill = |len: usize, salt: f32| -> Vec<f32> {
             (0..len).map(|i| (i as f32 * 0.37 + salt).sin()).collect()
         };

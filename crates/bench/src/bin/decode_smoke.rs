@@ -15,9 +15,10 @@
 //! * per-step latency reservoirs (virtual and wall clock) are populated.
 //!
 //! Prints tokens/s and per-step p50/p95 on both clocks, and writes the
-//! virtual-clock report to `results/decode_smoke.json`. Wall-clock
-//! numbers stay on stdout, so the tracked file changes only when a
-//! virtual number or a count does.
+//! virtual-clock report and a digest of every logit to
+//! `results/decode_smoke.json`. Wall-clock numbers stay on stdout, so
+//! the tracked file changes only when a virtual number, a count or a
+//! logit's bits do.
 //!
 //! ```sh
 //! cargo run --release -p mcfuser-bench --bin decode_smoke
@@ -250,7 +251,7 @@ fn main() {
     // ---- Width-4 lockstep decode --------------------------------------
     let batch_start = Instant::now();
     let barrier = Arc::new(Barrier::new(WIDTH));
-    let lane0_logits = std::thread::scope(|scope| {
+    let lane_logits = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..WIDTH)
             .map(|lane| {
                 let serving = batched.clone();
@@ -270,11 +271,10 @@ fn main() {
                 })
             })
             .collect();
-        let mut lanes: Vec<Vec<Vec<f32>>> = handles
+        handles
             .into_iter()
             .map(|h| h.join().expect("decode lane"))
-            .collect();
-        lanes.swap_remove(0)
+            .collect::<Vec<Vec<Vec<f32>>>>()
     });
     let batched_wall = batch_start.elapsed().as_secs_f64();
     println!(
@@ -288,7 +288,7 @@ fn main() {
 
     // The coalesced path is bit-identical to serial decode...
     assert_eq!(
-        lane0_logits, serial_logits,
+        lane_logits[0], serial_logits,
         "coalesced decode must match width-1 decode bit for bit"
     );
     // ...actually coalesced...
@@ -332,10 +332,12 @@ fn main() {
     let serial_report = serde_json::json!({
         "tokens_per_s_virtual": tokens_per_s_virtual,
         "per_token_virtual_s": serial_per_token,
+        "logits_digest": mcfuser_bench::f32_digest(serial_logits.iter().map(Vec::as_slice)),
         "plans": serial_plans,
     });
     let batched_report = serde_json::json!({
         "width": WIDTH,
+        "logits_digest": mcfuser_bench::f32_digest(lane_logits.iter().flatten().map(Vec::as_slice)),
         "per_token_virtual_s": batched_per_token,
         "widened_launches": widened,
         "batch_sizes": batched_stats

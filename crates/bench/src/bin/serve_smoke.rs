@@ -18,6 +18,11 @@
 //! caches, so every output equality assert is also a determinism check
 //! across runtimes.
 //!
+//! Writes the counts, virtual-clock numbers and a digest of the served
+//! bits per `(model, seed)` to `results/serve_smoke.json`. Wall-clock
+//! numbers stay on stdout, so the tracked file changes only when a
+//! count, a virtual number or a served bit does.
+//!
 //! ```sh
 //! cargo run --release -p mcfuser-bench --bin serve_smoke
 //! ```
@@ -98,9 +103,10 @@ fn run_workload(
     start.elapsed().as_secs_f64()
 }
 
-/// Per-mode summary: wall throughput, virtual-clock throughput
-/// (requests per virtual device second actually occupied), and the
-/// per-plan latency report. Panics on the per-mode invariants.
+/// Per-mode summary: virtual-clock throughput (requests per virtual
+/// device second actually occupied) and the per-plan latency report,
+/// with wall-clock numbers printed only. Panics on the per-mode
+/// invariants.
 fn summarize(mode: &str, stats: &RuntimeStats, wall: f64, issued: u64) -> serde_json::Value {
     assert_eq!(stats.requests, issued, "every {mode} request counted");
     assert_eq!(stats.failed, 0, "no {mode} request failed");
@@ -117,7 +123,7 @@ fn summarize(mode: &str, stats: &RuntimeStats, wall: f64, issued: u64) -> serde_
         println!(
             "  {:>9}: {} requests, p50 {:.1} us, p95 {:.1} us, {:.2} MB moved, busy {:.1} us, \
              {} fused / {} reference steps ({} elementwise), {:.2}/{:.2} MB per request, \
-             wall p50 {:.1} us, wall p95 {:.1} us",
+             wall p50 {:.1} us, wall p95 {:.1} us, wall busy {:.1} us",
             p.model,
             p.requests,
             p.p50_latency * 1e6,
@@ -131,6 +137,7 @@ fn summarize(mode: &str, stats: &RuntimeStats, wall: f64, issued: u64) -> serde_
             p.reference_bytes_per_request / 1e6,
             p.wall_p50_latency * 1e6,
             p.wall_p95_latency * 1e6,
+            p.wall_busy * 1e6,
         );
         assert!(p.p95_latency >= p.p50_latency && p.p50_latency > 0.0);
         assert!(
@@ -143,9 +150,6 @@ fn summarize(mode: &str, stats: &RuntimeStats, wall: f64, issued: u64) -> serde_
             "requests": p.requests,
             "p50_latency_s": p.p50_latency,
             "p95_latency_s": p.p95_latency,
-            "wall_p50_latency_s": p.wall_p50_latency,
-            "wall_p95_latency_s": p.wall_p95_latency,
-            "wall_busy_s": p.wall_busy,
             "bytes_moved": p.bytes_moved,
             "virtual_busy_s": p.virtual_busy,
             "fused_steps": p.fused_steps,
@@ -156,8 +160,6 @@ fn summarize(mode: &str, stats: &RuntimeStats, wall: f64, issued: u64) -> serde_
         }));
     }
     serde_json::json!({
-        "wall_seconds": wall,
-        "req_per_s_wall": issued as f64 / wall,
         "req_per_s_virtual": virtual_rps,
         "virtual_busy_s": virtual_busy,
         "batch_sizes": stats
@@ -342,12 +344,23 @@ fn main() {
         "continuous batching must at least double virtual throughput, got {speedup:.2}x"
     );
 
+    // Every response equals its (model, seed) entry in `expected`, so
+    // these digests cover every served bit.
+    let mut output_digests = serde_json::Map::new();
+    for (m, per_seed) in MODELS.iter().zip(&expected) {
+        let digests: Vec<String> = per_seed
+            .iter()
+            .map(|out| mcfuser_bench::f32_digest([out.as_slice()]))
+            .collect();
+        output_digests.insert(m.to_string(), digests.into());
+    }
     mcfuser_bench::write_json(
         "serve_smoke",
         &serde_json::json!({
             "threads": THREADS,
             "requests": issued,
             "cache_hits": engine.stats().cache_hits,
+            "output_digests": output_digests,
             "serial": serial_report,
             "batched": batched_report,
             "virtual_speedup": speedup,

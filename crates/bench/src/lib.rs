@@ -140,6 +140,18 @@ pub fn write_json(name: &str, value: &serde_json::Value) {
     }
 }
 
+/// FNV-1a digest of `f32` tensors by their bits, in order, as 16 hex
+/// digits: two runs that print the same digest produced the same bits.
+pub fn f32_digest<'a>(tensors: impl IntoIterator<Item = &'a [f32]>) -> String {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for x in tensors.into_iter().flatten() {
+        for byte in x.to_bits().to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01B3);
+        }
+    }
+    format!("{h:016x}")
+}
+
 /// Format seconds with an adaptive unit.
 pub fn fmt_time(seconds: f64) -> String {
     if !seconds.is_finite() {

@@ -295,7 +295,9 @@ fn eval_bmm(
             mcfuser_sim::gemm(ap, bp, op, m, n, k, n);
             continue;
         }
-        // Sequential-k dot products: the interpreter's transposed order.
+        // Sequential-k dot products (attention's `q·kᵀ`). Fused kernels
+        // never transpose a GEMM operand: they stage `kᵀ` transposed into
+        // its buffer and run the one kernel.
         for i in 0..m {
             let arow = &ap[i * k..(i + 1) * k];
             for j in 0..n {

@@ -51,14 +51,15 @@ impl DType {
     }
 }
 
-/// Zero the low `bits` mantissa bits of an `f32`.
+/// Zero the low `bits` mantissa bits of a finite `f32`; ±∞ and NaN
+/// (exponent all ones) keep every bit. The mask is chosen from the
+/// exponent without a branch, so a row of loads vectorizes.
 #[inline]
 fn truncate_mantissa(v: f32, bits: u32) -> f32 {
-    if !v.is_finite() {
-        return v;
-    }
+    const EXPONENT: u32 = 0x7F80_0000;
     let raw = v.to_bits();
-    let mask = !((1u32 << bits) - 1);
+    let non_finite = u32::from(raw & EXPONENT == EXPONENT);
+    let mask = !((1u32 << bits) - 1) | non_finite.wrapping_neg();
     f32::from_bits(raw & mask)
 }
 
@@ -108,10 +109,36 @@ mod tests {
         assert_eq!(DType::F16.quantize(-0.25), -0.25);
     }
 
+    /// ±∞ and every NaN keep all their bits, payload included: a NaN
+    /// whose payload sits in the truncated bits must not become ∞.
     #[test]
     fn quantize_preserves_non_finite() {
-        assert!(DType::F16.quantize(f32::NAN).is_nan());
-        assert_eq!(DType::F16.quantize(f32::INFINITY), f32::INFINITY);
+        let non_finite = [
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7F80_0001),
+            f32::from_bits(0xFF80_1FFF),
+            f32::from_bits(0x7FC0_FFFF),
+        ];
+        for dt in [DType::F16, DType::Bf16, DType::F32] {
+            for v in non_finite {
+                assert_eq!(
+                    dt.quantize(v).to_bits(),
+                    v.to_bits(),
+                    "{dt} {:#x}",
+                    v.to_bits()
+                );
+            }
+        }
+        // The largest finite values are truncated, not kept.
+        let max = f32::MAX;
+        assert_eq!(DType::F16.quantize(max).to_bits(), max.to_bits() & !0x1FFF);
+        assert_eq!(
+            DType::Bf16.quantize(-max).to_bits(),
+            (-max).to_bits() & !0xFFFF
+        );
     }
 
     #[test]

@@ -571,14 +571,8 @@ fn run_stmts(
                 );
             }
             BlockStmt::Fill { dst, value } => smem.bufs[dst.0].fill(*value),
-            BlockStmt::Gemm {
-                a,
-                b,
-                acc,
-                b_transposed,
-                acc_col,
-            } => {
-                gemm_tiles(smem, *a, *b, *acc, *b_transposed, *acc_col as usize);
+            BlockStmt::Gemm { a, b, acc, acc_col } => {
+                gemm_tiles(smem, *a, *b, *acc, *acc_col as usize);
             }
             BlockStmt::OnlineSoftmax {
                 scores,
@@ -1000,42 +994,22 @@ fn store_tile(src: &[f32], rows: u64, cols: u64, dt: DType, dst: &mut HostTensor
 /// Validation rejects a GEMM whose accumulator is one of its operands
 /// ([`ProgramError::GemmAliased`](crate::ProgramError::GemmAliased)), so
 /// the accumulator can be taken out while the operands are read.
-fn gemm_tiles(
-    smem: &mut Smem,
-    a: SmemId,
-    b: SmemId,
-    acc: SmemId,
-    b_transposed: bool,
-    acc_col: usize,
-) {
+fn gemm_tiles(smem: &mut Smem, a: SmemId, b: SmemId, acc: SmemId, acc_col: usize) {
     let (m, k) = (smem.rows[a.0] as usize, smem.cols[a.0] as usize);
-    let n = if b_transposed {
-        smem.rows[b.0] as usize
-    } else {
-        smem.cols[b.0] as usize
-    };
+    let n = smem.cols[b.0] as usize;
     let stride = smem.cols[acc.0] as usize;
     debug_assert_eq!(smem.rows[acc.0] as usize, m);
     debug_assert!(acc_col + n <= stride);
     let mut accv = std::mem::take(&mut smem.bufs[acc.0]);
-    let (av, bv, out) = (&smem.bufs[a.0], &smem.bufs[b.0], &mut accv[acc_col..]);
-    if b_transposed {
-        // b is n×k: each element sums its dot product in k order, then
-        // adds it once.
-        for i in 0..m {
-            let arow = &av[i * k..(i + 1) * k];
-            for j in 0..n {
-                let mut s = 0.0f32;
-                let brow = &bv[j * k..(j + 1) * k];
-                for kk in 0..k {
-                    s += arow[kk] * brow[kk];
-                }
-                out[i * stride + j] += s;
-            }
-        }
-    } else {
-        crate::gemm(av, bv, out, m, n, k, stride);
-    }
+    crate::gemm(
+        &smem.bufs[a.0],
+        &smem.bufs[b.0],
+        &mut accv[acc_col..],
+        m,
+        n,
+        k,
+        stride,
+    );
     smem.bufs[acc.0] = accv;
 }
 
@@ -1216,7 +1190,6 @@ mod tests {
                         a: sa,
                         b: sb,
                         acc: sc,
-                        b_transposed: false,
                         acc_col: 0,
                     },
                 ],
@@ -1485,69 +1458,6 @@ mod tests {
         st.tensors[0] = rand_tensor(&[2, 4, 4], 9);
         execute(&p, &mut st).unwrap();
         assert_eq!(st.tensors[1].data, st.tensors[0].data);
-    }
-
-    #[test]
-    fn gemm_b_transposed() {
-        // C = A × Bᵀ with B stored n×k.
-        let mut bld = ProgramBuilder::new("mmT", DType::F32);
-        let a_buf = bld.buffer("A", vec![8, 4], DType::F32, BufferRole::Input);
-        let b_buf = bld.buffer("B", vec![8, 4], DType::F32, BufferRole::Input);
-        let c_buf = bld.buffer("C", vec![8, 8], DType::F32, BufferRole::Output);
-        let sa = bld.smem("sA", 8, 4, DType::F32);
-        let sb = bld.smem("sB", 8, 4, DType::F32);
-        let sc = bld.smem("sC", 8, 8, DType::F32);
-        let z = VarRef::Zero;
-        let body = vec![
-            BlockStmt::Fill {
-                dst: sc,
-                value: 0.0,
-            },
-            BlockStmt::Load {
-                src: TileAccess {
-                    buf: a_buf,
-                    indices: vec![TileIndex { var: z, tile: 8 }, TileIndex { var: z, tile: 4 }],
-                },
-                dst: sa,
-            },
-            BlockStmt::Load {
-                src: TileAccess {
-                    buf: b_buf,
-                    indices: vec![TileIndex { var: z, tile: 8 }, TileIndex { var: z, tile: 4 }],
-                },
-                dst: sb,
-            },
-            BlockStmt::Gemm {
-                a: sa,
-                b: sb,
-                acc: sc,
-                b_transposed: true,
-                acc_col: 0,
-            },
-            BlockStmt::Store {
-                dst: TileAccess {
-                    buf: c_buf,
-                    indices: vec![TileIndex { var: z, tile: 8 }, TileIndex { var: z, tile: 8 }],
-                },
-                src: sc,
-            },
-        ];
-        let p = bld.finish(body);
-        let mut st = TensorStorage::for_program(&p);
-        st.tensors[0] = rand_tensor(&[8, 4], 11);
-        st.tensors[1] = rand_tensor(&[8, 4], 12);
-        execute(&p, &mut st).unwrap();
-        // Reference: C[i][j] = Σ_k A[i][k] * B[j][k].
-        for i in 0..8 {
-            for j in 0..8 {
-                let mut s = 0.0;
-                for kk in 0..4 {
-                    s += st.tensors[0].data[i * 4 + kk] * st.tensors[1].data[j * 4 + kk];
-                }
-                let got = st.tensors[2].data[i * 8 + j];
-                assert!((got - s).abs() < 1e-5);
-            }
-        }
     }
 
     /// Flat index of tile element `(r, c)` at `origin` in `t`, or `None`

@@ -192,13 +192,11 @@ pub enum BlockStmt {
     /// Fill a shared buffer with a constant (accumulator init, `-inf` for
     /// softmax row maxima, ...).
     Fill { dst: SmemId, value: f32 },
-    /// Tensor-core tile GEMM: `acc += a × b` (or `a × bᵀ`).
+    /// Tensor-core tile GEMM: `acc += a × b`, with `b` K×N.
     Gemm {
         a: SmemId,
         b: SmemId,
         acc: SmemId,
-        /// Interpret `b` as transposed (`rows` = N, `cols` = K).
-        b_transposed: bool,
         /// Column offset into `acc` where this GEMM's `N` columns land.
         /// A chunked final stage streams its weight panel in column
         /// slices and fills the accumulator slice by slice; whole-tile
@@ -531,13 +529,7 @@ impl TileProgram {
                 BlockStmt::Fill { dst, .. } => {
                     self.smem_decl(*dst)?;
                 }
-                BlockStmt::Gemm {
-                    a,
-                    b,
-                    acc,
-                    b_transposed,
-                    acc_col,
-                } => {
+                BlockStmt::Gemm { a, b, acc, acc_col } => {
                     if acc == a || acc == b {
                         return Err(ProgramError::GemmAliased {
                             a: *a,
@@ -550,12 +542,8 @@ impl TileProgram {
                         self.smem_decl(*b)?,
                         self.smem_decl(*acc)?,
                     );
-                    let (bk, bn) = if *b_transposed {
-                        (db.cols, db.rows)
-                    } else {
-                        (db.rows, db.cols)
-                    };
-                    if da.cols != bk || da.rows != dacc.rows || *acc_col + bn > dacc.cols {
+                    if da.cols != db.rows || da.rows != dacc.rows || *acc_col + db.cols > dacc.cols
+                    {
                         return Err(ProgramError::GemmShapeMismatch {
                             a: *a,
                             b: *b,
@@ -909,7 +897,6 @@ mod tests {
                 a: sa,
                 b: sb,
                 acc: sc,
-                b_transposed: false,
                 acc_col: 0,
             },
             BlockStmt::Store {
@@ -964,7 +951,6 @@ mod tests {
             a: SmemId(a),
             b: SmemId(b),
             acc: SmemId(acc),
-            b_transposed: false,
             acc_col: 0,
         };
         let at = p

@@ -38,15 +38,8 @@ fn render_stmts(p: &TileProgram, stmts: &[BlockStmt], indent: usize, out: &mut S
                     d.name, p.buffers[dst.buf.0].name, d.rows, d.cols
                 ));
             }
-            BlockStmt::Gemm {
-                a,
-                b,
-                acc,
-                b_transposed,
-                acc_col,
-            } => {
+            BlockStmt::Gemm { a, b, acc, acc_col } => {
                 let (da, db, dacc) = (&p.smem[a.0], &p.smem[b.0], &p.smem[acc.0]);
-                let n = if *b_transposed { db.rows } else { db.cols };
                 let at = if *acc_col > 0 {
                     format!(" @col {acc_col}")
                 } else {
@@ -54,7 +47,7 @@ fn render_stmts(p: &TileProgram, stmts: &[BlockStmt], indent: usize, out: &mut S
                 };
                 out.push_str(&format!(
                     "{pad}mma {}{at} += {} x {}   [{}x{}x{}]\n",
-                    dacc.name, da.name, db.name, da.rows, n, da.cols
+                    dacc.name, da.name, db.name, da.rows, db.cols, da.cols
                 ));
             }
             BlockStmt::Fill { dst, value } => {
@@ -236,7 +229,6 @@ mod tests {
                         a: sx,
                         b: sw,
                         acc: so,
-                        b_transposed: false,
                         acc_col: 0,
                     },
                 ],

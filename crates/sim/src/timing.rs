@@ -152,14 +152,12 @@ fn walk(p: &TileProgram, stmts: &[BlockStmt], trips: f64, st: &mut BlockStats) {
                 *st.store_bytes.entry(dst.buf).or_default() += bytes;
                 st.smem_traffic += bytes;
             }
-            BlockStmt::Gemm {
-                a, b, b_transposed, ..
-            } => {
+            BlockStmt::Gemm { a, b, .. } => {
                 let (da, db) = (&p.smem[a.0], &p.smem[b.0]);
                 let (m, k) = (da.rows, da.cols);
                 // A chunked final stage writes a column slice of the
                 // accumulator, so the MAC count follows the B tile.
-                let n = if *b_transposed { db.rows } else { db.cols };
+                let n = db.cols;
                 let flops = 2.0 * (m * n * k) as f64 * trips;
                 st.gemm_flops.push((flops, mma_efficiency(m, n, k)));
                 // Operand reads from smem (accumulator lives in registers).
@@ -513,7 +511,6 @@ mod tests {
                         a: sa,
                         b: sb,
                         acc: sc,
-                        b_transposed: false,
                         acc_col: 0,
                     },
                 ],

@@ -1090,7 +1090,6 @@ mod tests {
                 a: sa,
                 b: sw,
                 acc: sc,
-                b_transposed: false,
                 acc_col: 0,
             },
             BlockStmt::Store {

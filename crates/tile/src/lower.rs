@@ -1062,7 +1062,6 @@ fn emit_stmt(s: Stmt, ctx: &EmitCtx<'_>, out: &mut Vec<BlockStmt>) {
                             a,
                             b: b_tile,
                             acc: ctx.accs[op],
-                            b_transposed: false,
                             acc_col: c * chunk,
                         });
                     }
@@ -1073,7 +1072,6 @@ fn emit_stmt(s: Stmt, ctx: &EmitCtx<'_>, out: &mut Vec<BlockStmt>) {
                 a,
                 b: b_tile,
                 acc: ctx.accs[op],
-                b_transposed: false,
                 acc_col: 0,
             });
         }
