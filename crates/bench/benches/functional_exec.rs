@@ -2,35 +2,72 @@
 //! the simulator — the correctness-oracle path — and the host GEMM kernel
 //! every fused kernel and reference projection runs, at the tile shapes
 //! serving and decoding call it with.
+//!
+//! The fused launches fold each grid row's blocks into lanes that share
+//! the row-invariant work: the 2-GEMM chain's grid `[1, 4, 5]` and
+//! serve's Mixer `ch.fc2` kernel (`[1, 4, 8]`) share their first GEMM,
+//! and serve's BERT-mini attention kernel (`[4, 4, 2]`) shares `QKᵀ` and
+//! the softmax.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mcfuser_ir::ChainSpec;
+use mcfuser_ir::{ChainSpec, EpilogueStitch, ResidualSource};
 use mcfuser_sim::{execute_with_arena, gemm, BufferArena, TensorStorage, VerifiedProgram};
 use mcfuser_tile::{lower, Candidate, LoweringOptions, TilingExpr};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    let chain = ChainSpec::gemm_chain("bench", 1, 128, 96, 64, 80);
-    let cand = Candidate::new(
-        TilingExpr::parse("mhnk", &chain).unwrap(),
-        vec![32, 32, 32, 16],
-    );
-    let k = lower(&chain, &cand, &LoweringOptions::default()).unwrap();
-    // Verified once, as a plan does; the timed loop measures execution.
-    let program = VerifiedProgram::new(k.program).unwrap();
-    let inputs = chain.random_inputs(1);
+    let mut mixer_fc2 = ChainSpec::gemm_chain("ch.fc2", 1, 64, 512, 128, 128);
+    mixer_fc2.stitch_epilogue = Some(EpilogueStitch {
+        residual: ResidualSource::External,
+        layer_norm: false,
+        affine: false,
+        eps: 1e-5,
+    });
+    let launches = [
+        (
+            "fused_2gemm_128x96",
+            ChainSpec::gemm_chain("bench", 1, 128, 96, 64, 80),
+            "mhnk",
+            vec![32, 32, 32, 16],
+        ),
+        (
+            "serve_attention_4x4x2",
+            ChainSpec::attention("attn", 4, 64, 64, 32, 32),
+            "mnkh",
+            vec![16, 32, 64, 16],
+        ),
+        (
+            "serve_mixer_fc2_1x4x8",
+            mixer_fc2,
+            "mnkh",
+            vec![16, 128, 64, 16],
+        ),
+    ];
     let mut g = c.benchmark_group("functional_exec");
     g.sample_size(20);
-    g.bench_function("fused_2gemm_128x96", |b| {
-        b.iter(|| {
-            let mut st = TensorStorage::for_program(&program);
-            for (i, t) in inputs.iter().enumerate() {
-                st.tensors[i] = t.clone();
-            }
-            execute_with_arena(black_box(&program), &mut st, &mut BufferArena::new()).unwrap();
-            st
-        })
-    });
+    for (name, chain, expr, tiles) in &launches {
+        let cand = Candidate::new(TilingExpr::parse(expr, chain).unwrap(), tiles.clone());
+        let k = lower(chain, &cand, &LoweringOptions::default()).unwrap();
+        // Verified once, as a plan does; the timed loop measures execution.
+        let program = VerifiedProgram::new(k.program).unwrap();
+        assert!(
+            program.lanes().is_some(),
+            "{name} shares work across its rows"
+        );
+        let inputs = chain.random_inputs(1);
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let mut st = TensorStorage::for_program(&program);
+                for (i, t) in inputs.iter().enumerate() {
+                    st.tensors[i] = t.clone();
+                }
+                execute_with_arena(black_box(&program), &mut st, &mut BufferArena::new()).unwrap();
+                st
+            })
+        });
+    }
+    let (_, chain, ..) = &launches[0];
+    let inputs = chain.random_inputs(1);
     g.bench_function("cpu_reference_128x96", |b| {
         b.iter(|| chain.reference(black_box(&inputs)))
     });

@@ -27,10 +27,10 @@
 //! Widened programs are re-verified (as
 //! [`VerifiedProgram::widened`]) and re-[`measure`]d per width, and
 //! cached per `(plan, width)`.
-//! Programs that widening cannot prove safe (a `Temp` buffer, a
-//! non-weight input without a leading batch index, a batch-replicated
-//! weight) fall back to serial execution — correctness never depends
-//! on widening succeeding.
+//! Programs that widening cannot prove safe (a non-weight input
+//! without a leading batch index, a batch-replicated weight) fall back
+//! to serial execution — correctness never depends on widening
+//! succeeding.
 //!
 //! Outputs are **bit-identical** to serial execution by construction:
 //! blocks of the functional interpreter execute independently, so a
@@ -369,9 +369,6 @@ fn widen_step(plan: &ExecutablePlan, s: usize, width: usize) -> Option<WidenedSt
     let mut j = 0usize;
     for (bi, buf) in p.buffers.iter_mut().enumerate() {
         match buf.role {
-            // Temps only appear in unfused pipelines; a fused program
-            // carrying one is outside the widening contract.
-            BufferRole::Temp => return None,
             BufferRole::Output => {
                 if !any_access[bi] || !all_batch_led[bi] || buf.shape.first() != Some(&batch) {
                     return None;

@@ -13,16 +13,28 @@
 //! verifies its argument first. Launches check only the caller's
 //! storage.
 //!
-//! Blocks are executed sequentially in grid order. Grid dimensions bind
-//! only spatial loops (each block writes a disjoint output region), so
-//! sequential execution is observationally equivalent to any parallel
-//! interleaving.
+//! Blocks run one grid *row* at a time. A row is the blocks that differ
+//! only in the last grid index (lowering's `d_L` tile), its *lanes*.
+//! When the verifier found statements that compute the same values in
+//! every lane ([`Lanes`]), the executor walks the body once per row:
+//! such a statement runs once for the row, every other statement once
+//! per lane on that lane's own copies of the per-lane tiles, and a
+//! shared `OnlineSoftmax` rescales each lane's accumulator by the same
+//! factors. Otherwise a row is one block, and blocks run one at a time
+//! in row-major order.
+//!
+//! Either way every block does the same operations on the same values
+//! in the same order as it would alone, so results are bit for bit
+//! those of any block order: the verifier proves that blocks store
+//! disjoint regions and that no program reads a buffer it stores, so no
+//! block observes another, and a statement that runs once per row reads
+//! nothing that differs between the row's lanes.
 
 use rustc_hash::FxHashMap;
 
 use crate::dtype::DType;
-use crate::kernel::{BlockStmt, BufferRole, SmemId, TileAccess, TileProgram, VarRef};
-use crate::verify::{VerifiedProgram, VerifyError};
+use crate::kernel::{BlockStmt, BufferRole, SmemDecl, SmemId, TileAccess, TileProgram, VarRef};
+use crate::verify::{Lanes, VerifiedProgram, VerifyError};
 
 /// A host-side tensor backing a global buffer.
 #[derive(Debug, Clone, PartialEq)]
@@ -182,7 +194,7 @@ impl TensorStorage {
     ///
     /// Input-role buffers come back **unzeroed** (the caller must stage
     /// every element before executing — which the serving plan does);
-    /// output/temp buffers are zeroed as usual.
+    /// output buffers are zeroed as usual.
     pub fn for_program_in(p: &TileProgram, arena: &mut BufferArena) -> Self {
         TensorStorage {
             tensors: p
@@ -239,7 +251,7 @@ impl TensorStorage {
         Ok(&mut t.data[offset..end])
     }
 
-    /// Zero every output/temp buffer (so a storage can be re-used across
+    /// Zero every output buffer (so a storage can be re-used across
     /// kernel invocations without stale results).
     pub fn clear_outputs(&mut self, p: &TileProgram) {
         for (t, decl) in self.tensors.iter_mut().zip(&p.buffers) {
@@ -360,7 +372,8 @@ impl From<VerifyError> for ExecError {
     }
 }
 
-/// Per-block shared-memory arena.
+/// Per-block shared-memory arena (lane 0's, when a row runs in
+/// lockstep).
 struct Smem {
     bufs: Vec<Vec<f32>>,
     rows: Vec<u64>,
@@ -387,8 +400,51 @@ impl Smem {
     }
 }
 
+/// The per-lane tiles of lanes `1..count` of a row in lockstep: lane
+/// `l` owns `bufs[(l - 1) * n..l * n]`, one copy of each of the `n`
+/// per-lane tiles, while lane 0 uses [`Smem`]'s own.
+struct LaneCopies {
+    bufs: Vec<Vec<f32>>,
+}
+
+impl LaneCopies {
+    fn take(lanes: Option<&Lanes>, smem: &[SmemDecl], arena: &mut BufferArena) -> Self {
+        let mut bufs = Vec::new();
+        if let Some(l) = lanes {
+            for _ in 1..l.count() {
+                for t in l.per_lane_tiles() {
+                    bufs.push(arena.take(smem[t.0].elems() as usize));
+                }
+            }
+        }
+        LaneCopies { bufs }
+    }
+
+    /// Run `f` once per lane with that lane's tiles in `smem`.
+    fn each_lane(&mut self, lanes: &Lanes, smem: &mut Smem, mut f: impl FnMut(u64, &mut Smem)) {
+        let tiles = lanes.per_lane_tiles();
+        f(0, smem);
+        for lane in 1..lanes.count() {
+            let copies = &mut self.bufs[(lane as usize - 1) * tiles.len()..][..tiles.len()];
+            for (t, copy) in tiles.iter().zip(copies.iter_mut()) {
+                std::mem::swap(&mut smem.bufs[t.0], copy);
+            }
+            f(lane, smem);
+            for (t, copy) in tiles.iter().zip(copies.iter_mut()) {
+                std::mem::swap(&mut smem.bufs[t.0], copy);
+            }
+        }
+    }
+
+    fn recycle(self, arena: &mut BufferArena) {
+        for b in self.bufs {
+            arena.put(b);
+        }
+    }
+}
+
 /// Verify `p`, then execute it against `storage`. Inputs must be
-/// pre-filled; outputs and temps are written in place. A program the
+/// pre-filled; outputs are written in place. A program the
 /// static verifier rejects is never run: the call returns
 /// [`ExecError::Unverified`] with the verifier's finding.
 pub fn execute(p: &TileProgram, storage: &mut TensorStorage) -> Result<(), ExecError> {
@@ -396,12 +452,13 @@ pub fn execute(p: &TileProgram, storage: &mut TensorStorage) -> Result<(), ExecE
     execute_with_arena(&p, storage, &mut BufferArena::new())
 }
 
-/// Execute a [`VerifiedProgram`], drawing the per-block shared-memory
-/// buffers from a caller-provided [`BufferArena`] (and returning them
-/// afterwards) — the entry point serving loops use to run the same
-/// kernels request after request without per-request heap churn. The
-/// program was checked when it was built, so only the caller's storage
-/// is checked here. Results are bit-identical to [`execute`].
+/// Execute a [`VerifiedProgram`], drawing the shared-memory tiles (and
+/// each lane's copies of the per-lane ones) from a caller-provided
+/// [`BufferArena`] and returning them afterwards — the entry point
+/// serving loops use to run the same kernels request after request
+/// without per-request heap churn. The program was checked, and its
+/// [`Lanes`] found, when it was built, so only the caller's storage is
+/// checked here. Results are bit-identical to [`execute`].
 pub fn execute_with_arena(
     p: &VerifiedProgram,
     storage: &mut TensorStorage,
@@ -427,28 +484,105 @@ pub fn execute_with_arena(
     }
 
     let mut smem = Smem::for_program_in(p, arena);
-    let grid = if p.grid.is_empty() {
-        vec![1]
-    } else {
-        p.grid.clone()
-    };
-    let nblocks: u64 = grid.iter().product();
+    let mut copies = LaneCopies::take(p.lanes(), &p.smem, arena);
+    let grid: &[u64] = if p.grid.is_empty() { &[1] } else { &p.grid };
+    // A row in lockstep spans the last grid dimension; otherwise a row
+    // is one block.
+    let row_dims = grid.len() - usize::from(p.lanes().is_some());
+    let rows: u64 = grid[..row_dims].iter().product();
     let mut block_idx = vec![0u64; grid.len()];
     // Loop-variable environment: handles are small dense indices.
     let max_handle = max_loop_handle(&p.body) + 1;
     let mut env = vec![0u64; max_handle];
 
-    for flat in 0..nblocks {
-        // Decompose the flat block id into grid coordinates (row-major).
-        let mut rem = flat;
-        for i in (0..grid.len()).rev() {
+    for row in 0..rows {
+        // Decompose the row id into grid coordinates (row-major).
+        let mut rem = row;
+        for i in (0..row_dims).rev() {
             block_idx[i] = rem % grid[i];
             rem /= grid[i];
         }
-        run_stmts(p, &p.body, &block_idx, &mut env, &mut smem, storage);
+        let mut row = Row {
+            p,
+            block_idx: &mut block_idx,
+            env: &mut env,
+            smem: &mut smem,
+            copies: &mut copies,
+            storage,
+        };
+        row.run(&p.body);
     }
     smem.recycle(arena);
+    copies.recycle(arena);
     Ok(())
+}
+
+/// One grid row on its way through the block body.
+struct Row<'r, 'p> {
+    p: &'p VerifiedProgram,
+    block_idx: &'r mut [u64],
+    env: &'r mut [u64],
+    smem: &'r mut Smem,
+    copies: &'r mut LaneCopies,
+    storage: &'r mut TensorStorage,
+}
+
+impl Row<'_, '_> {
+    fn run(&mut self, stmts: &[BlockStmt]) {
+        for s in stmts {
+            if let BlockStmt::Loop {
+                handle,
+                extent,
+                body,
+            } = s
+            {
+                for i in 0..*extent {
+                    self.env[handle.0] = i;
+                    self.run(body);
+                }
+                self.env[handle.0] = 0;
+                continue;
+            }
+            let Some(lanes) = self.p.lanes() else {
+                run_stmt(self.p, s, self.block_idx, self.env, self.smem, self.storage);
+                continue;
+            };
+            let Row {
+                p,
+                block_idx,
+                env,
+                smem,
+                copies,
+                storage,
+            } = self;
+            let last = block_idx.len() - 1;
+            match s {
+                BlockStmt::OnlineSoftmax {
+                    scores,
+                    row_max,
+                    row_sum,
+                    rescale,
+                    scale,
+                    clip,
+                } if lanes.runs_once_per_row(s) => {
+                    let valid = softmax_valid(smem.cols[scores.0], clip, block_idx, env);
+                    let alphas = softmax_stats(smem, *scores, *row_max, *row_sum, *scale, valid);
+                    for &t in rescale {
+                        if lanes.is_per_lane(t) {
+                            copies.each_lane(lanes, smem, |_, smem| rescale_rows(smem, t, &alphas));
+                        } else {
+                            rescale_rows(smem, t, &alphas);
+                        }
+                    }
+                }
+                _ if lanes.runs_once_per_row(s) => run_stmt(p, s, block_idx, env, smem, storage),
+                _ => copies.each_lane(lanes, smem, |lane, smem| {
+                    block_idx[last] = lane;
+                    run_stmt(p, s, block_idx, env, smem, storage);
+                }),
+            }
+        }
+    }
 }
 
 /// The engine lowered kernels execute on.
@@ -522,313 +656,303 @@ fn tile_origin(acc: &TileAccess, block_idx: &[u64], env: &[u64]) -> Vec<u64> {
         .collect()
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_stmts(
-    p: &TileProgram,
-    stmts: &[BlockStmt],
+/// How many leading columns of a `cols`-wide scores tile enter the
+/// softmax: all of them, or those before the axis extent when the tile
+/// overhangs it.
+fn softmax_valid(
+    cols: u64,
+    clip: &Option<(crate::kernel::TileIndex, u64)>,
     block_idx: &[u64],
-    env: &mut Vec<u64>,
+    env: &[u64],
+) -> usize {
+    clip.map_or(cols, |(ix, extent)| {
+        let start = resolve(ix.var, block_idx, env) * ix.tile;
+        extent.saturating_sub(start).min(cols)
+    }) as usize
+}
+
+/// Run one statement other than a `Loop` for the block at `block_idx`.
+fn run_stmt(
+    p: &TileProgram,
+    s: &BlockStmt,
+    block_idx: &[u64],
+    env: &[u64],
     smem: &mut Smem,
     storage: &mut TensorStorage,
 ) {
-    for s in stmts {
-        match s {
-            BlockStmt::Loop {
-                handle,
-                extent,
-                body,
-            } => {
-                for i in 0..*extent {
-                    env[handle.0] = i;
-                    run_stmts(p, body, block_idx, env, smem, storage);
-                }
-                env[handle.0] = 0;
-            }
-            BlockStmt::Load { src, dst } => {
-                let origin = tile_origin(src, block_idx, env);
-                let (rows, cols) = (smem.rows[dst.0], smem.cols[dst.0]);
-                let dt = p.smem[dst.0].dtype;
-                load_tile(
-                    &storage.tensors[src.buf.0],
-                    &origin,
-                    rows,
-                    cols,
-                    dt,
-                    &mut smem.bufs[dst.0],
-                );
-            }
-            BlockStmt::Store { dst, src } => {
-                let origin = tile_origin(dst, block_idx, env);
-                let (rows, cols) = (smem.rows[src.0], smem.cols[src.0]);
-                let dt = p.buffers[dst.buf.0].dtype;
-                store_tile(
-                    &smem.bufs[src.0],
-                    rows,
-                    cols,
-                    dt,
-                    &mut storage.tensors[dst.buf.0],
-                    &origin,
-                );
-            }
-            BlockStmt::Fill { dst, value } => smem.bufs[dst.0].fill(*value),
-            BlockStmt::Gemm { a, b, acc, acc_col } => {
-                gemm_tiles(smem, *a, *b, *acc, *acc_col as usize);
-            }
-            BlockStmt::OnlineSoftmax {
-                scores,
-                row_max,
-                row_sum,
-                rescale,
-                scale,
-                clip,
-            } => {
-                let cols = smem.cols[scores.0];
-                let valid = clip.map_or(cols, |(ix, extent)| {
-                    let start = resolve(ix.var, block_idx, env) * ix.tile;
-                    extent.saturating_sub(start).min(cols)
-                });
-                online_softmax(
-                    smem,
-                    *scores,
-                    *row_max,
-                    *row_sum,
-                    rescale,
-                    *scale,
-                    valid as usize,
-                );
-            }
-            BlockStmt::RowDiv { target, denom } => {
-                let cols = smem.cols[target.0] as usize;
-                let rows = smem.rows[target.0] as usize;
-                // Split-borrow via pointer copy of the denominator column.
-                let denom_col: Vec<f32> = (0..rows)
-                    .map(|r| smem.bufs[denom.0][r * smem.cols[denom.0] as usize])
-                    .collect();
-                let t = &mut smem.bufs[target.0];
-                for r in 0..rows {
-                    let d = denom_col[r];
-                    if d != 0.0 {
-                        for c in 0..cols {
-                            t[r * cols + c] /= d;
-                        }
-                    }
-                }
-            }
-            BlockStmt::Relu { target } => {
-                for v in smem.bufs[target.0].iter_mut() {
-                    *v = v.max(0.0);
-                }
-            }
-            BlockStmt::Gelu { target } => {
-                for v in smem.bufs[target.0].iter_mut() {
-                    *v = gelu(*v);
-                }
-            }
-            BlockStmt::AddTile { target, other } => {
-                let (t, o) = (target.0, other.0);
-                if t == o {
-                    for v in smem.bufs[t].iter_mut() {
-                        *v += *v;
-                    }
-                } else {
-                    // Disjoint split borrow — no per-trip allocation.
-                    let (lo, hi) = smem.bufs.split_at_mut(t.max(o));
-                    let (dst, src) = if t < o {
-                        (&mut lo[t], &hi[0])
-                    } else {
-                        (&mut hi[0], &lo[o])
-                    };
-                    for (v, s) in dst.iter_mut().zip(src.iter()) {
-                        *v += s;
-                    }
-                }
-            }
-            BlockStmt::Scale { target, factor } => {
-                for v in smem.bufs[target.0].iter_mut() {
-                    *v *= factor;
-                }
-            }
-            BlockStmt::Exp { target } => {
-                for v in smem.bufs[target.0].iter_mut() {
-                    *v = v.exp();
-                }
-            }
-            BlockStmt::AddBias { target, bias } => {
-                let cols = smem.cols[target.0] as usize;
-                let rows = smem.rows[target.0] as usize;
-                let bias_row: Vec<f32> = smem.bufs[bias.0][..cols].to_vec();
-                let t = &mut smem.bufs[target.0];
-                for r in 0..rows {
-                    for c in 0..cols {
-                        t[r * cols + c] += bias_row[c];
-                    }
-                }
-            }
-            BlockStmt::Quantize { target, dtype } => {
-                for v in smem.bufs[target.0].iter_mut() {
-                    *v = dtype.quantize(*v);
-                }
-            }
-            BlockStmt::RowNormStats {
-                a,
-                residual,
+    match s {
+        BlockStmt::Loop { .. } => unreachable!("loops are walked by the caller"),
+        BlockStmt::Load { src, dst } => {
+            let origin = tile_origin(src, block_idx, env);
+            let (rows, cols) = (smem.rows[dst.0], smem.cols[dst.0]);
+            let dt = p.smem[dst.0].dtype;
+            load_tile(
+                &storage.tensors[src.buf.0],
+                &origin,
                 rows,
                 cols,
-                mean,
-                rstd,
-                eps,
-            } => {
-                let a_origin = tile_origin(a, block_idx, env);
-                let av = RawView::new(&storage.tensors[a.buf.0], &a_origin);
-                let resv = residual.as_ref().map(|racc| {
-                    let o = tile_origin(racc, block_idx, env);
-                    RawView::new(&storage.tensors[racc.buf.0], &o)
-                });
-                let mcols = smem.cols[mean.0] as usize;
-                let rcols = smem.cols[rstd.0] as usize;
-                for r in 0..*rows {
-                    // Sequential row sums in column order so the stats match
-                    // the graph reference's `row.iter().sum()` bit-for-bit.
-                    let (m_val, s_val) = if av.row_in_bounds(r) {
-                        let mut sum = 0.0f32;
-                        for c in 0..*cols {
-                            let mut v = av.get(r, c);
-                            if let Some(rv) = &resv {
-                                v += rv.get(r, c);
-                            }
-                            sum += v;
-                        }
-                        let mean_v = sum / *cols as f32;
-                        let mut var = 0.0f32;
-                        for c in 0..*cols {
-                            let mut v = av.get(r, c);
-                            if let Some(rv) = &resv {
-                                v += rv.get(r, c);
-                            }
-                            let d = v - mean_v;
-                            var += d * d;
-                        }
-                        (mean_v, 1.0 / (var / *cols as f32 + eps).sqrt())
-                    } else {
-                        (0.0, 1.0)
-                    };
-                    smem.bufs[mean.0][r as usize * mcols] = m_val;
-                    smem.bufs[rstd.0][r as usize * rcols] = s_val;
-                }
-            }
-            BlockStmt::NormalizeTile {
-                target,
-                mean,
-                rstd,
-                gamma,
-                beta,
-                round,
-            } => {
-                let rows = smem.rows[target.0] as usize;
-                let cols = smem.cols[target.0] as usize;
-                let mcols = smem.cols[mean.0] as usize;
-                let rcols = smem.cols[rstd.0] as usize;
-                let means: Vec<f32> = (0..rows).map(|r| smem.bufs[mean.0][r * mcols]).collect();
-                let rstds: Vec<f32> = (0..rows).map(|r| smem.bufs[rstd.0][r * rcols]).collect();
-                let gvals = gamma.map(|g| smem.bufs[g.0][..cols].to_vec());
-                let bvals = beta.map(|b| smem.bufs[b.0][..cols].to_vec());
-                let t = &mut smem.bufs[target.0];
-                for r in 0..rows {
+                dt,
+                &mut smem.bufs[dst.0],
+            );
+        }
+        BlockStmt::Store { dst, src } => {
+            let origin = tile_origin(dst, block_idx, env);
+            let (rows, cols) = (smem.rows[src.0], smem.cols[src.0]);
+            let dt = p.buffers[dst.buf.0].dtype;
+            store_tile(
+                &smem.bufs[src.0],
+                rows,
+                cols,
+                dt,
+                &mut storage.tensors[dst.buf.0],
+                &origin,
+            );
+        }
+        BlockStmt::Fill { dst, value } => smem.bufs[dst.0].fill(*value),
+        BlockStmt::Gemm { a, b, acc, acc_col } => {
+            gemm_tiles(smem, *a, *b, *acc, *acc_col as usize);
+        }
+        BlockStmt::OnlineSoftmax {
+            scores,
+            row_max,
+            row_sum,
+            rescale,
+            scale,
+            clip,
+        } => {
+            let valid = softmax_valid(smem.cols[scores.0], clip, block_idx, env);
+            online_softmax(smem, *scores, *row_max, *row_sum, rescale, *scale, valid);
+        }
+        BlockStmt::RowDiv { target, denom } => {
+            let cols = smem.cols[target.0] as usize;
+            let rows = smem.rows[target.0] as usize;
+            // Split-borrow via pointer copy of the denominator column.
+            let denom_col: Vec<f32> = (0..rows)
+                .map(|r| smem.bufs[denom.0][r * smem.cols[denom.0] as usize])
+                .collect();
+            let t = &mut smem.bufs[target.0];
+            for r in 0..rows {
+                let d = denom_col[r];
+                if d != 0.0 {
                     for c in 0..cols {
-                        let mut v = (t[r * cols + c] - means[r]) * rstds[r];
-                        if let Some(g) = &gvals {
-                            v *= g[c];
-                        }
-                        if let Some(b) = &bvals {
-                            v += b[c];
-                        }
-                        t[r * cols + c] = round.quantize(v);
+                        t[r * cols + c] /= d;
                     }
                 }
             }
-            BlockStmt::AddGlobal { target, src } => {
-                let origin = tile_origin(src, block_idx, env);
-                let view = RawView::new(&storage.tensors[src.buf.0], &origin);
-                let rows = smem.rows[target.0];
-                let cols = smem.cols[target.0];
-                let t = &mut smem.bufs[target.0];
-                for r in 0..rows {
-                    for c in 0..cols {
-                        t[(r * cols + c) as usize] += view.get(r, c);
-                    }
+        }
+        BlockStmt::Relu { target } => {
+            for v in smem.bufs[target.0].iter_mut() {
+                *v = v.max(0.0);
+            }
+        }
+        BlockStmt::Gelu { target } => {
+            for v in smem.bufs[target.0].iter_mut() {
+                *v = gelu(*v);
+            }
+        }
+        BlockStmt::AddTile { target, other } => {
+            let (t, o) = (target.0, other.0);
+            if t == o {
+                for v in smem.bufs[t].iter_mut() {
+                    *v += *v;
+                }
+            } else {
+                // Disjoint split borrow — no per-trip allocation.
+                let (lo, hi) = smem.bufs.split_at_mut(t.max(o));
+                let (dst, src) = if t < o {
+                    (&mut lo[t], &hi[0])
+                } else {
+                    (&mut hi[0], &lo[o])
+                };
+                for (v, s) in dst.iter_mut().zip(src.iter()) {
+                    *v += s;
                 }
             }
-            BlockStmt::AddRecomputedNorm {
-                target,
-                a,
-                residual,
-                mean,
-                rstd,
-                gamma,
-                beta,
-            } => {
-                let a_origin = tile_origin(a, block_idx, env);
-                let av = RawView::new(&storage.tensors[a.buf.0], &a_origin);
-                let resv = residual.as_ref().map(|racc| {
-                    let o = tile_origin(racc, block_idx, env);
-                    RawView::new(&storage.tensors[racc.buf.0], &o)
-                });
-                let rows = smem.rows[target.0] as usize;
-                let cols = smem.cols[target.0] as usize;
-                let mcols = smem.cols[mean.0] as usize;
-                let rcols = smem.cols[rstd.0] as usize;
-                let means: Vec<f32> = (0..rows).map(|r| smem.bufs[mean.0][r * mcols]).collect();
-                let rstds: Vec<f32> = (0..rows).map(|r| smem.bufs[rstd.0][r * rcols]).collect();
-                let gvals = gamma.map(|g| smem.bufs[g.0][..cols].to_vec());
-                let bvals = beta.map(|b| smem.bufs[b.0][..cols].to_vec());
-                let t = &mut smem.bufs[target.0];
-                for r in 0..rows {
-                    if !av.row_in_bounds(r as u64) {
-                        continue;
-                    }
-                    for c in 0..cols {
-                        let mut v = av.get(r as u64, c as u64);
+        }
+        BlockStmt::Scale { target, factor } => {
+            for v in smem.bufs[target.0].iter_mut() {
+                *v *= factor;
+            }
+        }
+        BlockStmt::Exp { target } => {
+            for v in smem.bufs[target.0].iter_mut() {
+                *v = v.exp();
+            }
+        }
+        BlockStmt::AddBias { target, bias } => {
+            let cols = smem.cols[target.0] as usize;
+            let rows = smem.rows[target.0] as usize;
+            let bias_row: Vec<f32> = smem.bufs[bias.0][..cols].to_vec();
+            let t = &mut smem.bufs[target.0];
+            for r in 0..rows {
+                for c in 0..cols {
+                    t[r * cols + c] += bias_row[c];
+                }
+            }
+        }
+        BlockStmt::Quantize { target, dtype } => {
+            for v in smem.bufs[target.0].iter_mut() {
+                *v = dtype.quantize(*v);
+            }
+        }
+        BlockStmt::RowNormStats {
+            a,
+            residual,
+            rows,
+            cols,
+            mean,
+            rstd,
+            eps,
+        } => {
+            let a_origin = tile_origin(a, block_idx, env);
+            let av = RawView::new(&storage.tensors[a.buf.0], &a_origin);
+            let resv = residual.as_ref().map(|racc| {
+                let o = tile_origin(racc, block_idx, env);
+                RawView::new(&storage.tensors[racc.buf.0], &o)
+            });
+            let mcols = smem.cols[mean.0] as usize;
+            let rcols = smem.cols[rstd.0] as usize;
+            for r in 0..*rows {
+                // Sequential row sums in column order so the stats match
+                // the graph reference's `row.iter().sum()` bit-for-bit.
+                let (m_val, s_val) = if av.row_in_bounds(r) {
+                    let mut sum = 0.0f32;
+                    for c in 0..*cols {
+                        let mut v = av.get(r, c);
                         if let Some(rv) = &resv {
-                            v += rv.get(r as u64, c as u64);
+                            v += rv.get(r, c);
                         }
-                        let mut n = (v - means[r]) * rstds[r];
-                        if let Some(g) = &gvals {
-                            n *= g[c];
-                        }
-                        if let Some(b) = &bvals {
-                            n += b[c];
-                        }
-                        t[r * cols + c] += n;
+                        sum += v;
                     }
+                    let mean_v = sum / *cols as f32;
+                    let mut var = 0.0f32;
+                    for c in 0..*cols {
+                        let mut v = av.get(r, c);
+                        if let Some(rv) = &resv {
+                            v += rv.get(r, c);
+                        }
+                        let d = v - mean_v;
+                        var += d * d;
+                    }
+                    (mean_v, 1.0 / (var / *cols as f32 + eps).sqrt())
+                } else {
+                    (0.0, 1.0)
+                };
+                smem.bufs[mean.0][r as usize * mcols] = m_val;
+                smem.bufs[rstd.0][r as usize * rcols] = s_val;
+            }
+        }
+        BlockStmt::NormalizeTile {
+            target,
+            mean,
+            rstd,
+            gamma,
+            beta,
+            round,
+        } => {
+            let rows = smem.rows[target.0] as usize;
+            let cols = smem.cols[target.0] as usize;
+            let mcols = smem.cols[mean.0] as usize;
+            let rcols = smem.cols[rstd.0] as usize;
+            let means: Vec<f32> = (0..rows).map(|r| smem.bufs[mean.0][r * mcols]).collect();
+            let rstds: Vec<f32> = (0..rows).map(|r| smem.bufs[rstd.0][r * rcols]).collect();
+            let gvals = gamma.map(|g| smem.bufs[g.0][..cols].to_vec());
+            let bvals = beta.map(|b| smem.bufs[b.0][..cols].to_vec());
+            let t = &mut smem.bufs[target.0];
+            for r in 0..rows {
+                for c in 0..cols {
+                    let mut v = (t[r * cols + c] - means[r]) * rstds[r];
+                    if let Some(g) = &gvals {
+                        v *= g[c];
+                    }
+                    if let Some(b) = &bvals {
+                        v += b[c];
+                    }
+                    t[r * cols + c] = round.quantize(v);
                 }
             }
-            BlockStmt::LayerNormTile {
-                target,
-                gamma,
-                beta,
-                eps,
-            } => {
-                let rows = smem.rows[target.0] as usize;
-                let cols = smem.cols[target.0] as usize;
-                let gvals = gamma.map(|g| smem.bufs[g.0][..cols].to_vec());
-                let bvals = beta.map(|b| smem.bufs[b.0][..cols].to_vec());
-                let t = &mut smem.bufs[target.0];
-                for r in 0..rows {
-                    let row = &mut t[r * cols..(r + 1) * cols];
-                    let mean = row.iter().sum::<f32>() / cols as f32;
-                    let var =
-                        row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
-                    let inv = 1.0 / (var + eps).sqrt();
-                    for (c, v) in row.iter_mut().enumerate() {
-                        let mut n = (*v - mean) * inv;
-                        if let Some(g) = &gvals {
-                            n *= g[c];
-                        }
-                        if let Some(b) = &bvals {
-                            n += b[c];
-                        }
-                        *v = n;
+        }
+        BlockStmt::AddGlobal { target, src } => {
+            let origin = tile_origin(src, block_idx, env);
+            let view = RawView::new(&storage.tensors[src.buf.0], &origin);
+            let rows = smem.rows[target.0];
+            let cols = smem.cols[target.0];
+            let t = &mut smem.bufs[target.0];
+            for r in 0..rows {
+                for c in 0..cols {
+                    t[(r * cols + c) as usize] += view.get(r, c);
+                }
+            }
+        }
+        BlockStmt::AddRecomputedNorm {
+            target,
+            a,
+            residual,
+            mean,
+            rstd,
+            gamma,
+            beta,
+        } => {
+            let a_origin = tile_origin(a, block_idx, env);
+            let av = RawView::new(&storage.tensors[a.buf.0], &a_origin);
+            let resv = residual.as_ref().map(|racc| {
+                let o = tile_origin(racc, block_idx, env);
+                RawView::new(&storage.tensors[racc.buf.0], &o)
+            });
+            let rows = smem.rows[target.0] as usize;
+            let cols = smem.cols[target.0] as usize;
+            let mcols = smem.cols[mean.0] as usize;
+            let rcols = smem.cols[rstd.0] as usize;
+            let means: Vec<f32> = (0..rows).map(|r| smem.bufs[mean.0][r * mcols]).collect();
+            let rstds: Vec<f32> = (0..rows).map(|r| smem.bufs[rstd.0][r * rcols]).collect();
+            let gvals = gamma.map(|g| smem.bufs[g.0][..cols].to_vec());
+            let bvals = beta.map(|b| smem.bufs[b.0][..cols].to_vec());
+            let t = &mut smem.bufs[target.0];
+            for r in 0..rows {
+                if !av.row_in_bounds(r as u64) {
+                    continue;
+                }
+                for c in 0..cols {
+                    let mut v = av.get(r as u64, c as u64);
+                    if let Some(rv) = &resv {
+                        v += rv.get(r as u64, c as u64);
                     }
+                    let mut n = (v - means[r]) * rstds[r];
+                    if let Some(g) = &gvals {
+                        n *= g[c];
+                    }
+                    if let Some(b) = &bvals {
+                        n += b[c];
+                    }
+                    t[r * cols + c] += n;
+                }
+            }
+        }
+        BlockStmt::LayerNormTile {
+            target,
+            gamma,
+            beta,
+            eps,
+        } => {
+            let rows = smem.rows[target.0] as usize;
+            let cols = smem.cols[target.0] as usize;
+            let gvals = gamma.map(|g| smem.bufs[g.0][..cols].to_vec());
+            let bvals = beta.map(|b| smem.bufs[b.0][..cols].to_vec());
+            let t = &mut smem.bufs[target.0];
+            for r in 0..rows {
+                let row = &mut t[r * cols..(r + 1) * cols];
+                let mean = row.iter().sum::<f32>() / cols as f32;
+                let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
+                let inv = 1.0 / (var + eps).sqrt();
+                for (c, v) in row.iter_mut().enumerate() {
+                    let mut n = (*v - mean) * inv;
+                    if let Some(g) = &gvals {
+                        n *= g[c];
+                    }
+                    if let Some(b) = &bvals {
+                        n += b[c];
+                    }
+                    *v = n;
                 }
             }
         }
@@ -1025,6 +1149,23 @@ fn online_softmax(
     scale: f32,
     valid: usize,
 ) {
+    let alphas = softmax_stats(smem, scores, row_max, row_sum, scale, valid);
+    for &t in rescale {
+        rescale_rows(smem, t, &alphas);
+    }
+}
+
+/// The statistics half of [`online_softmax`]: update the running row
+/// max and sum, replace the scores with probabilities, and return each
+/// row's rescale factor.
+fn softmax_stats(
+    smem: &mut Smem,
+    scores: SmemId,
+    row_max: SmemId,
+    row_sum: SmemId,
+    scale: f32,
+    valid: usize,
+) -> Vec<f32> {
     let rows = smem.rows[scores.0] as usize;
     let cols = smem.cols[scores.0] as usize;
     let mut alphas = vec![1.0f32; rows];
@@ -1058,15 +1199,19 @@ fn online_softmax(
             alphas[r] = alpha;
         }
     }
-    for id in rescale {
-        let c = smem.cols[id.0] as usize;
-        let rrows = smem.rows[id.0] as usize;
-        let buf = &mut smem.bufs[id.0];
-        for (r, &alpha) in alphas.iter().enumerate().take(rrows) {
-            if alpha != 1.0 {
-                for v in &mut buf[r * c..(r + 1) * c] {
-                    *v *= alpha;
-                }
+    alphas
+}
+
+/// The rescale half of [`online_softmax`]: scale each row of `target`
+/// by its factor.
+fn rescale_rows(smem: &mut Smem, target: SmemId, alphas: &[f32]) {
+    let c = smem.cols[target.0] as usize;
+    let rrows = smem.rows[target.0] as usize;
+    let buf = &mut smem.bufs[target.0];
+    for (r, &alpha) in alphas.iter().enumerate().take(rrows) {
+        if alpha != 1.0 {
+            for v in &mut buf[r * c..(r + 1) * c] {
+                *v *= alpha;
             }
         }
     }
@@ -1408,10 +1553,9 @@ mod tests {
         assert_eq!(st.tensors[2].data[0], 0.0);
     }
 
-    #[test]
-    fn rank3_batched_access() {
-        // Batched copy kernel: out[b] = in[b] for 2 batches of 4x4, via a
-        // grid dim selecting the batch.
+    /// Batched copy kernel: out[b] = in[b] for 2 batches of 4x4, via a
+    /// grid dim selecting the batch.
+    fn copy_program() -> TileProgram {
         let mut b = ProgramBuilder::new("copy", DType::F32);
         let src = b.buffer("in", vec![2, 4, 4], DType::F32, BufferRole::Input);
         let dst = b.buffer("out", vec![2, 4, 4], DType::F32, BufferRole::Output);
@@ -1453,11 +1597,180 @@ mod tests {
                 src: tile,
             },
         ];
-        let p = b.finish(body);
+        b.finish(body)
+    }
+
+    #[test]
+    fn rank3_batched_access() {
+        let p = copy_program();
         let mut st = TensorStorage::for_program(&p);
         st.tensors[0] = rand_tensor(&[2, 4, 4], 9);
         execute(&p, &mut st).unwrap();
         assert_eq!(st.tensors[1].data, st.tensors[0].data);
+    }
+
+    /// The executor before rows ran in lockstep, kept as the oracle:
+    /// every block in row-major order, one at a time, through the whole
+    /// body.
+    fn blocks_one_at_a_time(p: &TileProgram, storage: &mut TensorStorage) {
+        fn run_block(
+            p: &TileProgram,
+            stmts: &[BlockStmt],
+            block_idx: &[u64],
+            env: &mut [u64],
+            smem: &mut Smem,
+            storage: &mut TensorStorage,
+        ) {
+            for s in stmts {
+                if let BlockStmt::Loop {
+                    handle,
+                    extent,
+                    body,
+                } = s
+                {
+                    for i in 0..*extent {
+                        env[handle.0] = i;
+                        run_block(p, body, block_idx, env, smem, storage);
+                    }
+                    env[handle.0] = 0;
+                } else {
+                    run_stmt(p, s, block_idx, env, smem, storage);
+                }
+            }
+        }
+        let mut smem = Smem::for_program_in(p, &mut BufferArena::new());
+        let grid = if p.grid.is_empty() {
+            vec![1]
+        } else {
+            p.grid.clone()
+        };
+        let mut block_idx = vec![0u64; grid.len()];
+        let mut env = vec![0u64; max_loop_handle(&p.body) + 1];
+        for flat in 0..grid.iter().product() {
+            let mut rem = flat;
+            for i in (0..grid.len()).rev() {
+                block_idx[i] = rem % grid[i];
+                rem /= grid[i];
+            }
+            run_block(p, &p.body, &block_idx, &mut env, &mut smem, storage);
+        }
+    }
+
+    /// Run `p` on `inputs` (its leading buffers) on a fresh arena,
+    /// returning the storage and the arena's allocation count.
+    fn run_fresh(p: &VerifiedProgram, inputs: &[HostTensor]) -> (TensorStorage, u64) {
+        let mut st = TensorStorage::for_program(p);
+        st.tensors[..inputs.len()].clone_from_slice(inputs);
+        let mut arena = BufferArena::new();
+        execute_with_arena(p, &mut st, &mut arena).unwrap();
+        (st, arena.allocs())
+    }
+
+    /// A row shares only what no lane can change: in a tiled matmul
+    /// whose last grid dimension walks `n`, the `A` tile is loaded once
+    /// per row while each lane keeps its own `B` tile and accumulator.
+    #[test]
+    fn a_matmul_row_shares_its_a_tile() {
+        let p = VerifiedProgram::new(matmul_program(50, 34, 21, 16, 16, 16)).unwrap();
+        let lanes = p.lanes().expect("three n tiles share the A tile");
+        assert_eq!(lanes.count(), 3);
+        assert_eq!(lanes.per_lane_tiles(), [SmemId(1), SmemId(2)]);
+        let inputs = [rand_tensor(&[50, 21], 11), rand_tensor(&[21, 34], 12)];
+        let (_, allocs) = run_fresh(&p, &inputs);
+        assert_eq!(allocs, 3 + 2 * 2, "lanes 1 and 2 copy sB and sC");
+    }
+
+    /// A program whose last grid extent is 1, or whose every statement
+    /// depends on the last grid index, runs one block at a time and
+    /// takes no lane copies from the arena.
+    #[test]
+    fn rows_that_share_nothing_take_no_lane_copies() {
+        let one_lane = matmul_program(50, 16, 21, 16, 16, 16);
+        assert_eq!(one_lane.grid, [4, 1]);
+        let every_stmt_per_lane = copy_program();
+        for (p, inputs) in [
+            (
+                one_lane,
+                vec![rand_tensor(&[50, 21], 13), rand_tensor(&[21, 16], 14)],
+            ),
+            (every_stmt_per_lane, vec![rand_tensor(&[2, 4, 4], 15)]),
+        ] {
+            let p = VerifiedProgram::new(p).unwrap();
+            assert!(p.lanes().is_none(), "{}", p.name);
+            let (_, allocs) = run_fresh(&p, &inputs);
+            assert_eq!(allocs, p.smem.len() as u64, "{}", p.name);
+        }
+    }
+
+    /// Lanes that differ only in where they store share every tile:
+    /// one load per row, one store per lane, and no lane copies.
+    #[test]
+    fn lanes_may_differ_only_in_their_stores() {
+        let mut b = ProgramBuilder::new("broadcast", DType::F32);
+        let src = b.buffer("in", vec![4, 4], DType::F32, BufferRole::Input);
+        let dst = b.buffer("out", vec![4, 12], DType::F32, BufferRole::Output);
+        let tile = b.smem("t", 4, 4, DType::F32);
+        let g = b.grid_dim(3);
+        let at = |buf, col| TileAccess {
+            buf,
+            indices: vec![
+                TileIndex {
+                    var: VarRef::Zero,
+                    tile: 4,
+                },
+                TileIndex { var: col, tile: 4 },
+            ],
+        };
+        let p = b.finish(vec![
+            BlockStmt::Load {
+                src: at(src, VarRef::Zero),
+                dst: tile,
+            },
+            BlockStmt::Store {
+                dst: at(dst, g),
+                src: tile,
+            },
+        ]);
+        let p = VerifiedProgram::new(p).unwrap();
+        let lanes = p.lanes().expect("the load is shared");
+        assert!(lanes.per_lane_tiles().is_empty());
+        let input = rand_tensor(&[4, 4], 16);
+        let (st, allocs) = run_fresh(&p, std::slice::from_ref(&input));
+        assert_eq!(allocs, 1, "no lane copies");
+        for r in 0..4 {
+            for lane in 0..3 {
+                assert_eq!(
+                    st.tensors[1].data[r * 12 + lane * 4..][..4],
+                    input.data[r * 4..][..4]
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Rows in lockstep compute every buffer bit for bit as the
+        /// blocks did one at a time, on ragged shapes and tiles.
+        #[test]
+        fn lockstep_rows_match_blocks_one_at_a_time(
+            dims in (1u64..70, 1u64..70, 1u64..40),
+            tiles in (1u64..33, 1u64..33, 1u64..17),
+            seed in 0u64..1000,
+        ) {
+            let ((m, n, k), (tm, tn, tk)) = (dims, tiles);
+            let p = VerifiedProgram::new(matmul_program(m, n, k, tm, tn, tk)).unwrap();
+            let inputs = [rand_tensor(&[m, k], seed), rand_tensor(&[k, n], seed + 1)];
+            let (got, _) = run_fresh(&p, &inputs);
+            let mut want = TensorStorage::for_program(&p);
+            want.tensors[..2].clone_from_slice(&inputs);
+            blocks_one_at_a_time(&p, &mut want);
+            proptest::prop_assert_eq!(p.lanes().is_some(), n > tn);
+            for (g, w) in got.tensors.iter().zip(&want.tensors) {
+                let bits = |t: &HostTensor| t.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                proptest::prop_assert_eq!(bits(g), bits(w));
+            }
+        }
     }
 
     /// Flat index of tile element `(r, c)` at `origin` in `t`, or `None`

@@ -38,9 +38,6 @@ pub enum BufferRole {
     Input,
     /// Written by the kernel.
     Output,
-    /// Intermediate tensor that round-trips through global memory
-    /// (only used by *unfused* pipelines; fusion removes these).
-    Temp,
 }
 
 /// A global-memory tensor buffer.

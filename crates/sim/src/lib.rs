@@ -11,7 +11,8 @@
 //! * [`TileProgram`] — the virtual-kernel IR produced by MCFuser's
 //!   lowering (the analogue of Triton-generated PTX);
 //! * [`exec`] — the functional interpreter that runs kernels for value,
-//!   checked against CPU references and used by the serving runtime;
+//!   one grid row at a time, checked against CPU references and used by
+//!   the serving runtime;
 //! * [`gemm()`] — the host's one non-transposed GEMM kernel, shared by the
 //!   interpreter and the reference lane and run on the CPU's widest
 //!   vectors;
@@ -77,6 +78,6 @@ pub use timing::{
     MeasureOpts,
 };
 pub use verify::{
-    is_scatter_onehot, mark_expected_clips, verify_program, verify_widened, VerifiedProgram,
+    is_scatter_onehot, mark_expected_clips, verify_program, verify_widened, Lanes, VerifiedProgram,
     VerifyError, VerifyReport,
 };

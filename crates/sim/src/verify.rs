@@ -32,10 +32,16 @@
 //!    computed symbolically and proved disjoint across the grid: every
 //!    launch-grid dimension with more than one block must separate the
 //!    footprint of every store by at least its span. Input buffers must
-//!    never be written, and every `Output`-role buffer must be written
-//!    by at least one store. [`verify_widened`] adds the widened-batch
-//!    special case: a `VarRef::Zero`-pinned shared weight/aux slab must
-//!    be read-only in every slot.
+//!    never be written, every `Output`-role buffer must be written by at
+//!    least one store, and no program reads a buffer it stores, so no
+//!    block ever sees another block's output and every order of the
+//!    blocks computes the same result. [`verify_widened`] adds the
+//!    widened-batch special case: a `VarRef::Zero`-pinned shared
+//!    weight/aux slab must be read-only in every slot.
+//!
+//! A [`VerifiedProgram`] also carries its [`Lanes`]: which shared tiles
+//! can differ between the blocks of one grid row, so that the executor
+//! runs the rest of the row's work once.
 //!
 //! The engine runs [`verify_program`] on every fresh tuning winner and
 //! every cache rehydration. `CompiledModel::plan` re-verifies each
@@ -169,6 +175,13 @@ pub enum VerifyError {
         /// Buffer name.
         buf: String,
     },
+    /// A load or raw-global read names a buffer the program also
+    /// stores: a block could read another block's output, and the
+    /// result would depend on the order the blocks run in.
+    ReadsStoredBuffer {
+        /// Buffer name.
+        buf: String,
+    },
 }
 
 impl std::fmt::Display for VerifyError {
@@ -241,6 +254,9 @@ impl std::fmt::Display for VerifyError {
             }
             VerifyError::SharedBufferWritten { buf } => {
                 write!(f, "widened shared slab '{buf}' is written by the kernel")
+            }
+            VerifyError::ReadsStoredBuffer { buf } => {
+                write!(f, "buffer '{buf}' is both stored and read by the kernel")
             }
         }
     }
@@ -699,6 +715,25 @@ impl<'p> Analysis<'p> {
         Ok(())
     }
 
+    /// No load or raw-global read names a stored buffer.
+    fn check_reads_of_stored(&self) -> Result<(), VerifyError> {
+        let mut read_stored = None;
+        visit_accesses(&self.p.body, &mut |acc: &TileAccess, is_store: bool| {
+            if !is_store
+                && read_stored.is_none()
+                && self.stores.iter().any(|(s, _)| s.buf == acc.buf)
+            {
+                read_stored = Some(acc.buf);
+            }
+        });
+        match read_stored {
+            Some(buf) => Err(VerifyError::ReadsStoredBuffer {
+                buf: self.buf_name(buf),
+            }),
+            None => Ok(()),
+        }
+    }
+
     /// Final dead-store sweep: a pure definition still unobserved at
     /// block end wrote a tile nobody read.
     fn check_dead_stores(&self) -> Result<(), VerifyError> {
@@ -783,6 +818,7 @@ pub fn verify_program(p: &TileProgram) -> Result<VerifyReport, VerifyError> {
     a.walk(&p.body)?;
     a.check_dead_stores()?;
     a.check_races()?;
+    a.check_reads_of_stored()?;
     Ok(a.report)
 }
 
@@ -817,16 +853,232 @@ pub fn verify_widened(p: &TileProgram) -> Result<VerifyReport, VerifyError> {
     Ok(report)
 }
 
-/// A [`TileProgram`] the static verifier has accepted.
+/// The blocks of one grid row, and which shared tiles differ between
+/// them.
 ///
-/// The field is private, so the only ways to get one are
+/// A *row* is the set of blocks that differ only in the last grid index
+/// (lowering's `d_L` tile); each of them is a *lane*. A shared tile is
+/// *per-lane* when its value can depend on that index. The set is a
+/// fixed point over the block body: a `Load`, `RowNormStats`,
+/// `AddGlobal`, `AddRecomputedNorm` or softmax clip indexed by the last
+/// grid index makes the tiles it writes per-lane, and every statement
+/// makes the tiles it writes per-lane when it reads a per-lane tile.
+/// `OnlineSoftmax` counts as two statements: its scores and running
+/// statistics depend only on one another (and on its clip), and each
+/// rescale target only on itself and the statistics, so a row whose
+/// scores are shared computes the rescale factors once and applies them
+/// to every lane's accumulator.
+///
+/// A statement that writes only tiles that are not per-lane computes
+/// the same values in every lane of a row: it reads nothing per-lane,
+/// no global tile indexed by the last grid index, and no buffer the
+/// program stores ([`VerifyError::ReadsStoredBuffer`]). The executor
+/// runs such a statement once per row and every other statement once
+/// per lane, on the lane's own copies of the per-lane tiles.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Lanes {
+    /// Lanes per row: the last grid extent.
+    count: u64,
+    /// The per-lane tiles, in id order.
+    per_lane_tiles: Vec<SmemId>,
+}
+
+impl Lanes {
+    /// The lanes of `p`'s rows, or `None` when a row is one block (the
+    /// last grid extent is 1) or no statement can run once per row.
+    fn of(p: &TileProgram) -> Option<Lanes> {
+        let (&count, row) = p.grid.split_last()?;
+        if count <= 1 {
+            return None;
+        }
+        let last = VarRef::Grid(row.len());
+        let mut per_lane = vec![false; p.smem.len()];
+        while mark_per_lane(&p.body, last, &mut per_lane) {}
+        let per_lane_tiles = (0..p.smem.len())
+            .filter(|&i| per_lane[i])
+            .map(SmemId)
+            .collect();
+        let lanes = Lanes {
+            count,
+            per_lane_tiles,
+        };
+        lanes.shares(&p.body).then_some(lanes)
+    }
+
+    /// Whether some statement of `stmts` runs once per row.
+    fn shares(&self, stmts: &[BlockStmt]) -> bool {
+        stmts.iter().any(|s| match s {
+            BlockStmt::Loop { body, .. } => self.shares(body),
+            _ => self.runs_once_per_row(s),
+        })
+    }
+
+    /// Lanes per row: the last grid extent.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Whether shared tile `t` holds a separate value in each lane.
+    pub fn is_per_lane(&self, t: SmemId) -> bool {
+        self.per_lane_tiles.binary_search(&t).is_ok()
+    }
+
+    /// The per-lane tiles, in id order.
+    pub fn per_lane_tiles(&self) -> &[SmemId] {
+        &self.per_lane_tiles
+    }
+
+    /// Whether statement `s` runs once per row rather than once per
+    /// lane: it writes a shared tile that is not per-lane. A `Store`
+    /// or `Loop` never does. For `OnlineSoftmax` this is its scores and
+    /// statistics; each rescale target is rescaled once or per lane as
+    /// [`is_per_lane`](Self::is_per_lane) says.
+    pub fn runs_once_per_row(&self, s: &BlockStmt) -> bool {
+        written_tile(s).is_some_and(|t| !self.is_per_lane(t))
+    }
+}
+
+/// The shared tile a non-loop statement writes: its target, a load's or
+/// fill's destination, a GEMM's accumulator, `RowNormStats`' mean (its
+/// rstd is per-lane exactly when the mean is) and `OnlineSoftmax`'s
+/// scores (likewise its statistics). `None` for `Store` and `Loop`.
+fn written_tile(s: &BlockStmt) -> Option<SmemId> {
+    match s {
+        BlockStmt::Loop { .. } | BlockStmt::Store { .. } => None,
+        BlockStmt::Load { dst, .. } | BlockStmt::Fill { dst, .. } => Some(*dst),
+        BlockStmt::Gemm { acc, .. } => Some(*acc),
+        BlockStmt::OnlineSoftmax { scores, .. } => Some(*scores),
+        BlockStmt::RowNormStats { mean, .. } => Some(*mean),
+        BlockStmt::RowDiv { target, .. }
+        | BlockStmt::Relu { target }
+        | BlockStmt::Gelu { target }
+        | BlockStmt::Scale { target, .. }
+        | BlockStmt::AddTile { target, .. }
+        | BlockStmt::AddBias { target, .. }
+        | BlockStmt::Exp { target }
+        | BlockStmt::NormalizeTile { target, .. }
+        | BlockStmt::Quantize { target, .. }
+        | BlockStmt::AddGlobal { target, .. }
+        | BlockStmt::AddRecomputedNorm { target, .. }
+        | BlockStmt::LayerNormTile { target, .. } => Some(*target),
+    }
+}
+
+/// One pass of the [`Lanes`] fixed point over `stmts`, with `last` the
+/// last grid index. Returns whether it marked a tile.
+fn mark_per_lane(stmts: &[BlockStmt], last: VarRef, per_lane: &mut [bool]) -> bool {
+    fn mark(per_lane: &mut [bool], tiles: &[SmemId], depends: bool) -> bool {
+        let mut changed = false;
+        for t in tiles {
+            changed |= depends && !std::mem::replace(&mut per_lane[t.0], true);
+        }
+        changed
+    }
+    let by_lane = |a: &TileAccess| a.indices.iter().any(|ix| ix.var == last);
+    let mut changed = false;
+    for s in stmts {
+        let any = |tiles: &[Option<SmemId>]| tiles.iter().flatten().any(|t| per_lane[t.0]);
+        changed |= match s {
+            BlockStmt::Loop { body, .. } => mark_per_lane(body, last, per_lane),
+            BlockStmt::Store { .. } => false,
+            BlockStmt::Load { src, dst } => mark(per_lane, &[*dst], by_lane(src)),
+            BlockStmt::Fill { .. }
+            | BlockStmt::Relu { .. }
+            | BlockStmt::Gelu { .. }
+            | BlockStmt::Scale { .. }
+            | BlockStmt::Exp { .. }
+            | BlockStmt::Quantize { .. } => false,
+            BlockStmt::Gemm { a, b, acc, .. } => {
+                let d = any(&[Some(*a), Some(*b)]);
+                mark(per_lane, &[*acc], d)
+            }
+            BlockStmt::OnlineSoftmax {
+                scores,
+                row_max,
+                row_sum,
+                rescale,
+                clip,
+                ..
+            } => {
+                let stats = [*scores, *row_max, *row_sum];
+                let d = any(&stats.map(Some)) || clip.is_some_and(|(ix, _)| ix.var == last);
+                mark(per_lane, &stats, d) | mark(per_lane, rescale, d)
+            }
+            BlockStmt::RowDiv {
+                target,
+                denom: other,
+            }
+            | BlockStmt::AddTile { target, other }
+            | BlockStmt::AddBias {
+                target,
+                bias: other,
+            } => {
+                let d = any(&[Some(*other)]);
+                mark(per_lane, &[*target], d)
+            }
+            BlockStmt::RowNormStats {
+                a,
+                residual,
+                mean,
+                rstd,
+                ..
+            } => {
+                let d = by_lane(a)
+                    || residual.as_ref().is_some_and(by_lane)
+                    || any(&[Some(*mean), Some(*rstd)]);
+                mark(per_lane, &[*mean, *rstd], d)
+            }
+            BlockStmt::NormalizeTile {
+                target,
+                mean,
+                rstd,
+                gamma,
+                beta,
+                ..
+            } => {
+                let d = any(&[Some(*mean), Some(*rstd), *gamma, *beta]);
+                mark(per_lane, &[*target], d)
+            }
+            BlockStmt::AddGlobal { target, src } => mark(per_lane, &[*target], by_lane(src)),
+            BlockStmt::AddRecomputedNorm {
+                target,
+                a,
+                residual,
+                mean,
+                rstd,
+                gamma,
+                beta,
+            } => {
+                let d = by_lane(a)
+                    || residual.as_ref().is_some_and(by_lane)
+                    || any(&[Some(*mean), Some(*rstd), *gamma, *beta]);
+                mark(per_lane, &[*target], d)
+            }
+            BlockStmt::LayerNormTile {
+                target,
+                gamma,
+                beta,
+                ..
+            } => {
+                let d = any(&[*gamma, *beta]);
+                mark(per_lane, &[*target], d)
+            }
+        };
+    }
+    changed
+}
+
+/// A [`TileProgram`] the static verifier has accepted, with its
+/// [`Lanes`].
+///
+/// The fields are private, so the only ways to get one are
 /// [`VerifiedProgram::new`], which runs [`verify_program`], and
 /// [`VerifiedProgram::widened`], which runs [`verify_widened`]. It
 /// derefs to the program but never hands out `&mut`, so what was
 /// checked is what runs. The executor
 /// ([`execute_with_arena`](crate::execute_with_arena)) accepts only
-/// this type: a program is checked once, when the plan is built, and
-/// trusted on every launch after that.
+/// this type: a program is checked, and its lanes found, once, when the
+/// plan is built, and trusted on every launch after that.
 ///
 /// ```
 /// use mcfuser_sim::{
@@ -875,20 +1127,35 @@ pub fn verify_widened(p: &TileProgram) -> Result<VerifyReport, VerifyError> {
 /// }
 /// ```
 #[derive(Debug)]
-pub struct VerifiedProgram(TileProgram);
+pub struct VerifiedProgram {
+    program: TileProgram,
+    lanes: Option<Lanes>,
+}
 
 impl VerifiedProgram {
     /// Run [`verify_program`] over `p` and wrap it if it passes.
     pub fn new(p: TileProgram) -> Result<Self, VerifyError> {
         verify_program(&p)?;
-        Ok(VerifiedProgram(p))
+        Ok(Self::accepted(p))
     }
 
     /// Run [`verify_widened`] over a widened batch program and wrap it
     /// if it passes.
     pub fn widened(p: TileProgram) -> Result<Self, VerifyError> {
         verify_widened(&p)?;
-        Ok(VerifiedProgram(p))
+        Ok(Self::accepted(p))
+    }
+
+    fn accepted(program: TileProgram) -> Self {
+        let lanes = Lanes::of(&program);
+        VerifiedProgram { program, lanes }
+    }
+
+    /// The lanes the executor steps each grid row in, or `None` when it
+    /// runs the blocks one at a time (a row is one block, or no
+    /// statement can run once per row).
+    pub fn lanes(&self) -> Option<&Lanes> {
+        self.lanes.as_ref()
     }
 }
 
@@ -896,7 +1163,7 @@ impl std::ops::Deref for VerifiedProgram {
     type Target = TileProgram;
 
     fn deref(&self) -> &TileProgram {
-        &self.0
+        &self.program
     }
 }
 

@@ -10,10 +10,11 @@
 //!   is shown transparent: its winners equal the ungated
 //!   `McFuser::tune`'s.
 //! * **sensitivity** — deliberately corrupted programs (a shifted tile
-//!   index, overlapping grid footprints, an uninitialized accumulator)
-//!   are each rejected with the *expected, distinct* `VerifyError`
-//!   variant, so demotion paths can trust the error structure, and
-//!   `execute` refuses to run each one with that same finding.
+//!   index, overlapping grid footprints, an uninitialized accumulator,
+//!   a load from the buffer the program stores) are each rejected with
+//!   the *expected, distinct* `VerifyError` variant, so demotion paths
+//!   can trust the error structure, and `execute` refuses to run each
+//!   one with that same finding.
 
 use proptest::prelude::*;
 
@@ -216,4 +217,38 @@ fn uninitialized_accumulator_rejected() {
     assert_rejected(&p, |e| {
         matches!(e, VerifyError::UninitializedAccumulator { .. })
     });
+}
+
+/// Corruption 4 — a read of a stored buffer: loading the output tile
+/// back into the accumulator just before it is stored would let a block
+/// see what another block wrote, so the result would depend on the
+/// order the blocks run in. Rejected as `ReadsStoredBuffer`.
+#[test]
+fn load_from_the_output_rejected() {
+    let mut p = victim_program();
+    fn load_before_store(stmts: &mut Vec<BlockStmt>) -> bool {
+        if let Some(i) = stmts
+            .iter()
+            .position(|s| matches!(s, BlockStmt::Store { .. }))
+        {
+            let BlockStmt::Store { dst, src } = &stmts[i] else {
+                unreachable!()
+            };
+            let load = BlockStmt::Load {
+                src: dst.clone(),
+                dst: *src,
+            };
+            stmts.insert(i, load);
+            return true;
+        }
+        stmts.iter_mut().any(|s| match s {
+            BlockStmt::Loop { body, .. } => load_before_store(body),
+            _ => false,
+        })
+    }
+    assert!(load_before_store(&mut p.body), "winner has a store");
+    assert_rejected(
+        &p,
+        |e| matches!(e, VerifyError::ReadsStoredBuffer { buf } if buf == "out"),
+    );
 }
