@@ -1,7 +1,7 @@
 //! Criterion bench: functional (for-value) execution of fused kernels on
-//! the simulator — the correctness-oracle path — and the host GEMM kernel
-//! every fused kernel and reference projection runs, at the tile shapes
-//! serving and decoding call it with.
+//! the simulator — the correctness-oracle path — and the host GEMM and
+//! GELU kernels every fused kernel and reference lane runs, at the tile
+//! shapes serving and decoding call them with.
 //!
 //! The fused launches fold each grid row's blocks into lanes that share
 //! the row-invariant work: the 2-GEMM chain's grid `[1, 4, 5]` and
@@ -11,7 +11,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mcfuser_ir::{ChainSpec, EpilogueStitch, ResidualSource};
-use mcfuser_sim::{execute_with_arena, gemm, BufferArena, TensorStorage, VerifiedProgram};
+use mcfuser_sim::{
+    execute_with_arena, gelu, gelu_in_place, gemm, BufferArena, TensorStorage, VerifiedProgram,
+};
 use mcfuser_tile::{lower, Candidate, LoweringOptions, TilingExpr};
 use std::hint::black_box;
 
@@ -99,6 +101,34 @@ fn bench(c: &mut Criterion) {
             bench.iter(|| gemm(black_box(&a), black_box(&b), &mut acc, m, n, k, n))
         });
     }
+    g.finish();
+
+    // (rows, cols): serve's FFN tile, and one decode step's FFN
+    // activation (GPT-mini's 256-wide intermediate) for a width-2 launch;
+    // then the scalar definition on the serve tile.
+    let activations =
+        |len: usize| -> Vec<f32> { (0..len).map(|i| 3.0 * (i as f32 * 0.37).sin()).collect() };
+    let mut g = c.benchmark_group("gelu");
+    g.sample_size(200);
+    for (rows, cols) in [(16, 64), (2, 256)] {
+        let x = activations(rows * cols);
+        let mut tile = x.clone();
+        g.bench_function(&format!("gelu_{rows}x{cols}"), |bench| {
+            bench.iter(|| {
+                tile.copy_from_slice(&x);
+                gelu_in_place(black_box(&mut tile));
+            })
+        });
+    }
+    let x = activations(16 * 64);
+    let mut tile = x.clone();
+    g.bench_function("libm_16x64", |bench| {
+        bench.iter(|| {
+            for (t, &v) in tile.iter_mut().zip(&x) {
+                *t = gelu(black_box(v));
+            }
+        })
+    });
     g.finish();
 }
 

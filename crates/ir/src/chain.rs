@@ -730,6 +730,8 @@ pub fn apply_epilogue(e: Epilogue, data: &mut [f32], rows: usize, cols: usize) {
             }
         }
         Epilogue::Gelu => {
+            // The scalar definition, not `mcfuser_sim::gelu_in_place`: the
+            // chain oracle checks the vectorized kernel from the outside.
             for v in data.iter_mut() {
                 *v = crate::reference::gelu(*v);
             }

@@ -129,7 +129,9 @@ pub fn evaluate_node_with<'v>(
             }
             Op::Gelu => {
                 let x = value(values, node.inputs[0]);
-                HostTensor::from_vec(&x.shape, x.data.iter().map(|&v| gelu(v)).collect())
+                let mut data = x.data.clone();
+                mcfuser_sim::gelu_in_place(&mut data);
+                HostTensor::from_vec(&x.shape, data)
             }
             Op::LayerNorm => {
                 let x = value(values, node.inputs[0]);
@@ -222,9 +224,9 @@ fn value<'v>(values: ValueLookup<'_, 'v>, id: NodeId) -> &'v HostTensor {
     values(id).expect("topological order violated")
 }
 
-/// tanh-approximation GELU — delegates to the simulator's kernel
-/// (`mcfuser_sim::gelu`) so the reference oracle and the functional
-/// interpreter share one bit-identical implementation.
+/// tanh-approximation GELU — delegates to the simulator's definition
+/// (`mcfuser_sim::gelu`), which the interpreter's and the reference
+/// lane's vectorized `mcfuser_sim::gelu_in_place` reproduce bit for bit.
 pub fn gelu(x: f32) -> f32 {
     mcfuser_sim::gelu(x)
 }

@@ -33,6 +33,7 @@
 use rustc_hash::FxHashMap;
 
 use crate::dtype::DType;
+use crate::gelu::gelu_in_place;
 use crate::kernel::{BlockStmt, BufferRole, SmemDecl, SmemId, TileAccess, TileProgram, VarRef};
 use crate::verify::{Lanes, VerifiedProgram, VerifyError};
 
@@ -745,11 +746,7 @@ fn run_stmt(
                 *v = v.max(0.0);
             }
         }
-        BlockStmt::Gelu { target } => {
-            for v in smem.bufs[target.0].iter_mut() {
-                *v = gelu(*v);
-            }
-        }
+        BlockStmt::Gelu { target } => gelu_in_place(&mut smem.bufs[target.0]),
         BlockStmt::AddTile { target, other } => {
             let (t, o) = (target.0, other.0);
             if t == o {
@@ -772,11 +769,6 @@ fn run_stmt(
         BlockStmt::Scale { target, factor } => {
             for v in smem.bufs[target.0].iter_mut() {
                 *v *= factor;
-            }
-        }
-        BlockStmt::Exp { target } => {
-            for v in smem.bufs[target.0].iter_mut() {
-                *v = v.exp();
             }
         }
         BlockStmt::AddBias { target, bias } => {
@@ -1011,14 +1003,6 @@ impl<'a> RawView<'a> {
         }
         self.data[(self.base + gr * self.rstride + gc) as usize]
     }
-}
-
-/// tanh-approximation GELU (matches common framework implementations).
-/// The single source of truth for the epilogue's numerics — the CPU
-/// reference oracle in `mcfuser-ir` delegates here, so the interpreter
-/// and the oracle can never drift apart.
-pub fn gelu(x: f32) -> f32 {
-    0.5 * x * (1.0 + ((0.797_884_6 * (x + 0.044715 * x * x * x)) as f64).tanh() as f32)
 }
 
 /// Copy the in-bounds part `src` of one tile row into `dst`, quantizing

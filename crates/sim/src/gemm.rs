@@ -31,6 +31,8 @@
 //! test checks every copy the CPU can run against a scalar loop, on
 //! shapes that reach every block, panel and tail.
 
+use crate::isa::Isa;
+
 /// `acc[i·stride + j] += Σ_kk a[i·k + kk] · b[kk·n + j]` for `i < m` and
 /// `j < n`, adding each element's non-zero `a` terms in `kk` order.
 ///
@@ -40,57 +42,6 @@
 /// a slice is too short.
 pub fn gemm(a: &[f32], b: &[f32], acc: &mut [f32], m: usize, n: usize, k: usize, stride: usize) {
     gemm_on(Isa::widest(), a, b, acc, m, n, k, stride);
-}
-
-/// An instruction set the kernel is compiled for, narrowest first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Isa {
-    Portable,
-    #[cfg(target_arch = "x86_64")]
-    Avx512f,
-}
-
-impl Isa {
-    const ALL: &'static [Isa] = &[
-        Isa::Portable,
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512f,
-    ];
-
-    /// Whether this CPU has every feature the copy is compiled with,
-    /// including those rustc implies: AVX-512F implies AVX2, FMA and F16C,
-    /// and AVX2 implies AVX and the SSE levels down to SSE3. Detected once
-    /// per process.
-    fn runs_here(self) -> bool {
-        match self {
-            Isa::Portable => true,
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512f => {
-                static HERE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-                *HERE.get_or_init(|| {
-                    macro_rules! has {
-                        ($($feature:tt),+) => {
-                            $(std::arch::is_x86_feature_detected!($feature))&&+
-                        };
-                    }
-                    has!(
-                        "avx512f", "fma", "f16c", "avx2", "avx", "sse4.2", "sse4.1", "ssse3",
-                        "sse3"
-                    )
-                })
-            }
-        }
-    }
-
-    /// The widest copy this CPU can run.
-    fn widest() -> Isa {
-        Isa::ALL
-            .iter()
-            .rev()
-            .copied()
-            .find(|isa| isa.runs_here())
-            .unwrap_or(Isa::Portable)
-    }
 }
 
 /// Run the copy compiled for `isa`. Panics if the CPU cannot run it.
@@ -292,7 +243,7 @@ mod tests {
     /// a column offset; then the serve and decode tile shapes.
     #[test]
     fn every_copy_matches_the_scalar_loop() {
-        let copies: Vec<Isa> = Isa::ALL.iter().copied().filter(|i| i.runs_here()).collect();
+        let copies = Isa::here();
         assert_eq!(copies[0], Isa::Portable);
         const PANEL_EDGES: [usize; 19] = [
             1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 257,

@@ -232,8 +232,6 @@ pub enum BlockStmt {
     /// Add a row vector (`bias`, a `1 × cols` buffer) to each row of
     /// `target`.
     AddBias { target: SmemId, bias: SmemId },
-    /// Exponentiate every element (two-pass softmax building block).
-    Exp { target: SmemId },
     /// Per-row mean and reciprocal-σ over the *full* rows of a global
     /// tensor (optionally summed element-wise with a second tensor), written
     /// into `rows × 1` shared buffers. Block-root statement backing the
@@ -616,7 +614,6 @@ impl TileProgram {
                 BlockStmt::Relu { target }
                 | BlockStmt::Gelu { target }
                 | BlockStmt::Scale { target, .. }
-                | BlockStmt::Exp { target }
                 | BlockStmt::Quantize { target, .. } => {
                     self.smem_decl(*target)?;
                 }

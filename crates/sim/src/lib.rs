@@ -16,6 +16,9 @@
 //! * [`gemm()`] — the host's one non-transposed GEMM kernel, shared by the
 //!   interpreter and the reference lane and run on the CPU's widest
 //!   vectors;
+//! * [`gelu_in_place`] — the FFN epilogue's GELU on the CPU's widest
+//!   vectors, bit for bit the scalar [`gelu()`] (libm's `tanh`) on every
+//!   input;
 //! * [`timing`] — a wave/roofline timing model that "measures" kernels,
 //!   including the second-order effects (L2, tensor-core fill, double
 //!   buffering, wave quantization) the paper's coarse analytical model
@@ -50,7 +53,9 @@ pub mod clock;
 pub mod device;
 pub mod dtype;
 pub mod exec;
+pub mod gelu;
 pub mod gemm;
+mod isa;
 pub mod kernel;
 pub mod noise;
 pub mod report;
@@ -62,9 +67,10 @@ pub use clock::{CostProfile, TuningClock, TuningReport};
 pub use device::{Arch, DeviceSpec};
 pub use dtype::DType;
 pub use exec::{
-    execute, execute_with_arena, gelu, BufferArena, ExecBackend, ExecError, HostTensor,
-    Interpreter, TensorStorage,
+    execute, execute_with_arena, BufferArena, ExecBackend, ExecError, HostTensor, Interpreter,
+    TensorStorage,
 };
+pub use gelu::{gelu, gelu_in_place};
 pub use gemm::gemm;
 pub use kernel::{
     ceil_div, visit_accesses, visit_accesses_mut, BlockStmt, BufId, BufferDecl, BufferRole,

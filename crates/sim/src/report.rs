@@ -83,9 +83,6 @@ fn render_stmts(p: &TileProgram, stmts: &[BlockStmt], indent: usize, out: &mut S
             BlockStmt::AddBias { target, .. } => {
                 out.push_str(&format!("{pad}bias {}\n", p.smem[target.0].name));
             }
-            BlockStmt::Exp { target } => {
-                out.push_str(&format!("{pad}exp {}\n", p.smem[target.0].name));
-            }
             BlockStmt::Quantize { target, dtype } => {
                 out.push_str(&format!(
                     "{pad}quantize {} -> {:?}\n",

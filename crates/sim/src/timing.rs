@@ -183,7 +183,6 @@ fn walk(p: &TileProgram, stmts: &[BlockStmt], trips: f64, st: &mut BlockStats) {
             BlockStmt::RowDiv { target, .. }
             | BlockStmt::Relu { target }
             | BlockStmt::Scale { target, .. }
-            | BlockStmt::Exp { target }
             | BlockStmt::AddBias { target, .. }
             | BlockStmt::AddTile { target, .. } => {
                 let d = &p.smem[target.0];

@@ -537,7 +537,6 @@ impl<'p> Analysis<'p> {
                 BlockStmt::Relu { target }
                 | BlockStmt::Gelu { target }
                 | BlockStmt::Scale { target, .. }
-                | BlockStmt::Exp { target }
                 | BlockStmt::Quantize { target, .. } => {
                     self.use_smem(*target, false)?;
                     self.def_smem(*target, false)?;
@@ -768,7 +767,6 @@ fn collect_used_smem(stmts: &[BlockStmt], out: &mut Vec<SmemId>) {
             BlockStmt::Relu { target }
             | BlockStmt::Gelu { target }
             | BlockStmt::Scale { target, .. }
-            | BlockStmt::Exp { target }
             | BlockStmt::Quantize { target, .. } => out.push(*target),
             BlockStmt::AddTile { target, other } => out.extend([*target, *other]),
             BlockStmt::AddBias { target, bias } => out.extend([*target, *bias]),
@@ -955,7 +953,6 @@ fn written_tile(s: &BlockStmt) -> Option<SmemId> {
         | BlockStmt::Scale { target, .. }
         | BlockStmt::AddTile { target, .. }
         | BlockStmt::AddBias { target, .. }
-        | BlockStmt::Exp { target }
         | BlockStmt::NormalizeTile { target, .. }
         | BlockStmt::Quantize { target, .. }
         | BlockStmt::AddGlobal { target, .. }
@@ -986,7 +983,6 @@ fn mark_per_lane(stmts: &[BlockStmt], last: VarRef, per_lane: &mut [bool]) -> bo
             | BlockStmt::Relu { .. }
             | BlockStmt::Gelu { .. }
             | BlockStmt::Scale { .. }
-            | BlockStmt::Exp { .. }
             | BlockStmt::Quantize { .. } => false,
             BlockStmt::Gemm { a, b, acc, .. } => {
                 let d = any(&[Some(*a), Some(*b)]);

@@ -23,7 +23,9 @@
 //!   and the graph workloads (BERT, ViT, Mixer, MLP4, masked
 //!   attention) — matches the reference lane per `(model, seed)`
 //!   (paper-scale shapes stay in the benches; the regression runs each
-//!   family's smallest member).
+//!   family's smallest member);
+//! * the `Gelu` statement gives the scalar GELU's bits on the near-ties
+//!   its vectorized kernel hands to the scalar definition.
 
 use std::sync::{Arc, OnceLock};
 
@@ -33,7 +35,8 @@ use mcfuser::baselines::Relay;
 use mcfuser::ir::{evaluate, EpilogueStitch, Graph, NodeId, PrologueSpec, ResidualSource};
 use mcfuser::prelude::*;
 use mcfuser::sim::{
-    execute, execute_with_arena, BlockStmt, BufferArena, TileProgram, VerifiedProgram,
+    execute, execute_with_arena, gelu, BlockStmt, BufferArena, BufferRole, ProgramBuilder,
+    TileAccess, TileIndex, TileProgram, VarRef, VerifiedProgram,
 };
 use mcfuser::tile::{lower, LoopId, LoweringOptions};
 use mcfuser::workloads::{
@@ -536,5 +539,60 @@ fn graph_workloads_match_the_reference_lane() {
                 .unwrap_or_else(|e| panic!("{}: run failed: {e}", graph.name));
             assert_outputs_match(graph, &got, &graph_reference(graph, &named, seed), 5e-2);
         }
+    }
+}
+
+/// A hand-built `Load → Gelu → Store` program gives the scalar `gelu`'s
+/// bits on the inputs whose rounding the vectorized kernel cannot settle
+/// itself: the 223 consecutive near-ties on each side of zero from
+/// ±4.4130336e-4, then NaN, ±0, ±∞ and ordinary values.
+#[test]
+fn gelu_statement_gives_the_scalar_bits_on_near_ties() {
+    let (lo, hi) = (4.413_033_6e-4f32.to_bits(), 4.413_098_2e-4f32.to_bits());
+    let mut x: Vec<f32> = (lo..=hi)
+        .flat_map(|b| [f32::from_bits(b), -f32::from_bits(b)])
+        .collect();
+    assert_eq!(x.len(), 446);
+    x.extend([f32::NAN, 0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, -3.5]);
+    let (rows, cols, tile_rows) = (32u64, 16u64, 16u64);
+    x.resize((rows * cols) as usize, 0.75);
+    let mut b = ProgramBuilder::new("gelu", DType::F32);
+    let src = b.buffer("x", vec![rows, cols], DType::F32, BufferRole::Input);
+    let dst = b.buffer("y", vec![rows, cols], DType::F32, BufferRole::Output);
+    let tile = b.smem("t", tile_rows, cols, DType::F32);
+    let row = b.grid_dim(rows / tile_rows);
+    let at = |buf| TileAccess {
+        buf,
+        indices: vec![
+            TileIndex {
+                var: row,
+                tile: tile_rows,
+            },
+            TileIndex {
+                var: VarRef::Zero,
+                tile: cols,
+            },
+        ],
+    };
+    let p = b.finish(vec![
+        BlockStmt::Load {
+            src: at(src),
+            dst: tile,
+        },
+        BlockStmt::Gelu { target: tile },
+        BlockStmt::Store {
+            dst: at(dst),
+            src: tile,
+        },
+    ]);
+    let mut st = TensorStorage::for_program(&p);
+    st.tensors[0] = HostTensor::from_vec(&[rows, cols], x.clone());
+    execute(&p, &mut st).unwrap();
+    for (i, (&got, &x)) in st.tensors[1].data.iter().zip(&x).enumerate() {
+        let want = gelu(x);
+        assert!(
+            got.to_bits() == want.to_bits() || (want.is_nan() && got.is_nan()),
+            "element {i}: gelu({x:e}) is {got:e}, want {want:e}"
+        );
     }
 }
